@@ -26,6 +26,7 @@ from .errors import (
 )
 from .family import (
     CanonicalParams,
+    Field,
     ManifoldGeometry,
     RhoSpec,
     compute_geometry,

@@ -23,6 +23,7 @@ from .errors import MmopamError, NotPeriodic
 from .family import CanonicalParams, RhoSpec, compute_geometry
 from .pam import (
     PamCoefficients,
+    Signature,
     TransformedPam,
     detect_signature,
     iterate_orbit,
@@ -348,7 +349,7 @@ def cmd_crossover(args) -> int:
         print(f"  t in [{lo:.4f}, {hi:.4f}] (kappa {k_lo:.4f}..{k_hi:.4f}): {sig}")
     if args.out_svg:
         ts = [r[0] for r in records]
-        periods = [len(r[3].split()) and _period_of(r[3]) for r in records]
+        periods = [0 if r[3] == "(none)" else Signature.from_string(r[3]).period for r in records]
         plotting.line_plot([(ts, periods)], args.out_svg, x_label="scan parameter", y_label="pattern period")
     if args.out_csv:
         with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
@@ -357,16 +358,6 @@ def cmd_crossover(args) -> int:
             for t, kappa, lam, sig, mu in records:
                 writer.writerow([f"{t:.6f}", repr(kappa), repr(lam), sig, repr(mu)])
     return EXIT_OK
-
-
-def _period_of(sig_text: str) -> int:
-    if sig_text == "(none)":
-        return 0
-    total = 0
-    for part in sig_text.split():
-        L, s = part.split("^")
-        total += int(L) + int(s)
-    return total
 
 
 # --------------------------------------------------------------------------

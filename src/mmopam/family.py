@@ -10,15 +10,20 @@ Two rho families are supported: Quadratic rho(x) = p + x + q x^2, and the
 fixed rational rho whose reciprocal is a specific quartic. For both, the
 product rho * F_x(., 0) reduces to a polynomial (exactly, for the fixed
 rational choice), so Q has a closed polynomial form; an adaptive-quadrature
-evaluator is kept alongside as an independent oracle and fallback.
+evaluator is kept alongside as an independent oracle.
+
+:class:`Field`, built once per parameter set as ``params.field``, is the one
+evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
+right-hand side and Jacobian, and the hybrid slow flow. Loops start from 0.0,
+so they take scalars and, element-wise, arrays; the ``eval_*`` functions use it.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -55,9 +60,6 @@ _D[3] = Fraction(45620545, 361287664 * 3)
 _C[2] = -Fraction(1)
 _D[2] = -Fraction(1, 16)
 
-_CF = np.array([float(c) for c in _C])
-_DF = np.array([float(d) for d in _D])
-
 # reciprocal of the fixed rational rho, exact quartic coefficients (descending)
 _RHO_DEN_EXACT = [
     Fraction(552540, 22580479),
@@ -66,44 +68,56 @@ _RHO_DEN_EXACT = [
     Fraction(-11520033, 22580479),
     Fraction(1),
 ]
-_RHO_DEN = np.array([float(c) for c in _RHO_DEN_EXACT])
+
+# --- plain-float kernels: each loop keeps numpy.polyval's operation order -----
+
+_KCD = tuple((k, float(_C[k]), float(_D[k])) for k in range(9, 1, -1))  # (k, C_k, D_k), k = 9..2
+_KD = tuple(k * d for k, _, d in _KCD)  # F_xz / x, descending
+_C2, _D2 = float(_C[2]), float(_D[2])
+_RHO_DEN = tuple(float(c) for c in _RHO_DEN_EXACT)
+_RHO_DDEN = tuple(np.polyder(np.array(_RHO_DEN)).tolist())
+
+
+def _horner(coeffs, x):
+    """Polynomial with descending coefficients, summed as numpy.polyval does."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def eval_F(x, z):
     """F(x, z) by Horner's scheme; accepts scalars or arrays."""
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for k in range(9, 1, -1):
-        acc = (acc + (_CF[k] + _DF[k] * z)) * x
+    acc = 0.0
+    for _, c, d in _KCD:
+        acc = (acc + (c + d * z)) * x
     return acc * x
 
 
 def eval_Fx(x, z):
     """Analytic dF/dx."""
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for k in range(9, 1, -1):
-        acc = acc * x + k * (_CF[k] + _DF[k] * z)
+    acc = 0.0
+    for k, c, d in _KCD:
+        acc = acc * x + k * (c + d * z)
     return acc * x
 
 
 def eval_Fxx(x, z):
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for k in range(9, 2, -1):
-        acc = acc * x + k * (k - 1) * (_CF[k] + _DF[k] * z)
-    return acc * x + 2.0 * (_CF[2] + _DF[2] * z)
+    acc = 0.0
+    for k, c, d in _KCD[:-1]:
+        acc = acc * x + k * (k - 1) * (c + d * z)
+    return acc * x + 2.0 * (_C2 + _D2 * z)
 
 
 def eval_Fz(x, z):
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for k in range(9, 1, -1):
-        acc = (acc + _DF[k]) * x
+    acc = 0.0
+    for _, _, d in _KCD:
+        acc = (acc + d) * x
     return acc * x
 
 
 def eval_Fxz(x, z):
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for k in range(9, 1, -1):
-        acc = acc * x + k * _DF[k]
-    return acc * x
+    return _horner(_KD, x) * x
 
 
 def eval_J(x):
@@ -149,14 +163,14 @@ class RhoSpec:
     def rho(self, x):
         if self.variant == "quadratic":
             return self.p + x + self.q * x * x
-        return 1.0 / np.polyval(_RHO_DEN, x)
+        return 1.0 / _horner(_RHO_DEN, x)
 
     def drho(self, x):
         """d(rho)/dx, needed for analytic Jacobians of the slow drift."""
         if self.variant == "quadratic":
             return 1.0 + 2.0 * self.q * x
-        den = np.polyval(_RHO_DEN, x)
-        return -np.polyval(np.polyder(_RHO_DEN), x) / (den * den)
+        den = _horner(_RHO_DEN, x)
+        return -_horner(_RHO_DDEN, x) / (den * den)
 
     def to_json_obj(self):
         if self.variant == "quadratic":
@@ -175,32 +189,22 @@ class RhoSpec:
 QUADRATIC = "quadratic"
 FIXED_RATIONAL = "fixed_rational"
 
-_w_poly_cache: dict[RhoSpec, np.ndarray | None] = {}
-_w_poly_lock = threading.Lock()
 
-
-def _rho_fx_polynomial(rho: RhoSpec) -> np.ndarray | None:
-    """Polynomial coefficients (descending) of rho(x) * F_x(x, 0), if exact.
+def _rho_fx_polynomial(rho: RhoSpec) -> np.ndarray:
+    """Polynomial coefficients (descending) of W = rho(x) * F_x(x, 0).
 
     For quadratic rho the product is trivially polynomial. For the fixed
     rational rho, F_x(., 0) is divisible by 1/rho in exact arithmetic; a
-    nonzero remainder (never hit for the paper's F) returns None and sends
-    callers down the quadrature path.
+    nonzero remainder would mean Q has no closed form and raises.
     """
-    with _w_poly_lock:
-        if rho in _w_poly_cache:
-            return _w_poly_cache[rho]
     fx_desc = [Fraction(k) * _C[k] for k in range(9, 0, -1)]  # F_x(., 0), descending x^8..x^0
     if rho.variant == "quadratic":
         rho_desc = [Fraction(rho.q).limit_denominator(10**15), Fraction(1), Fraction(rho.p).limit_denominator(10**15)]
-        prod = _poly_mul(rho_desc, fx_desc)
-        out = np.array([float(c) for c in prod])
-    else:
-        quot, rem = _poly_divmod(fx_desc, _RHO_DEN_EXACT)
-        out = None if any(rem) else np.array([float(c) for c in quot])
-    with _w_poly_lock:
-        _w_poly_cache[rho] = out
-    return out
+        return np.array([float(c) for c in _poly_mul(rho_desc, fx_desc)])
+    quot, rem = _poly_divmod(fx_desc, _RHO_DEN_EXACT)
+    if any(rem):
+        raise DomainError("rho * F_x(., 0) leaves a nonzero remainder; Q has no polynomial form")
+    return np.array([float(c) for c in quot])
 
 
 def _poly_mul(a, b):
@@ -222,12 +226,101 @@ def _poly_divmod(num, den):
     return out, num[len(out):]
 
 
-def q_polynomial(rho: RhoSpec) -> np.ndarray | None:
-    """Descending coefficients of Q(x) = int_0^x rho F_s, when closed form exists."""
-    w = _rho_fx_polynomial(rho)
-    if w is None:
-        return None
-    return np.polyint(w)  # constant term 0: Q(0) = 0
+def q_polynomial(rho: RhoSpec) -> np.ndarray:
+    """Descending coefficients of Q(x) = int_0^x rho F_s."""
+    return np.polyint(_rho_fx_polynomial(rho))  # constant term 0: Q(0) = 0
+
+
+@lru_cache(maxsize=64)
+def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Plain-float coefficients of Q and of W = Q', built once per rho."""
+    qpoly = q_polynomial(rho)
+    return tuple(qpoly.tolist()), tuple(np.polyder(qpoly).tolist())
+
+
+# --- the compiled field ------------------------------------------------------
+
+
+class Field:
+    """F, Q, rho and the slow drift of one parameter set (``params.field``).
+
+    Products keep one order everywhere, G = (((kappa + lambda P) u) rho) J and
+    H = (rho u) J with u = alpha Q + beta, so every route gives the same bits.
+    Holding the F kernels here keeps the integrators off rebound module names.
+    """
+
+    __slots__ = ("alpha", "beta", "kappa", "lam", "z0", "rho", "drho", "_q", "_w")
+
+    F = staticmethod(eval_F)
+    Fx = staticmethod(eval_Fx)
+    Fxx = staticmethod(eval_Fxx)
+    Fz = staticmethod(eval_Fz)
+    Fxz = staticmethod(eval_Fxz)
+
+    def __init__(self, params: CanonicalParams):
+        self.alpha, self.beta = float(params.alpha), float(params.beta)
+        self.kappa, self.lam = float(params.kappa), float(params.lam)
+        self.z0 = float(params.z0)
+        self.rho, self.drho = params.rho.rho, params.rho.drho
+        self._q, self._w = _q_tables(params.rho)
+
+    def Q(self, x):
+        return _horner(self._q, x)
+
+    def QuP(self, x):
+        """(Q, u = alpha Q + beta, P = alpha Q^2/2 + beta Q) at x."""
+        Q = _horner(self._q, x)
+        return Q, self.alpha * Q + self.beta, self.alpha * Q * Q / 2.0 + self.beta * Q
+
+    def drift(self, x):
+        """(G(x), H(x)), sharing one evaluation of Q and rho."""
+        _, u, P = self.QuP(x)
+        r = self.rho(x)
+        J = 0.5 - x
+        return (self.kappa + self.lam * P) * u * r * J, r * u * J
+
+    def pq(self, x):
+        fx = self.Fx(x, self.z0)
+        if abs(fx) < FOLD_TOL:
+            raise FoldPointEvaluation(f"F_x vanishes at x = {x}")
+        _, lin, P = self.QuP(x)
+        r = self.rho(x)
+        return r * lin * fx, (self.kappa + self.lam * P) * lin * r * fx
+
+    def rhs(self, t, s, eps, delta):
+        """Slow-time (x', y', z') at the state array s, for ``solve_ivp(..., args=(eps, delta))``."""
+        x, y, z = s.tolist()
+        G, H = self.drift(x)
+        return (y - self.F(x, z)) / eps, 0.5 - x, delta * G + (z - self.z0) * H
+
+    def jac(self, t, s, eps, delta):
+        """Analytic Jacobian of :meth:`rhs`."""
+        x, y, z = s.tolist()
+        lam = self.lam
+        r = self.rho(x)
+        rp = self.drho(x)
+        _, u, P = self.QuP(x)
+        Qp = r * self.Fx(x, self.z0)
+        up = self.alpha * Qp
+        J = 0.5 - x
+        Pp = u * Qp
+        Hp = rp * u * J + r * up * J - r * u
+        Gp = lam * Pp * u * r * J + (self.kappa + lam * P) * (up * r * J + u * rp * J - u * r)
+        return np.array(
+            [
+                [-self.Fx(x, z) / eps, 1.0 / eps, -self.Fz(x, z) / eps],
+                [-1.0, 0.0, 0.0],
+                [delta * Gp + (z - self.z0) * Hp, 0.0, r * u * J],
+            ]
+        )
+
+    def dZdx(self, x, s, delta):
+        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz)."""
+        x = float(x)
+        Z = float(s[0])
+        _, u, P = self.QuP(x)
+        corr = delta * Z * self.rho(x) * self.Fxz(x, self.z0)
+        return [u * (self.kappa + self.lam * P + Z) * (_horner(self._w, x) + corr)]
 
 
 # --- canonical parameters ----------------------------------------------------
@@ -243,6 +336,11 @@ class CanonicalParams:
     lam: float
     rho: RhoSpec
     z0: float = 0.0
+
+    @cached_property
+    def field(self) -> Field:
+        """The compiled kernels of this parameter set, built on first use."""
+        return Field(self)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -270,11 +368,8 @@ class CanonicalParams:
 
 
 def eval_Q(params: CanonicalParams, x):
-    """Q(x) via the polynomial fast path, falling back to adaptive quadrature."""
-    qp = q_polynomial(params.rho)
-    if qp is not None:
-        return np.polyval(qp, x)
-    return eval_Q_quadrature(params, x)
+    """Q(x), the closed-form polynomial."""
+    return params.field.Q(x)
 
 
 def eval_Q_quadrature(params: CanonicalParams, x: float) -> float:
@@ -293,23 +388,17 @@ def eval_Q_quadrature(params: CanonicalParams, x: float) -> float:
 
 def eval_P(params: CanonicalParams, x):
     """P(x) = alpha*Q^2/2 + beta*Q, the antiderivative of p(x)."""
-    Qx = eval_Q(params, x)
-    return params.alpha * Qx * Qx / 2.0 + params.beta * Qx
+    return params.field.QuP(x)[2]
 
 
 def eval_G(params: CanonicalParams, x):
-    Qx = eval_Q(params, x)
-    return (
-        (params.kappa + params.lam * (params.alpha * Qx * Qx / 2.0 + params.beta * Qx))
-        * (params.alpha * Qx + params.beta)
-        * params.rho.rho(x)
-        * eval_J(x)
-    )
+    """G(x) = (kappa + lambda P) (alpha Q + beta) rho J."""
+    return params.field.drift(x)[0]
 
 
 def eval_H(params: CanonicalParams, x):
-    Qx = eval_Q(params, x)
-    return params.rho.rho(x) * (params.alpha * Qx + params.beta) * eval_J(x)
+    """H(x) = rho (alpha Q + beta) J."""
+    return params.field.drift(x)[1]
 
 
 def eval_pq(params: CanonicalParams, x: float) -> tuple[float, float]:
@@ -318,15 +407,7 @@ def eval_pq(params: CanonicalParams, x: float) -> tuple[float, float]:
     The g1 = J factor cancels between G, H and the slow drift, leaving
     p = rho*(alpha Q + beta)*F_x and q = (kappa + lambda P)*rho*(alpha Q + beta)*F_x.
     """
-    fx = eval_Fx(x, params.z0)
-    if abs(fx) < FOLD_TOL:
-        raise FoldPointEvaluation(f"F_x vanishes at x = {x}")
-    Qx = eval_Q(params, x)
-    lin = params.alpha * Qx + params.beta
-    r = params.rho.rho(x)
-    p = r * lin * fx
-    q = (params.kappa + params.lam * (params.alpha * Qx * Qx / 2.0 + params.beta * Qx)) * lin * r * fx
-    return p, q
+    return params.field.pq(x)
 
 
 def eval_vector_field(
@@ -335,10 +416,8 @@ def eval_vector_field(
     """Fast-time right-hand side (x', y', z')."""
     if eps < 0.0 or delta < 0.0:
         raise DomainError("eps and delta must be nonnegative")
-    dx = y - eval_F(x, z)
-    dy = eps * eval_J(x)
-    dz = eps * (delta * eval_G(params, x) + (z - params.z0) * eval_H(params, x))
-    return dx, dy, dz
+    G, H = params.field.drift(x)
+    return y - eval_F(x, z), eps * (0.5 - x), eps * (delta * G + (z - params.z0) * H)
 
 
 # --- critical-manifold geometry ----------------------------------------------
@@ -371,7 +450,6 @@ class ManifoldGeometry:
 
 
 _geometry_cache: dict[float, ManifoldGeometry] = {}
-_geometry_lock = threading.Lock()
 
 
 def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> ManifoldGeometry:
@@ -382,8 +460,7 @@ def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> Manifo
     search from the left.
     """
     z0 = params.z0
-    with _geometry_lock:
-        cached = _geometry_cache.get(z0)
+    cached = _geometry_cache.get(z0)
     if cached is not None:
         return cached
 
@@ -424,6 +501,5 @@ def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> Manifo
     xhat1 = project(y1, x4, X_MAX, "xhat1")
 
     geom = ManifoldGeometry(x1, x2, x3, x4, xhat1, xhat3, xhat4, y1, y2, y3, y4)
-    with _geometry_lock:
-        _geometry_cache[z0] = geom
+    _geometry_cache[z0] = geom
     return geom

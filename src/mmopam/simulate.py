@@ -28,27 +28,12 @@ from .errors import (
     NotPeriodic,
     StepSizeUnderflow,
 )
-from .family import (
-    CanonicalParams,
-    ManifoldGeometry,
-    compute_geometry,
-    eval_F,
-    eval_Fx,
-    eval_Fxz,
-    eval_Fz,
-    eval_G,
-    eval_H,
-    eval_J,
-    eval_Q,
-    q_polynomial,
-)
+from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
 # Output-point density control: consecutive samples are refined until adjacent
 # x values differ by less than this during slow segments.
 DENSIFY_DX = 0.05
-# Crossing times are refined on the dense interpolant to this accuracy in t.
-CROSSING_T_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,23 +121,6 @@ class TimeSeries:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def _slow_drift_derivatives(params: CanonicalParams, x: float) -> tuple[float, float]:
-    """(G'(x), H'(x)) analytically, for the Jacobian of the z equation."""
-    rho = params.rho
-    r = rho.rho(x)
-    rp = rho.drho(x)
-    Qx = eval_Q(params, x)
-    Qp = r * eval_Fx(x, params.z0)
-    u = params.alpha * Qx + params.beta
-    up = params.alpha * Qp
-    J = eval_J(x)
-    P = params.alpha * Qx * Qx / 2.0 + params.beta * Qx
-    Pp = u * Qp
-    Hp = rp * u * J + r * up * J - r * u
-    Gp = params.lam * Pp * u * r * J + (params.kappa + params.lam * P) * (up * r * J + u * rp * J - u * r)
-    return Gp, Hp
-
-
 def integrate_full(
     params: CanonicalParams,
     cfg: SimConfig,
@@ -169,28 +137,9 @@ def integrate_full(
     sec = section or SectionSpec()
     x_sec = sec.resolve(geom)
     direction = sec.crossing_direction
-    eps, delta, z0 = cfg.eps, cfg.delta, params.z0
+    fld = params.field
 
-    def rhs(t, s):
-        x, y, z = s
-        return (
-            (y - eval_F(x, z)) / eps,
-            eval_J(x),
-            delta * eval_G(params, x) + (z - z0) * eval_H(params, x),
-        )
-
-    def jac(t, s):
-        x, y, z = s
-        Gp, Hp = _slow_drift_derivatives(params, x)
-        return np.array(
-            [
-                [-eval_Fx(x, z) / eps, 1.0 / eps, -eval_Fz(x, z) / eps],
-                [-1.0, 0.0, 0.0],
-                [delta * Gp + (z - z0) * Hp, 0.0, eval_H(params, x)],
-            ]
-        )
-
-    def cross(t, s):
+    def cross(t, s, eps, delta):
         return s[0] - x_sec
 
     cross.direction = float(direction)
@@ -207,11 +156,12 @@ def integrate_full(
 
     for attempt in range(max_extensions + 1):
         sol = solve_ivp(
-            rhs,
+            fld.rhs,
             (t0, t0 + span),
             state,
             method="Radau",
-            jac=jac,
+            jac=fld.jac,
+            args=(cfg.eps, cfg.delta),
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
             events=cross,
@@ -262,10 +212,9 @@ def _densify(sol) -> tuple[np.ndarray, np.ndarray]:
 def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: float | None = None) -> list[tuple[float, float]]:
     """Directed crossings of {x = x_section} located from the samples.
 
-    Crossing times are refined by inverse interpolation of x(t) between the
-    bracketing samples to CROSSING_T_TOL; (y, z) are interpolated at the
-    refined time. When the series carries integrator-refined crossing states
-    those are used directly.
+    Each crossing sits at the root of the linear interpolant of x(t) between
+    the bracketing samples, where (y, z) are interpolated too. When the series
+    carries integrator-refined crossing states those are used directly.
     """
     if series.crossing_states:
         return [(yv, zv) for (_, _, yv, zv) in series.crossing_states]
@@ -275,18 +224,7 @@ def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: fl
     g = (series.x - xs) * sec.crossing_direction
     out = []
     for i in np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]:
-        ta, tb = series.t[i], series.t[i + 1]
-        # bisection on the linear interpolant of the bracketing samples
-        ga, gb = g[i], g[i + 1]
-        while tb - ta > CROSSING_T_TOL:
-            tm = 0.5 * (ta + tb)
-            gm = ga + (gb - ga) * (tm - series.t[i]) / (series.t[i + 1] - series.t[i])
-            if gm < 0.0:
-                ta, ga = tm, gm
-            else:
-                tb, gb = tm, gm
-        tc = 0.5 * (ta + tb)
-        w = (tc - series.t[i]) / (series.t[i + 1] - series.t[i])
+        w = g[i] / (g[i] - g[i + 1])  # interpolant root, as a fraction of the sample step
         out.append(
             (
                 float(series.y[i] + w * (series.y[i + 1] - series.y[i])),
@@ -331,22 +269,10 @@ def hybrid_simulate(
     if n_returns < 1:
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
-    rho = params.rho
-    z0 = params.z0
-    wpoly = q_polynomial(rho)
-    wpoly = None if wpoly is None else np.polyder(wpoly)
-
-    def dZdx(x, s):
-        Z = s[0]
-        Qx = eval_Q(params, x)
-        u = params.alpha * Qx + params.beta
-        P = params.alpha * Qx * Qx / 2.0 + params.beta * Qx
-        w = np.polyval(wpoly, x) if wpoly is not None else rho.rho(x) * eval_Fx(x, z0)
-        corr = delta * Z * rho.rho(x) * eval_Fxz(x, z0)
-        return [u * (params.kappa + params.lam * P + Z) * (w + corr)]
+    dZdx = params.field.dZdx
 
     def leg(x_from, x_to, Z):
-        sol = solve_ivp(dZdx, (x_from, x_to), [Z], method="DOP853", rtol=rel_tol, atol=abs_tol)
+        sol = solve_ivp(dZdx, (x_from, x_to), [Z], method="DOP853", args=(delta,), rtol=rel_tol, atol=abs_tol)
         if sol.status != 0:
             raise StepSizeUnderflow(f"reduced-flow leg failed on [{x_from}, {x_to}]: {sol.message}")
         return float(sol.y[0, -1])

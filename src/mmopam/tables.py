@@ -12,12 +12,11 @@ Two reference data sets are frozen here:
   formulas in the 4th decimal; the harness recomputes from the formulas, so
   that row reports the discrepancy rather than hiding it.
 
-Verification fans out across worker threads; rows are independent.
+Rows are verified one after another; the work is GIL-bound Python.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import MmopamError
@@ -33,8 +32,6 @@ from .pam import (
     untransform,
 )
 from .synthesis import synthesize
-
-MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -144,11 +141,6 @@ class TableReport:
         return "\n".join(lines)
 
 
-def _map_rows(fn, rows):
-    with ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
-        return list(pool.map(fn, rows))
-
-
 def verify_synthesis_benchmarks(tol: float = 1e-3) -> TableReport:
     """Re-synthesize every benchmark target and compare printed parameters."""
     rho = RhoSpec(FIXED_RATIONAL)
@@ -171,7 +163,7 @@ def verify_synthesis_benchmarks(tol: float = 1e-3) -> TableReport:
             {"max_abs_dev": f"{worst:.2e}", "computed": f"({got.alpha:.4f}, {got.beta:.4f}, {got.kappa:.4f}, {got.lam:.4f})"},
         )
 
-    return TableReport("synthesis parameter match", _map_rows(check, SYNTHESIS_BENCHMARKS))
+    return TableReport("synthesis parameter match", [check(row) for row in SYNTHESIS_BENCHMARKS])
 
 
 def verify_signature_benchmarks(z0s: tuple[float, ...] = (-0.5, 0.5)) -> TableReport:
@@ -188,7 +180,7 @@ def verify_signature_benchmarks(z0s: tuple[float, ...] = (-0.5, 0.5)) -> TableRe
         ok = all(g == expected for g in got)
         return RowReport(row.signature, ok, {"detected": str(got[0])})
 
-    return TableReport("signature match", _map_rows(check, SYNTHESIS_BENCHMARKS))
+    return TableReport("signature match", [check(row) for row in SYNTHESIS_BENCHMARKS])
 
 
 def verify_mu_window_benchmarks(tol: float = 1e-4) -> TableReport:
@@ -212,7 +204,7 @@ def verify_mu_window_benchmarks(tol: float = 1e-4) -> TableReport:
             {"endpoints": f"({lo:.4f}, {hi:.4f})", "max_abs_dev": f"{dev:.2e}", "mu_inside": inside},
         )
 
-    return TableReport("mu-window match", _map_rows(check, MU_WINDOW_BENCHMARKS))
+    return TableReport("mu-window match", [check(row) for row in MU_WINDOW_BENCHMARKS])
 
 
 def verify_all(synthesis_tol: float = 1e-3, window_tol: float = 1e-4) -> list[TableReport]:

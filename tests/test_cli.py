@@ -160,3 +160,20 @@ def test_crossover_finds_composite(capsys, tmp_path):
     assert code == 0
     assert "2^1 3^1" in out
     assert svg.exists() and csv_out.exists()
+
+
+def test_crossover_csv_columns_are_numbers(capsys, tmp_path):
+    csv_out = tmp_path / "scan.csv"
+    code, _, _ = run(
+        capsys, "crossover",
+        "--alpha", "-0.0610", "--beta", "0.2430",
+        "--kappa1", "24.4916", "--lambda1", "-96.1819",
+        "--kappa2", "24.5673", "--lambda2", "-81.8569",
+        "--grid", "3", "--out-csv", str(csv_out),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for t, kappa, lam, _, mu in rows:
+        for text in (t, kappa, lam, mu):
+            float(text)

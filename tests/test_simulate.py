@@ -105,6 +105,13 @@ class TestDetectCrossings:
         for yv, _ in hits:
             assert math.isclose(yv, math.sqrt(3) / 2, abs_tol=5e-3)
 
+    def test_crossing_is_the_interpolant_root(self):
+        # piecewise-linear samples: the crossing and its (y, z) are exact
+        t = np.array([0.0, 1.0, 2.0])
+        series = TimeSeries(t, np.array([1.0, 0.0, 1.0]), np.array([0.0, 4.0, 12.0]), np.array([2.0, 6.0, 6.0]))
+        assert detect_section_crossings(series, SectionSpec(x_section=0.25)) == [(3.0, 5.0)]
+        assert detect_section_crossings(series, SectionSpec(x_section=0.25, crossing_direction=1)) == [(6.0, 6.0)]
+
     def test_direction_filter(self):
         series = synthetic_series()
         up = detect_section_crossings(series, SectionSpec(x_section=0.5, crossing_direction=1))
