@@ -12,6 +12,11 @@ product rho * F_x(., 0) reduces to a polynomial (exactly, for the fixed
 rational choice), so Q has a closed polynomial form; an adaptive-quadrature
 evaluator is kept alongside as an independent oracle.
 
+Folds and projections of F(., z0) are found by a sign-change scan refined
+with :func:`_brentq`, an in-package port of scipy's Brent root finder, so
+the map-level code imports no scipy; only the quadrature oracle does, when
+called.
+
 :class:`Field`, built once per parameter set as ``params.field``, is the one
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
 right-hand side and Jacobian, and the hybrid slow flow. Loops start from 0.0,
@@ -26,8 +31,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -37,6 +40,7 @@ from .errors import (
 )
 
 X_MIN, X_MAX = -3.0, 2.0
+SCAN_STEP = 1e-3  # sign-change scan of F_x for the folds; the geometry cache assumes this one step
 FOLD_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-12
 
@@ -374,6 +378,8 @@ def eval_Q(params: CanonicalParams, x):
 
 def eval_Q_quadrature(params: CanonicalParams, x: float) -> float:
     """Q(x) by adaptive quadrature; the independent oracle for the closed form."""
+    from scipy.integrate import quad
+
     z0 = params.z0
     rho = params.rho
 
@@ -450,9 +456,59 @@ class ManifoldGeometry:
 
 
 _geometry_cache: dict[float, ManifoldGeometry] = {}
+_BRENT_MAXITER = 100
 
 
-def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> ManifoldGeometry:
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method, step for step as ``scipy.optimize.brentq``.
+
+    A port of scipy's C ``brentq`` (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): the same bracket swap, tolerance, interpolation
+    or extrapolation step, acceptance test and iteration cap, so it returns the
+    same float. The ends are converted with ``float()`` so that a NumPy scalar
+    bracket does not turn the root, and every later evaluation at it, into NumPy
+    scalar arithmetic.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise GeometryFailure(f"no sign change of the root function on [{xpre}, {xcur}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise GeometryFailure(f"root search did not converge in {_BRENT_MAXITER} iterations")
+
+
+def compute_geometry(params: CanonicalParams) -> ManifoldGeometry:
     """Extract folds and projections of F(., z0) on the working interval.
 
     F_x(., 0) has five simple real roots in [-3, 2]; the Bactrian profile is
@@ -464,14 +520,14 @@ def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> Manifo
     if cached is not None:
         return cached
 
-    xs = np.arange(X_MIN, X_MAX + scan_step, scan_step)
+    xs = np.arange(X_MIN, X_MAX + SCAN_STEP, SCAN_STEP)
     vals = eval_Fx(xs, z0)
     roots = []
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
-            roots.append(xs[i])
+            roots.append(float(xs[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(lambda x: eval_Fx(x, z0), xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15))
+            roots.append(_brentq(lambda x: eval_Fx(x, z0), xs[i], xs[i + 1], 1e-14, 1e-15))
     if len(roots) < 4:
         raise GeometryFailure(f"found only {len(roots)} fold candidates in [{X_MIN}, {X_MAX}]")
     roots = sorted(roots)
@@ -494,7 +550,7 @@ def compute_geometry(params: CanonicalParams, scan_step: float = 1e-3) -> Manifo
         a, b = lo + 1e-9, hi - 1e-9
         if f(a) * f(b) > 0.0:
             raise GeometryFailure(f"no projection {label} in ({lo}, {hi})")
-        return brentq(f, a, b, xtol=1e-14, rtol=1e-15)
+        return _brentq(f, a, b, 1e-14, 1e-15)
 
     xhat4 = project(y4, left_bracket, x1, "xhat4")
     xhat3 = project(y3, x4, X_MAX, "xhat3")

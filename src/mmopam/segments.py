@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 
-from scipy.integrate import quad
-
 from .errors import DomainError, MethodMismatch, QuadratureFailure
 from .family import CanonicalParams, ManifoldGeometry, eval_P, eval_pq
 from .pam import PamCoefficients
@@ -94,6 +92,8 @@ def _segment_closed_form(params: CanonicalParams, seg: SegmentSpec) -> AffineMap
 
 
 def _segment_quadrature(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
+    from scipy.integrate import quad
+
     xs, xe = seg.x_start, seg.x_end
 
     def p_of(x):

@@ -19,7 +19,6 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DiscontinuityHit,
@@ -30,6 +29,18 @@ from .errors import (
 )
 from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    The simulators call it through this module global, so the map-level
+    commands never import scipy and a caller can rebind it to observe solves.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 # Output-point density control: consecutive samples are refined until adjacent
 # x values differ by less than this during slow segments.

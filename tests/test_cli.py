@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mmopam
 from mmopam.cli import main
 
 
@@ -177,3 +181,46 @@ def test_crossover_csv_columns_are_numbers(capsys, tmp_path):
     for t, kappa, lam, _, mu in rows:
         for text in (t, kappa, lam, mu):
             float(text)
+
+
+CROSSOVER_SEGMENT = [
+    "--alpha", "-0.0610", "--beta", "0.2430",
+    "--kappa1", "24.4916", "--lambda1", "-96.1819",
+    "--kappa2", "24.5673", "--lambda2", "-81.8569",
+]
+ROW_1_3 = ["--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2"]
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from mmopam.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+for argv in json.loads(sys.argv[1]):
+    assert run(argv) == 0, argv
+scipy_after_maps = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+run(json.loads(sys.argv[2]))  # 3 returns are too few to classify: exit 4, but the legs were solved
+print(json.dumps([scipy_after_maps, "scipy.integrate" in sys.modules]))
+"""
+
+
+def test_map_level_commands_never_import_scipy():
+    map_level = [
+        ["pam", "signature", *ROW_1_3],
+        ["pam", "bounds", "--a", "0.9", "--b", "0.8", "--l", "-7.2", "--L", "2"],
+        ["synth", *ROW_1_3, "--verify"],
+        ["verify-tables"],
+        ["crossover", *CROSSOVER_SEGMENT, "--grid", "5"],
+    ]
+    simulate = ["simulate", "--mode", "hybrid", "--from-pam", *ROW_1_3, "--z-init", "-0.5", "--returns", "3"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(map_level), json.dumps(simulate)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scipy_after_maps, integrate_after_simulate = json.loads(proc.stdout)
+    assert scipy_after_maps == []
+    assert integrate_after_simulate

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mmopam.errors import DomainError, FoldPointEvaluation
+from mmopam.errors import DomainError, FoldPointEvaluation, GeometryFailure
 from mmopam.family import (
     CanonicalParams,
     RhoSpec,
+    _brentq,
     compute_geometry,
     eval_F,
     eval_Fx,
@@ -196,3 +198,48 @@ def test_lao_threshold(geometry):
 def test_geometry_cached(fixed_rho):
     params = CanonicalParams(1.0, 2.0, 3.0, 4.0, fixed_rho)
     assert compute_geometry(params) is compute_geometry(params)
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.3])
+def test_geometry_fields_are_python_floats(fixed_rho, z0):
+    # a NumPy scalar fold would turn every later Horner pass into NumPy arithmetic
+    geom = compute_geometry(CanonicalParams(0.0, 0.0, 0.0, 0.0, fixed_rho, z0=z0))
+    for name, value in dataclasses.asdict(geom).items():
+        assert type(value) is float, name
+
+
+# --- Brent root finder -----------------------------------------------------------
+
+BRENT_FUNCTIONS = {
+    "Fx(., 0)": lambda x: eval_Fx(x, 0.0),
+    "Fx(., -0.4)": lambda x: eval_Fx(x, -0.4),
+    "F(., 0) + 0.1": lambda x: eval_F(x, 0.0) + 0.1,
+    "F(., 0.3) - 0.2": lambda x: eval_F(x, 0.3) - 0.2,
+    "sin(3x) - 0.2": lambda x: math.sin(3.0 * x) - 0.2,
+    "tanh(5x - 1) + x/10": lambda x: math.tanh(5.0 * x - 1.0) + 0.1 * x,
+}
+GEOMETRY_TOLS = (1e-14, 1e-15)
+SCIPY_DEFAULT_TOLS = (2e-12, 4 * float(np.finfo(float).eps))
+
+
+@pytest.mark.parametrize("xtol, rtol", [GEOMETRY_TOLS, SCIPY_DEFAULT_TOLS])
+@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
+def test_brentq_equals_scipy(name, xtol, rtol):
+    from scipy.optimize import brentq
+
+    f = BRENT_FUNCTIONS[name]
+    rng = np.random.default_rng(20210)
+    checked = 0
+    for a, b in rng.uniform(-3.0, 2.0, size=(400, 2)):  # NumPy scalars, as from the fold scan
+        if f(a) * f(b) >= 0.0:
+            continue
+        got = _brentq(f, a, b, xtol, rtol)
+        assert type(got) is float
+        assert got == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
+        checked += 1
+    assert checked >= 20
+
+
+def test_brentq_unbracketed_raises():
+    with pytest.raises(GeometryFailure):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)

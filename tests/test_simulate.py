@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mmopam.simulate
 from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
 from mmopam.family import CanonicalParams, eval_F
 from mmopam.pam import PamCoefficients, iterate_orbit
@@ -146,6 +147,19 @@ class TestHybrid:
     def test_jump_hit_raises(self, params_1_1):
         with pytest.raises(DiscontinuityHit):
             hybrid_simulate(params_1_1, 0.0, 1e-13, 5)
+
+    def test_legs_go_through_module_solve_ivp(self, params_1_1, monkeypatch):
+        # callers rebind mmopam.simulate.solve_ivp to observe every solve
+        calls = []
+        original = mmopam.simulate.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mmopam.simulate, "solve_ivp", counting)
+        hybrid_simulate(params_1_1, 1e-3, -0.5, n_returns=2)
+        assert calls == ["DOP853"] * 4  # two legs per return
 
 
 class TestVisualRescale:
