@@ -14,7 +14,6 @@ from .errors import (
     DiscontinuityHit,
     DomainError,
     FoldPointEvaluation,
-    GeometryFailure,
     MethodMismatch,
     MmopamError,
     NonFiniteState,

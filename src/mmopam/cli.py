@@ -20,7 +20,7 @@ import sys
 
 from . import plotting
 from .errors import MmopamError, NotPeriodic
-from .family import CanonicalParams, RhoSpec, compute_geometry
+from .family import CanonicalParams, RhoSpec, check_z0, compute_geometry
 from .pam import (
     PamCoefficients,
     Signature,
@@ -97,8 +97,15 @@ def _rho_from(args, section: dict) -> RhoSpec:
     return RhoSpec("fixed_rational")
 
 
-def _canonical_from(args, config: dict) -> CanonicalParams:
+def _canonical_section(config: dict) -> dict:
+    """The config's "canonical" section; a "z0" other than 0 raises DomainError."""
     section = dict(config.get("canonical", {}))
+    check_z0(section)
+    return section
+
+
+def _canonical_from(args, config: dict) -> CanonicalParams:
+    section = _canonical_section(config)
     if "lambda" in section:
         section["lam"] = section.pop("lambda")
     vals = _merged(section, args, ["alpha", "beta", "kappa", "lam"])
@@ -208,7 +215,7 @@ def cmd_pam_transform(args) -> int:
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
     target = _pam_from(args, config)
-    rho = _rho_from(args, config.get("canonical", {}))
+    rho = _rho_from(args, _canonical_section(config))
     params = synthesize(target, rho)
     text = params.to_json()
     print(text)
@@ -262,17 +269,17 @@ def _simulate_full(args, config: dict, params: CanonicalParams) -> int:
     series = integrate_full(params, cfg, section=sec, n_crossings=args.crossings)
     if args.out_prefix:
         series.to_csv(args.out_prefix + "_series.csv")
-        rescaled = visual_rescale(series, delta=cfg.delta, z0=params.z0)
+        rescaled = visual_rescale(series, delta=cfg.delta)
         plotting.time_series_plot(rescaled, args.out_prefix + "_timeseries.svg")
         plotting.projection_plot(rescaled, args.out_prefix + "_xz.svg", coords="xz")
         crossings = [
-            {"t": t, "x": x, "y": y, "z": z, "Z": (z - params.z0) / cfg.delta}
+            {"t": t, "x": x, "y": y, "z": z, "Z": z / cfg.delta}
             for t, x, y, z in series.crossing_states
         ]
         with open(args.out_prefix + "_crossings.json", "w", encoding="utf-8") as fh:
             json.dump(crossings, fh, indent=2)
     hole = canard_hole_radius(cfg.eps, cfg.delta)
-    Zs = [(z - params.z0) / cfg.delta for *_, z in series.crossing_states]
+    Zs = [z / cfg.delta for *_, z in series.crossing_states]
     flagged = sum(abs(Z) < hole for Z in Zs)
     if flagged:
         print(f"canard-hole flagged crossings: {flagged}/{len(Zs)} (|Z| < {hole:.3g})", file=sys.stderr)

@@ -29,12 +29,8 @@ class FoldPointEvaluation(MmopamError):
     """Evaluation requested at (or numerically at) a fold abscissa where F_x = 0."""
 
 
-class GeometryFailure(MmopamError):
-    """Critical-manifold geometry extraction failed (missing folds or projections)."""
-
-
 class SingularSystem(MmopamError):
-    """A linear solve in the synthesis pipeline is singular below threshold."""
+    """A 2x2 solve in the synthesis pipeline is singular relative to the scale of its terms."""
 
 
 class SynthesisVerificationFailure(MmopamError):

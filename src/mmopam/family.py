@@ -2,9 +2,11 @@
 
 The fast nullcline is y = F(x, z) with F a fixed degree-9 polynomial whose
 coefficients are linear in z and stored as exact rationals. The slow drift is
-g1 = J(x) = 1/2 - x and g2 = delta*G(x) + (z - z0)*H(x), where G and H are
-built from a weight function rho and the accumulated integral
-Q(x) = int_0^x rho(s) F_s(s, z0) ds.
+g1 = J(x) = 1/2 - x and g2 = delta*G(x) + z*H(x), where G and H are built
+from a weight function rho and the accumulated integral
+Q(x) = int_0^x rho(s) F_s(s, 0) ds. The reference level z0 of the slow
+variable is fixed at 0: Q, the geometry and the segment maps all belong to
+the sheet profile F(., 0), so there is no z0 parameter.
 
 Two rho families are supported: Quadratic rho(x) = p + x + q x^2, and the
 fixed rational rho whose reciprocal is a specific quartic. For both, the
@@ -12,10 +14,10 @@ product rho * F_x(., 0) reduces to a polynomial (exactly, for the fixed
 rational choice), so Q has a closed polynomial form; an adaptive-quadrature
 evaluator is kept alongside as an independent oracle.
 
-Folds and projections of F(., z0) are found by a sign-change scan refined
-with :func:`_brentq`, an in-package port of scipy's Brent root finder, so
-the map-level code imports no scipy; only the quadrature oracle does, when
-called.
+The geometry is the family's design: F_x(., 0) vanishes at the folds -2, -1,
+0 and 1, and F(-2) = F(8/5), F(0) = F(3/2) and F(1) = F(-5/2), all exactly in
+rational arithmetic. :func:`compute_geometry` returns these constants, with
+the fold heights taken from exact rational F.
 
 :class:`Field`, built once per parameter set as ``params.field``, is the one
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
@@ -32,15 +34,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FoldPointEvaluation,
-    GeometryFailure,
-    QuadratureFailure,
-)
+from .errors import DomainError, FoldPointEvaluation, QuadratureFailure
 
 X_MIN, X_MAX = -3.0, 2.0
-SCAN_STEP = 1e-3  # sign-change scan of F_x for the folds; the geometry cache assumes this one step
 FOLD_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-12
 
@@ -253,7 +249,7 @@ class Field:
     Holding the F kernels here keeps the integrators off rebound module names.
     """
 
-    __slots__ = ("alpha", "beta", "kappa", "lam", "z0", "rho", "drho", "_q", "_w")
+    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w")
 
     F = staticmethod(eval_F)
     Fx = staticmethod(eval_Fx)
@@ -264,7 +260,6 @@ class Field:
     def __init__(self, params: CanonicalParams):
         self.alpha, self.beta = float(params.alpha), float(params.beta)
         self.kappa, self.lam = float(params.kappa), float(params.lam)
-        self.z0 = float(params.z0)
         self.rho, self.drho = params.rho.rho, params.rho.drho
         self._q, self._w = _q_tables(params.rho)
 
@@ -284,7 +279,7 @@ class Field:
         return (self.kappa + self.lam * P) * u * r * J, r * u * J
 
     def pq(self, x):
-        fx = self.Fx(x, self.z0)
+        fx = self.Fx(x, 0.0)
         if abs(fx) < FOLD_TOL:
             raise FoldPointEvaluation(f"F_x vanishes at x = {x}")
         _, lin, P = self.QuP(x)
@@ -295,7 +290,7 @@ class Field:
         """Slow-time (x', y', z') at the state array s, for ``solve_ivp(..., args=(eps, delta))``."""
         x, y, z = s.tolist()
         G, H = self.drift(x)
-        return (y - self.F(x, z)) / eps, 0.5 - x, delta * G + (z - self.z0) * H
+        return (y - self.F(x, z)) / eps, 0.5 - x, delta * G + z * H
 
     def jac(self, t, s, eps, delta):
         """Analytic Jacobian of :meth:`rhs`."""
@@ -304,7 +299,7 @@ class Field:
         r = self.rho(x)
         rp = self.drho(x)
         _, u, P = self.QuP(x)
-        Qp = r * self.Fx(x, self.z0)
+        Qp = r * self.Fx(x, 0.0)
         up = self.alpha * Qp
         J = 0.5 - x
         Pp = u * Qp
@@ -314,7 +309,7 @@ class Field:
             [
                 [-self.Fx(x, z) / eps, 1.0 / eps, -self.Fz(x, z) / eps],
                 [-1.0, 0.0, 0.0],
-                [delta * Gp + (z - self.z0) * Hp, 0.0, r * u * J],
+                [delta * Gp + z * Hp, 0.0, r * u * J],
             ]
         )
 
@@ -323,7 +318,7 @@ class Field:
         x = float(x)
         Z = float(s[0])
         _, u, P = self.QuP(x)
-        corr = delta * Z * self.rho(x) * self.Fxz(x, self.z0)
+        corr = delta * Z * self.rho(x) * self.Fxz(x, 0.0)
         return [u * (self.kappa + self.lam * P + Z) * (_horner(self._w, x) + corr)]
 
 
@@ -332,14 +327,18 @@ class Field:
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Parameters (alpha, beta, kappa, lambda) plus the rho choice; z0 is fixed at 0."""
+    """Parameters (alpha, beta, kappa, lambda) plus the rho choice.
+
+    The slow variable's reference level z0 is fixed at 0 and is not a field.
+    The JSON form writes ``"z0": 0.0``; reading accepts a missing key or 0
+    and rejects any other value (see :func:`check_z0`).
+    """
 
     alpha: float
     beta: float
     kappa: float
     lam: float
     rho: RhoSpec
-    z0: float = 0.0
 
     @cached_property
     def field(self) -> Field:
@@ -354,21 +353,27 @@ class CanonicalParams:
                 "kappa": self.kappa,
                 "lambda": self.lam,
                 "rho": self.rho.to_json_obj(),
-                "z0": self.z0,
+                "z0": 0.0,
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "CanonicalParams":
         obj = json.loads(text)
+        check_z0(obj)
         return cls(
             alpha=float(obj["alpha"]),
             beta=float(obj["beta"]),
             kappa=float(obj["kappa"]),
             lam=float(obj["lambda"]),
             rho=RhoSpec.from_json_obj(obj["rho"]),
-            z0=float(obj.get("z0", 0.0)),
         )
+
+
+def check_z0(obj: dict) -> None:
+    """Accept a JSON object whose ``"z0"`` is absent or 0; any other value raises DomainError."""
+    if obj.get("z0", 0.0) != 0.0:
+        raise DomainError(f"z0 is fixed at 0, got {obj['z0']!r}")
 
 
 def eval_Q(params: CanonicalParams, x):
@@ -380,11 +385,10 @@ def eval_Q_quadrature(params: CanonicalParams, x: float) -> float:
     """Q(x) by adaptive quadrature; the independent oracle for the closed form."""
     from scipy.integrate import quad
 
-    z0 = params.z0
     rho = params.rho
 
     def integrand(s):
-        return rho.rho(s) * eval_Fx(s, z0)
+        return rho.rho(s) * eval_Fx(s, 0.0)
 
     val, err = quad(integrand, 0.0, float(x), epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=10_000)
     if err > max(_QUAD_ABS_TOL * 10.0, 1e-10 * abs(val)):
@@ -423,7 +427,7 @@ def eval_vector_field(
     if eps < 0.0 or delta < 0.0:
         raise DomainError("eps and delta must be nonnegative")
     G, H = params.field.drift(x)
-    return y - eval_F(x, z), eps * (0.5 - x), eps * (delta * G + (z - params.z0) * H)
+    return y - eval_F(x, z), eps * (0.5 - x), eps * (delta * G + z * H)
 
 
 # --- critical-manifold geometry ----------------------------------------------
@@ -455,107 +459,17 @@ class ManifoldGeometry:
         return 0.5 * (self.xhat4 + self.x2)
 
 
-_geometry_cache: dict[float, ManifoldGeometry] = {}
-_BRENT_MAXITER = 100
+# Design values, exact: the folds x1..x4, then xhat1, xhat3 and xhat4, where
+# F(., 0) returns to the heights of x1, x3 and x4.
+_FOLDS = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1))
+_PROJECTIONS = (Fraction(8, 5), Fraction(3, 2), Fraction(-5, 2))
 
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method, step for step as ``scipy.optimize.brentq``.
-
-    A port of scipy's C ``brentq`` (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4): the same bracket swap, tolerance, interpolation
-    or extrapolation step, acceptance test and iteration cap, so it returns the
-    same float. The ends are converted with ``float()`` so that a NumPy scalar
-    bracket does not turn the root, and every later evaluation at it, into NumPy
-    scalar arithmetic.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise GeometryFailure(f"no sign change of the root function on [{xpre}, {xcur}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise GeometryFailure(f"root search did not converge in {_BRENT_MAXITER} iterations")
+_GEOMETRY = ManifoldGeometry(
+    *(float(x) for x in _FOLDS + _PROJECTIONS),
+    *(float(sum(c * x**k for k, c in enumerate(_C))) for x in _FOLDS),
+)
 
 
 def compute_geometry(params: CanonicalParams) -> ManifoldGeometry:
-    """Extract folds and projections of F(., z0) on the working interval.
-
-    F_x(., 0) has five simple real roots in [-3, 2]; the Bactrian profile is
-    carried by the four rightmost, and the extra root brackets the xhat4
-    search from the left.
-    """
-    z0 = params.z0
-    cached = _geometry_cache.get(z0)
-    if cached is not None:
-        return cached
-
-    xs = np.arange(X_MIN, X_MAX + SCAN_STEP, SCAN_STEP)
-    vals = eval_Fx(xs, z0)
-    roots = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_brentq(lambda x: eval_Fx(x, z0), xs[i], xs[i + 1], 1e-14, 1e-15))
-    if len(roots) < 4:
-        raise GeometryFailure(f"found only {len(roots)} fold candidates in [{X_MIN}, {X_MAX}]")
-    roots = sorted(roots)
-    x1, x2, x3, x4 = roots[-4:]
-    left_bracket = roots[-5] if len(roots) >= 5 else X_MIN
-
-    for xi in (x1, x2, x3, x4):
-        if abs(eval_Fxx(xi, z0)) < 1e-8:
-            raise GeometryFailure(f"degenerate fold at x = {xi}")
-    # attracting/repelling alternation: F_x > 0 left of x1, < 0 on (x1, x2), ...
-    probes = [0.5 * (left_bracket + x1), 0.5 * (x1 + x2), 0.5 * (x2 + x3), 0.5 * (x3 + x4), 0.5 * (x4 + X_MAX)]
-    signs = [np.sign(eval_Fx(p, z0)) for p in probes]
-    if signs != [1.0, -1.0, 1.0, -1.0, 1.0]:
-        raise GeometryFailure("fold candidates do not alternate attracting/repelling sheets")
-
-    y1, y2, y3, y4 = (eval_F(xi, z0) for xi in (x1, x2, x3, x4))
-
-    def project(target_y: float, lo: float, hi: float, label: str) -> float:
-        f = lambda x: eval_F(x, z0) - target_y
-        a, b = lo + 1e-9, hi - 1e-9
-        if f(a) * f(b) > 0.0:
-            raise GeometryFailure(f"no projection {label} in ({lo}, {hi})")
-        return _brentq(f, a, b, 1e-14, 1e-15)
-
-    xhat4 = project(y4, left_bracket, x1, "xhat4")
-    xhat3 = project(y3, x4, X_MAX, "xhat3")
-    xhat1 = project(y1, x4, X_MAX, "xhat1")
-
-    geom = ManifoldGeometry(x1, x2, x3, x4, xhat1, xhat3, xhat4, y1, y2, y3, y4)
-    _geometry_cache[z0] = geom
-    return geom
+    """Folds and projections of F(., 0): the design constants, one object for every parameter set."""
+    return _GEOMETRY

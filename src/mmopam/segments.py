@@ -91,6 +91,19 @@ def _segment_closed_form(params: CanonicalParams, seg: SegmentSpec) -> AffineMap
     return AffineMap(slope, offset)
 
 
+def _segment_offset_basis(params: CanonicalParams, seg: SegmentSpec) -> tuple[float, float, float]:
+    """Slope and the (kappa, lambda) coefficients of the closed-form offset.
+
+    The offset is kappa (slope - 1) + lambda ((va + 1) slope - (vb + 1)); the two
+    coefficients are the closed form's own operations at (kappa, lambda) = (1, 0)
+    and (0, 1), so they carry the same bits.
+    """
+    va = eval_P(params, seg.x_start)
+    vb = eval_P(params, seg.x_end)
+    slope = exp(vb - va)
+    return slope, slope - 1.0, (va + 1.0) * slope - (vb + 1.0)
+
+
 def _segment_quadrature(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     from scipy.integrate import quad
 
@@ -118,18 +131,43 @@ def _segment_quadrature(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     return AffineMap(slope, offset)
 
 
+def _lao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
+    return SegmentSpec(geom.xhat4, geom.x1, "S_a1"), SegmentSpec(geom.xhat1, geom.x4, "S_a3")
+
+
+def _sao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
+    return SegmentSpec(geom.x2, geom.x3, "S_a2"), SegmentSpec(geom.xhat3, geom.x4, "S_a3")
+
+
 def lao_branch(params: CanonicalParams, geom: ManifoldGeometry, method: str = "closed_form") -> AffineMap:
     """Z < 0 branch: S_a1 passage xhat4 -> x1, then S_a3 passage xhat1 -> x4."""
-    first = segment_affine(params, SegmentSpec(geom.xhat4, geom.x1, "S_a1"), method)
-    second = segment_affine(params, SegmentSpec(geom.xhat1, geom.x4, "S_a3"), method)
+    first, second = (segment_affine(params, seg, method) for seg in _lao_segments(geom))
     return compose(second, first)
 
 
 def sao_branch(params: CanonicalParams, geom: ManifoldGeometry, method: str = "closed_form") -> AffineMap:
     """Z > 0 branch: S_a2 passage x2 -> x3, then S_a3 passage xhat3 -> x4."""
-    first = segment_affine(params, SegmentSpec(geom.x2, geom.x3, "S_a2"), method)
-    second = segment_affine(params, SegmentSpec(geom.xhat3, geom.x4, "S_a3"), method)
+    first, second = (segment_affine(params, seg, method) for seg in _sao_segments(geom))
     return compose(second, first)
+
+
+def offset_coefficients(
+    params: CanonicalParams, geom: ManifoldGeometry
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((c_kappa, c_lambda) of a12, (c_kappa, c_lambda) of a22).
+
+    The branch offsets are linear in (kappa, lambda), a12 = kappa c_kappa +
+    lambda c_lambda and likewise a22, and the slopes and coefficients depend on
+    (alpha, beta) and rho only; ``params.kappa`` and ``params.lam`` are not read.
+    Each coefficient is the branch offset :func:`compose` gives at
+    (kappa, lambda) = (1, 0) or (0, 1), with the same operations.
+    """
+    coeffs = []
+    for first, second in (_lao_segments(geom), _sao_segments(geom)):
+        _, k1, l1 = _segment_offset_basis(params, first)
+        s2, k2, l2 = _segment_offset_basis(params, second)
+        coeffs.append((s2 * k1 + k2, s2 * l1 + l2))
+    return tuple(coeffs)
 
 
 def associated_pam(

@@ -3,7 +3,7 @@
 Three ways of producing the same combinatorics are implemented here:
 
 * :func:`integrate_full` integrates the slow-time system
-  eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + (z - z0)*H(x)
+  eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + z*H(x)
   with an implicit stiffly-stable method and an analytic Jacobian, recording
   Poincare-section crossings on the fly.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
@@ -52,7 +52,7 @@ class SimConfig:
     """Integration configuration for the full system.
 
     ``initial_state`` of None picks the default start on the rightmost
-    attracting sheet: x = 1.3, y = F(1.3, z0), z = z0 - delta/2.
+    attracting sheet: x = 1.3, y = F(1.3, 0), z = -delta/2.
     """
 
     eps: float = 1e-7
@@ -77,7 +77,7 @@ class SimConfig:
         if self.initial_state is not None:
             return self.initial_state
         x0 = 1.3
-        return (x0, float(eval_F(x0, params.z0)), params.z0 - self.delta / 2.0)
+        return (x0, float(eval_F(x0, 0.0)), -self.delta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def hybrid_simulate(
 
         dZ/dx = (alpha Q + beta) (kappa + lambda P + Z) (W + delta Z rho F_xz)
 
-    along each leg, with W = rho * F_x(., z0). At delta = 0 each leg reduces
+    along each leg, with W = rho * F_x(., 0). At delta = 0 each leg reduces
     to the exact affine segment map.
     """
     if delta < 0.0:
@@ -363,32 +363,32 @@ def classify_series(
     raise NotPeriodic("no recurrent crossing pattern over two full periods")
 
 
-def visual_rescale(series: TimeSeries, delta: float = 1.0, z0: float = 0.0) -> TimeSeries:
-    """Plotting normalization: x -> (2/7) x, y -> (3/2) y, z -> (z - z0)/delta."""
+def visual_rescale(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
+    """Plotting normalization: x -> (2/7) x, y -> (3/2) y, z -> z/delta."""
     if delta == 0.0:
         raise DomainError("delta must be nonzero for the z rescale")
     return replace(
         series,
         x=series.x * (2.0 / 7.0),
         y=series.y * 1.5,
-        z=(series.z - z0) / delta,
+        z=series.z / delta,
         crossing_states=[
-            (t, xv * (2.0 / 7.0), yv * 1.5, (zv - z0) / delta)
+            (t, xv * (2.0 / 7.0), yv * 1.5, zv / delta)
             for t, xv, yv, zv in series.crossing_states
         ],
     )
 
 
-def visual_rescale_inverse(series: TimeSeries, delta: float = 1.0, z0: float = 0.0) -> TimeSeries:
+def visual_rescale_inverse(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
     if delta == 0.0:
         raise DomainError("delta must be nonzero for the z rescale")
     return replace(
         series,
         x=series.x * 3.5,
         y=series.y / 1.5,
-        z=series.z * delta + z0,
+        z=series.z * delta,
         crossing_states=[
-            (t, xv * 3.5, yv / 1.5, zv * delta + z0)
+            (t, xv * 3.5, yv / 1.5, zv * delta)
             for t, xv, yv, zv in series.crossing_states
         ],
     )

@@ -2,9 +2,9 @@
 
 The branch slopes depend on (alpha, beta) only, through a 2x2 linear system in
 log-slope space built from Q at the pivot abscissas. With (alpha, beta) fixed,
-the branch offsets are affine in (kappa, lambda); that system is assembled by
-probing the closed-form offsets at basis points rather than expanding the
-symbolic determinant.
+the branch offsets are linear in (kappa, lambda), with coefficients from the
+segment formula (:func:`~mmopam.segments.offset_coefficients`). Both 2x2
+systems are solved by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -16,9 +16,23 @@ import numpy as np
 from .errors import DomainError, SingularSystem, SynthesisVerificationFailure
 from .family import CanonicalParams, ManifoldGeometry, RhoSpec, compute_geometry, eval_Q
 from .pam import PamCoefficients
-from .segments import associated_pam
+from .segments import associated_pam, offset_coefficients
 
-DET_THRESHOLD = 1e-10
+# A 2x2 system is singular when |ad - bc| <= DET_RTOL (|ad| + |bc|). The
+# entries carry a few ulp of rounding each (Horner sums, exp, compositions),
+# so a determinant that small has cancelled to within a few thousand ulp of
+# its terms: at most about four digits of it are right, and the solve would
+# scale the entries' rounding by 1/DET_RTOL. Scaling by the terms, not an
+# absolute floor, keeps well-conditioned systems with small entries solvable.
+DET_RTOL = 1e-12
+
+
+def _solve_2x2(a: float, b: float, c: float, d: float, r1: float, r2: float, what: str) -> tuple[float, float]:
+    """(u, v) with a u + b v = r1 and c u + d v = r2, by Cramer's rule."""
+    det = a * d - b * c
+    if abs(det) <= DET_RTOL * (abs(a * d) + abs(b * c)):
+        raise SingularSystem(f"{what} determinant {det:.2e} is below {DET_RTOL:.0e} of its terms")
+    return float((r1 * d - b * r2) / det), float((a * r2 - c * r1) / det)
 
 
 def slope_matrix(rho: RhoSpec, geom: ManifoldGeometry) -> np.ndarray:
@@ -39,13 +53,8 @@ def slope_matrix(rho: RhoSpec, geom: ManifoldGeometry) -> np.ndarray:
 def solve_alpha_beta(a11: float, a21: float, rho: RhoSpec, geom: ManifoldGeometry) -> tuple[float, float]:
     if a11 <= 0.0 or a21 <= 0.0:
         raise DomainError("branch slopes must be positive")
-    A = slope_matrix(rho, geom)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < DET_THRESHOLD:
-        raise SingularSystem(f"slope system determinant {det:.2e} below threshold")
-    rhs = np.array([log(a11), log(a21)])
-    alpha, beta = np.linalg.solve(A, rhs)
-    return float(alpha), float(beta)
+    (a, b), (c, d) = slope_matrix(rho, geom).tolist()
+    return _solve_2x2(a, b, c, d, log(a11), log(a21), "slope system")
 
 
 def solve_kappa_lambda(
@@ -56,21 +65,9 @@ def solve_kappa_lambda(
     rho: RhoSpec,
     geom: ManifoldGeometry,
 ) -> tuple[float, float]:
-    """Solve the offset system, assembled by probing (kappa, lambda) basis points."""
-
-    def offsets(kappa, lam):
-        pam = associated_pam(CanonicalParams(alpha, beta, kappa, lam, rho), geom)
-        return np.array([pam.a12, pam.a22])
-
-    base = offsets(0.0, 0.0)
-    col_k = offsets(1.0, 0.0) - base
-    col_l = offsets(0.0, 1.0) - base
-    B = np.column_stack([col_k, col_l])
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if abs(det) < DET_THRESHOLD:
-        raise SingularSystem(f"offset system determinant {det:.2e} below threshold")
-    kappa, lam = np.linalg.solve(B, np.array([a12, a22]) - base)
-    return float(kappa), float(lam)
+    """Solve (a12, a22) = B @ (kappa, lambda), B from the segment formula at (alpha, beta)."""
+    (a, b), (c, d) = offset_coefficients(CanonicalParams(alpha, beta, 0.0, 0.0, rho), geom)
+    return _solve_2x2(a, b, c, d, a12, a22, "offset system")
 
 
 def synthesize(

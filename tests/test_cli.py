@@ -111,6 +111,25 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out.strip() == "1^3"
 
 
+@pytest.mark.parametrize("z0, code", [(0.0, 0), (0.05, 3)])
+def test_config_canonical_z0_must_be_zero(capsys, tmp_path, z0, code):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "pam": {"a11": 0.3, "a12": 1.0, "a21": 0.9, "a22": -2.0},
+        "canonical": {"rho": "fixed_rational", "z0": z0},
+    }))
+    got, out, err = run(capsys, "synth", "--config", str(cfg))
+    assert got == code
+    got, out, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--config", str(cfg), "--delta", "0", "--returns", "40",
+    )
+    assert got == code
+    if code == 0:
+        assert "signature: 1^1" in out
+    else:
+        assert "z0" in err
+
+
 def test_simulate_hybrid_delta_zero(capsys, tmp_path):
     prefix = str(tmp_path / "run")
     code, out, _ = run(

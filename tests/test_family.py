@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mmopam.errors import DomainError, FoldPointEvaluation, GeometryFailure
+from mmopam.errors import DomainError, FoldPointEvaluation
 from mmopam.family import (
+    _C,
     CanonicalParams,
     RhoSpec,
-    _brentq,
     compute_geometry,
     eval_F,
     eval_Fx,
@@ -157,11 +158,24 @@ def test_vector_field_z_frozen_without_drift(fixed_rho):
 
 
 def test_params_json_roundtrip(quad_rho):
-    params = CanonicalParams(0.1, -0.2, 3.0, -4.0, quad_rho, z0=0.0)
+    params = CanonicalParams(0.1, -0.2, 3.0, -4.0, quad_rho)
     back = CanonicalParams.from_json(params.to_json())
     assert back == params
     obj = json.loads(params.to_json())
     assert "lambda" in obj  # external JSON key spelling
+
+
+def test_params_json_z0_is_fixed_at_zero(quad_rho):
+    obj = json.loads(CanonicalParams(0.1, -0.2, 3.0, -4.0, quad_rho).to_json())
+    assert obj["z0"] == 0.0
+    want = CanonicalParams.from_json(json.dumps(obj))
+    del obj["z0"]
+    assert CanonicalParams.from_json(json.dumps(obj)) == want
+    for z0 in (0, -0.0):
+        assert CanonicalParams.from_json(json.dumps({**obj, "z0": z0})) == want
+    for z0 in (0.05, -1e-300, "0", None):
+        with pytest.raises(DomainError):
+            CanonicalParams.from_json(json.dumps({**obj, "z0": z0}))
 
 
 # --- geometry ------------------------------------------------------------------
@@ -200,46 +214,37 @@ def test_geometry_cached(fixed_rho):
     assert compute_geometry(params) is compute_geometry(params)
 
 
-@pytest.mark.parametrize("z0", [0.0, 0.3])
-def test_geometry_fields_are_python_floats(fixed_rho, z0):
-    # a NumPy scalar fold would turn every later Horner pass into NumPy arithmetic
-    geom = compute_geometry(CanonicalParams(0.0, 0.0, 0.0, 0.0, fixed_rho, z0=z0))
+# design values in exact arithmetic: folds x1..x4, then xhat1, xhat3, xhat4
+FOLDS = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1))
+PROJECTIONS = {"xhat1": Fraction(8, 5), "xhat3": Fraction(3, 2), "xhat4": Fraction(-5, 2)}
+
+
+def exact_F(x, order=0):
+    """d^order/dx^order of F(x, 0), summed over the exact coefficients."""
+    total = Fraction(0)
+    for k, c in enumerate(_C):
+        if k >= order:
+            total += c * math.perm(k, order) * x ** (k - order)
+    return total
+
+
+def test_design_geometry_is_exact(fixed_rho, quad_rho):
+    # simple folds with alternating curvature: attracting and repelling sheets alternate
+    curvature = [exact_F(x, 2) for x in FOLDS]
+    assert all(exact_F(x, 1) == 0 for x in FOLDS)
+    assert all(c != 0 for c in curvature)
+    assert [c > 0 for c in curvature] == [False, True, False, True]
+    # each projection returns to the height of its fold
+    assert exact_F(Fraction(-2)) == exact_F(PROJECTIONS["xhat1"])
+    assert exact_F(Fraction(0)) == exact_F(PROJECTIONS["xhat3"])
+    assert exact_F(Fraction(1)) == exact_F(PROJECTIONS["xhat4"])
+
+    geom = compute_geometry(CanonicalParams(0.0, 0.0, 0.0, 0.0, fixed_rho))
+    want = {f"x{i + 1}": x for i, x in enumerate(FOLDS)}
+    want.update(PROJECTIONS)
+    want.update({f"y{i + 1}": exact_F(x) for i, x in enumerate(FOLDS)})
     for name, value in dataclasses.asdict(geom).items():
+        # a NumPy scalar field would turn every later Horner pass into NumPy arithmetic
         assert type(value) is float, name
-
-
-# --- Brent root finder -----------------------------------------------------------
-
-BRENT_FUNCTIONS = {
-    "Fx(., 0)": lambda x: eval_Fx(x, 0.0),
-    "Fx(., -0.4)": lambda x: eval_Fx(x, -0.4),
-    "F(., 0) + 0.1": lambda x: eval_F(x, 0.0) + 0.1,
-    "F(., 0.3) - 0.2": lambda x: eval_F(x, 0.3) - 0.2,
-    "sin(3x) - 0.2": lambda x: math.sin(3.0 * x) - 0.2,
-    "tanh(5x - 1) + x/10": lambda x: math.tanh(5.0 * x - 1.0) + 0.1 * x,
-}
-GEOMETRY_TOLS = (1e-14, 1e-15)
-SCIPY_DEFAULT_TOLS = (2e-12, 4 * float(np.finfo(float).eps))
-
-
-@pytest.mark.parametrize("xtol, rtol", [GEOMETRY_TOLS, SCIPY_DEFAULT_TOLS])
-@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
-def test_brentq_equals_scipy(name, xtol, rtol):
-    from scipy.optimize import brentq
-
-    f = BRENT_FUNCTIONS[name]
-    rng = np.random.default_rng(20210)
-    checked = 0
-    for a, b in rng.uniform(-3.0, 2.0, size=(400, 2)):  # NumPy scalars, as from the fold scan
-        if f(a) * f(b) >= 0.0:
-            continue
-        got = _brentq(f, a, b, xtol, rtol)
-        assert type(got) is float
-        assert got == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
-        checked += 1
-    assert checked >= 20
-
-
-def test_brentq_unbracketed_raises():
-    with pytest.raises(GeometryFailure):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
+        assert value == float(want[name]), name
+    assert compute_geometry(CanonicalParams(0.3, -0.1, 2.0, 5.0, quad_rho)) is geom

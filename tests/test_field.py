@@ -87,7 +87,7 @@ def ref_P(params, x):
 
 
 def ref_pq(params, x):
-    fx = ref_Fx(x, params.z0)
+    fx = ref_Fx(x, 0.0)
     Qx = ref_Q(params, x)
     lin = params.alpha * Qx + params.beta
     r = ref_rho(params.rho, x)
@@ -115,7 +115,7 @@ def ref_rhs(params, s, eps, delta):
     return (
         (y - ref_F(x, z)) / eps,
         0.5 - x,
-        delta * ref_G(params, x) + (z - params.z0) * ref_H(params, x),
+        delta * ref_G(params, x) + (z - 0.0) * ref_H(params, x),
     )
 
 
@@ -124,7 +124,7 @@ def ref_jac(params, s, eps, delta):
     r = ref_rho(params.rho, x)
     rp = ref_drho(params.rho, x)
     Qx = ref_Q(params, x)
-    Qp = r * ref_Fx(x, params.z0)
+    Qp = r * ref_Fx(x, 0.0)
     u = params.alpha * Qx + params.beta
     up = params.alpha * Qp
     J = 0.5 - x
@@ -136,7 +136,7 @@ def ref_jac(params, s, eps, delta):
         [
             [-ref_Fx(x, z) / eps, 1.0 / eps, -ref_Fz(x, z) / eps],
             [-1.0, 0.0, 0.0],
-            [delta * Gp + (z - params.z0) * Hp, 0.0, ref_H(params, x)],
+            [delta * Gp + (z - 0.0) * Hp, 0.0, ref_H(params, x)],
         ]
     )
 
@@ -147,7 +147,7 @@ def ref_dZdx(params, x, s, delta):
     u = params.alpha * Qx + params.beta
     P = params.alpha * Qx * Qx / 2.0 + params.beta * Qx
     w = np.polyval(np.polyder(q_polynomial(params.rho)), x)
-    corr = delta * Z * ref_rho(params.rho, x) * ref_Fxz(x, params.z0)
+    corr = delta * Z * ref_rho(params.rho, x) * ref_Fxz(x, 0.0)
     return [u * (params.kappa + params.lam * P + Z) * (w + corr)]
 
 

@@ -53,8 +53,8 @@ class TestSimConfig:
         cfg = SimConfig()
         x0, y0, z0 = cfg.resolve_initial_state(params_1_1)
         assert x0 == 1.3
-        assert math.isclose(y0, float(eval_F(1.3, params_1_1.z0)))
-        assert math.isclose(z0, params_1_1.z0 - cfg.delta / 2.0)
+        assert math.isclose(y0, float(eval_F(1.3, 0.0)))
+        assert math.isclose(z0, 0.0 - cfg.delta / 2.0)
 
 
 class TestSectionSpec:
@@ -166,7 +166,7 @@ class TestVisualRescale:
     def test_arithmetic(self):
         t = np.array([0.0, 1.0])
         series = TimeSeries(t, np.array([3.5, 7.0]), np.array([2.0, 4.0]), np.array([0.1, 0.2]))
-        out = visual_rescale(series, delta=0.1, z0=0.0)
+        out = visual_rescale(series, delta=0.1)
         assert np.allclose(out.x, [1.0, 2.0])
         assert np.allclose(out.y, [3.0, 6.0])
         assert np.allclose(out.z, [1.0, 2.0])
@@ -180,7 +180,7 @@ class TestVisualRescale:
     def test_roundtrip(self):
         t = np.linspace(0, 1, 7)
         series = TimeSeries(t, np.sin(t), np.cos(t), t**2)
-        back = visual_rescale_inverse(visual_rescale(series, delta=0.05, z0=0.1), delta=0.05, z0=0.1)
+        back = visual_rescale_inverse(visual_rescale(series, delta=0.05), delta=0.05)
         assert np.allclose(back.x, series.x)
         assert np.allclose(back.y, series.y)
         assert np.allclose(back.z, series.z)

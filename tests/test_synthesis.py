@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mmopam.errors import DomainError
+import mmopam.synthesis
+from mmopam.errors import DomainError, SingularSystem
 from mmopam.family import CanonicalParams, compute_geometry
 from mmopam.pam import PamCoefficients
 from mmopam.segments import associated_pam
@@ -65,3 +66,33 @@ def test_synthesis_is_deterministic(fixed_rho):
     a = synthesize(target, fixed_rho)
     b = synthesize(target, fixed_rho)
     assert a == b
+
+
+@pytest.mark.parametrize("rho_name", ["fixed_rho", "quad_rho"])
+@pytest.mark.parametrize("slope", [0.9998, 0.9997])
+def test_near_unit_slopes_synthesize(rho_name, slope, request):
+    # the offset determinant is ~1e-11 in absolute terms but 0.84 of its terms
+    rho = request.getfixturevalue(rho_name)
+    target = PamCoefficients(slope, 1.0, slope, -2.0)
+    params = synthesize(target, rho)
+    got = associated_pam(params, compute_geometry(params))
+    for g, t in zip(got.as_tuple(), target.as_tuple()):
+        assert math.isclose(g, t, rel_tol=1e-8, abs_tol=1e-8)
+
+
+def test_zero_offset_system_is_singular(fixed_rho, geometry):
+    # alpha = beta = 0 makes every segment the identity, so the offset matrix is exactly zero
+    with pytest.raises(SingularSystem):
+        solve_kappa_lambda(1.0, -2.0, 0.0, 0.0, fixed_rho, geometry)
+
+
+def test_synthesize_calls_associated_pam_once(fixed_rho, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return associated_pam(*args, **kwargs)
+
+    monkeypatch.setattr(mmopam.synthesis, "associated_pam", counting)
+    synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    assert len(calls) == 1  # the roundtrip check
