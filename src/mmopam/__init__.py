@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteState,
     NotPeriodic,
     QuadratureFailure,
+    RootFindingFailure,
     SingularSystem,
     StepSizeUnderflow,
     SynthesisVerificationFailure,

@@ -43,3 +43,7 @@ class StepSizeUnderflow(MmopamError):
 
 class NonFiniteState(MmopamError):
     """The integrated state left the finite range."""
+
+
+class RootFindingFailure(MmopamError):
+    """Brent's method was given no sign change, or did not converge."""

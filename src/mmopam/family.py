@@ -287,14 +287,14 @@ class Field:
         return r * lin * fx, (self.kappa + self.lam * P) * lin * r * fx
 
     def rhs(self, t, s, eps, delta):
-        """Slow-time (x', y', z') at the state array s, for ``solve_ivp(..., args=(eps, delta))``."""
-        x, y, z = s.tolist()
+        """Slow-time (x', y', z') at the state s = (x, y, z), for the Radau solver with ``args=(eps, delta)``."""
+        x, y, z = s
         G, H = self.drift(x)
         return (y - self.F(x, z)) / eps, 0.5 - x, delta * G + z * H
 
     def jac(self, t, s, eps, delta):
-        """Analytic Jacobian of :meth:`rhs`."""
-        x, y, z = s.tolist()
+        """Analytic Jacobian of :meth:`rhs`, as three rows."""
+        x, y, z = s
         lam = self.lam
         r = self.rho(x)
         rp = self.drho(x)
@@ -305,12 +305,10 @@ class Field:
         Pp = u * Qp
         Hp = rp * u * J + r * up * J - r * u
         Gp = lam * Pp * u * r * J + (self.kappa + lam * P) * (up * r * J + u * rp * J - u * r)
-        return np.array(
-            [
-                [-self.Fx(x, z) / eps, 1.0 / eps, -self.Fz(x, z) / eps],
-                [-1.0, 0.0, 0.0],
-                [delta * Gp + z * Hp, 0.0, r * u * J],
-            ]
+        return (
+            (-self.Fx(x, z) / eps, 1.0 / eps, -self.Fz(x, z) / eps),
+            (-1.0, 0.0, 0.0),
+            (delta * Gp + z * Hp, 0.0, r * u * J),
         )
 
     def dZdx(self, x, s, delta):

@@ -9,7 +9,7 @@ the piecewise affine map associated with the vector field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, expm1
 
 from .errors import DomainError, MethodMismatch, QuadratureFailure
 from .family import CanonicalParams, ManifoldGeometry, eval_P, eval_pq
@@ -61,9 +61,12 @@ def segment_affine(
 
         slope  = exp(vb - va)
         offset = (kappa + lambda (va + 1)) e^{vb - va} - (kappa + lambda (vb + 1))
+               = (kappa + lambda (va + 1)) expm1(d) - lambda d,   d = vb - va
 
-    with va = P(x_start), vb = P(x_end). method="self_check" computes both
-    routes and raises MethodMismatch beyond check_tol relative deviation.
+    with va = P(x_start), vb = P(x_end). The second form is the one evaluated:
+    near-unit slopes need |lambda| ~ 1e7, where the first form cancels.
+    method="self_check" computes both routes and raises MethodMismatch beyond
+    check_tol relative deviation.
     """
     if method == "closed_form":
         return _segment_closed_form(params, seg)
@@ -84,24 +87,22 @@ def segment_affine(
 
 def _segment_closed_form(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     va = eval_P(params, seg.x_start)
-    vb = eval_P(params, seg.x_end)
-    slope = exp(vb - va)
+    d = eval_P(params, seg.x_end) - va
     ka, la = params.kappa, params.lam
-    offset = (ka + la * (va + 1.0)) * slope - (ka + la * (vb + 1.0))
-    return AffineMap(slope, offset)
+    return AffineMap(exp(d), (ka + la * (va + 1.0)) * expm1(d) - la * d)
 
 
 def _segment_offset_basis(params: CanonicalParams, seg: SegmentSpec) -> tuple[float, float, float]:
     """Slope and the (kappa, lambda) coefficients of the closed-form offset.
 
-    The offset is kappa (slope - 1) + lambda ((va + 1) slope - (vb + 1)); the two
+    The offset is kappa expm1(d) + lambda ((va + 1) expm1(d) - d); the two
     coefficients are the closed form's own operations at (kappa, lambda) = (1, 0)
     and (0, 1), so they carry the same bits.
     """
     va = eval_P(params, seg.x_start)
-    vb = eval_P(params, seg.x_end)
-    slope = exp(vb - va)
-    return slope, slope - 1.0, (va + 1.0) * slope - (vb + 1.0)
+    d = eval_P(params, seg.x_end) - va
+    em1 = expm1(d)
+    return exp(d), em1, (va + 1.0) * em1 - d
 
 
 def _segment_quadrature(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:

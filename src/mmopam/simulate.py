@@ -4,11 +4,12 @@ Three ways of producing the same combinatorics are implemented here:
 
 * :func:`integrate_full` integrates the slow-time system
   eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + z*H(x)
-  with an implicit stiffly-stable method and an analytic Jacobian, recording
-  Poincare-section crossings on the fly.
+  with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
+  analytic Jacobian, recording Poincare-section crossings on the fly.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps; at delta = 0 it reproduces
-  the piecewise affine map to integrator tolerance.
+  the piecewise affine map to integrator tolerance. Its legs use scipy's
+  DOP853 through :func:`solve_ivp`.
 * :func:`classify_series` turns a simulated time series into a signature by
   thresholding the minimum x of each inter-crossing cycle.
 """
@@ -20,13 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DiscontinuityHit,
-    DomainError,
-    NonFiniteState,
-    NotPeriodic,
-    StepSizeUnderflow,
-)
+from . import radau
+from .errors import DiscontinuityHit, DomainError, NotPeriodic, StepSizeUnderflow
 from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
@@ -34,8 +30,8 @@ from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    The simulators call it through this module global, so the map-level
-    commands never import scipy and a caller can rebind it to observe solves.
+    The hybrid simulator calls it through this module global, so only its
+    legs import scipy and a caller can rebind it to observe solves.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -116,6 +112,7 @@ class TimeSeries:
     z: np.ndarray
     event_marks: list[int] = field(default_factory=list)
     crossing_states: list[tuple[float, float, float, float]] = field(default_factory=list)
+    solver_stats: radau.SolverStats | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.t) > 0.0):
@@ -138,59 +135,53 @@ def integrate_full(
     section: SectionSpec | None = None,
     n_crossings: int | None = None,
 ) -> TimeSeries:
-    """Integrate the slow-time system with an implicit stiff method.
+    """Integrate the slow-time system with the Radau IIA(5) solver of :mod:`mmopam.radau`.
 
     Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` is given, extends
     the time span (a bounded number of times) until that many directed
-    section crossings have been collected.
+    section crossings have been collected. The returned series carries the
+    solver counters, summed over the extensions, as ``solver_stats``.
     """
     geom = compute_geometry(params)
     sec = section or SectionSpec()
     x_sec = sec.resolve(geom)
-    direction = sec.crossing_direction
     fld = params.field
 
-    def cross(t, s, eps, delta):
+    def cross(t, s):
         return s[0] - x_sec
 
-    cross.direction = float(direction)
-    if n_crossings is not None:
-        cross.terminal = n_crossings  # stop once enough crossings are collected
-
-    state = np.asarray(cfg.resolve_initial_state(params), dtype=float)
+    state = cfg.resolve_initial_state(params)
     t0 = 0.0
     span = cfg.max_slow_time
     ts_parts: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     crossings: list[tuple[float, float, float, float]] = []
+    stats = radau.SolverStats()
     max_extensions = 6 if n_crossings is not None else 0
 
     for attempt in range(max_extensions + 1):
-        sol = solve_ivp(
+        sol = radau.solve(
             fld.rhs,
-            (t0, t0 + span),
+            fld.jac,
+            t0,
             state,
-            method="Radau",
-            jac=fld.jac,
+            t0 + span,
+            cfg.rel_tol,
+            cfg.abs_tol,
             args=(cfg.eps, cfg.delta),
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            events=cross,
-            dense_output=True,
+            event=cross,
+            direction=sec.crossing_direction,
+            terminal=None if n_crossings is None else n_crossings - len(crossings),
         )
-        if sol.status == -1:
-            raise StepSizeUnderflow(f"integrator failed at t = {sol.t[-1]:.6g}: {sol.message}")
-        if not np.all(np.isfinite(sol.y)):
-            raise NonFiniteState("trajectory left the finite range")
+        stats += sol.stats
         tt, yy = _densify(sol)
         ts_parts.append(tt)
         ys_parts.append(yy)
-        for te, se in zip(sol.t_events[0], sol.y_events[0]):
-            crossings.append((float(te), float(se[0]), float(se[1]), float(se[2])))
+        crossings.extend((te, *se) for te, se in zip(sol.t_events, sol.y_events))
         if n_crossings is None or len(crossings) >= n_crossings:
             break
-        t0 = float(sol.t[-1])
-        state = sol.y[:, -1]
+        t0 = sol.t[-1]
+        state = sol.y[-1]
     else:
         raise NotPeriodic(
             f"only {len(crossings)} of {n_crossings} section crossings within "
@@ -204,20 +195,33 @@ def integrate_full(
     t, y = t[keep], y[:, keep]
     marks = [int(np.searchsorted(t, tc)) for tc, *_ in crossings]
     marks = [min(m, len(t) - 1) for m in marks]
-    return TimeSeries(t, y[0], y[1], y[2], event_marks=marks, crossing_states=crossings)
+    return TimeSeries(t, y[0], y[1], y[2], event_marks=marks, crossing_states=crossings, solver_stats=stats)
 
 
-def _densify(sol) -> tuple[np.ndarray, np.ndarray]:
-    """Insert dense-output samples until adjacent x gaps fall below DENSIFY_DX."""
-    t = np.asarray(sol.t, dtype=float)
+def _densify(sol: radau.RadauSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the per-step cubics, inserting midpoints until adjacent x gaps fall below DENSIFY_DX.
+
+    A sample at a step end is taken from the step that ends there, as ``OdeSolution`` does.
+    """
+    ends = np.array(sol.t)
+    cubics = np.array(sol.cubics)
+
+    def at(t, components=(0, 1, 2)):
+        c = cubics[np.clip(np.searchsorted(ends, t, side="left") - 1, 0, len(cubics) - 1)]
+        x = (t - c[:, 0]) / c[:, 1]
+        x2 = x * x
+        x3 = x2 * x
+        return np.array([c[:, 5 + 3 * j] * x + c[:, 6 + 3 * j] * x2 + c[:, 7 + 3 * j] * x3 + c[:, 2 + j] for j in components])
+
+    t = ends
     for _ in range(24):
-        x = sol.sol(t)[0]
+        x = at(t, (0,))[0]
         gaps = np.abs(np.diff(x)) > DENSIFY_DX
         if not gaps.any():
             break
         mids = 0.5 * (t[:-1][gaps] + t[1:][gaps])
         t = np.unique(np.concatenate([t, mids]))
-    return t, sol.sol(t)
+    return t, at(t)
 
 
 def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: float | None = None) -> list[tuple[float, float]]:

@@ -217,15 +217,21 @@ def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
+def loaded_scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 for argv in json.loads(sys.argv[1]):
     assert run(argv) == 0, argv
-scipy_after_maps = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-run(json.loads(sys.argv[2]))  # 3 returns are too few to classify: exit 4, but the legs were solved
-print(json.dumps([scipy_after_maps, "scipy.integrate" in sys.modules]))
+scipy_after_maps = loaded_scipy()
+assert run(json.loads(sys.argv[2])) == 4  # 3 crossings are too few to classify, but the system was integrated
+scipy_after_full = loaded_scipy()
+run(json.loads(sys.argv[3]))  # 3 returns are too few to classify: exit 4, but the legs were solved
+print(json.dumps([scipy_after_maps, scipy_after_full, "scipy.integrate" in sys.modules]))
 """
 
 
 def test_map_level_commands_never_import_scipy():
+    # nor does the full-system integration; only the hybrid's DOP853 legs load scipy.integrate
     map_level = [
         ["pam", "signature", *ROW_1_3],
         ["pam", "bounds", "--a", "0.9", "--b", "0.8", "--l", "-7.2", "--L", "2"],
@@ -233,13 +239,18 @@ def test_map_level_commands_never_import_scipy():
         ["verify-tables"],
         ["crossover", *CROSSOVER_SEGMENT, "--grid", "5"],
     ]
-    simulate = ["simulate", "--mode", "hybrid", "--from-pam", *ROW_1_3, "--z-init", "-0.5", "--returns", "3"]
+    full = [
+        "simulate", "--mode", "full", "--from-pam", *ROW_1_3,
+        "--eps", "1e-5", "--delta", "1e-2", "--max-slow-time", "1", "--crossings", "3",
+    ]
+    hybrid = ["simulate", "--mode", "hybrid", "--from-pam", *ROW_1_3, "--z-init", "-0.5", "--returns", "3"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(map_level), json.dumps(simulate)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(map_level), json.dumps(full), json.dumps(hybrid)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    scipy_after_maps, integrate_after_simulate = json.loads(proc.stdout)
+    scipy_after_maps, scipy_after_full, integrate_after_hybrid = json.loads(proc.stdout)
     assert scipy_after_maps == []
-    assert integrate_after_simulate
+    assert scipy_after_full == []
+    assert integrate_after_hybrid

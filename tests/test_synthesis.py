@@ -69,7 +69,7 @@ def test_synthesis_is_deterministic(fixed_rho):
 
 
 @pytest.mark.parametrize("rho_name", ["fixed_rho", "quad_rho"])
-@pytest.mark.parametrize("slope", [0.9998, 0.9997])
+@pytest.mark.parametrize("slope", [0.9998, 0.9997, 0.9999, 0.99999, 0.999999])
 def test_near_unit_slopes_synthesize(rho_name, slope, request):
     # the offset determinant is ~1e-11 in absolute terms but 0.84 of its terms
     rho = request.getfixturevalue(rho_name)
