@@ -311,13 +311,11 @@ class Field:
             (delta * Gp + z * Hp, 0.0, r * u * J),
         )
 
-    def dZdx(self, x, s, delta):
-        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz)."""
-        x = float(x)
-        Z = float(s[0])
+    def dZdx(self, x, Z, delta):
+        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz), for the DOP853 legs."""
         _, u, P = self.QuP(x)
         corr = delta * Z * self.rho(x) * self.Fxz(x, 0.0)
-        return [u * (self.kappa + self.lam * P + Z) * (_horner(self._w, x) + corr)]
+        return u * (self.kappa + self.lam * P + Z) * (_horner(self._w, x) + corr)
 
 
 # --- canonical parameters ----------------------------------------------------

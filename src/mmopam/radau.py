@@ -224,6 +224,9 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
         # 0 * v is 0 for every finite v and nan otherwise
         if 0.0 * f00 + 0.0 * f01 + 0.0 * f02 + 0.0 * f10 + 0.0 * f11 + 0.0 * f12 + 0.0 * f20 + 0.0 * f21 + 0.0 * f22 != 0.0:
             break
+        # with F finite, a non-finite iterate W is what makes scipy's lu_solve raise here
+        if 0.0 * w00 + 0.0 * w01 + 0.0 * w02 + 0.0 * w10 + 0.0 * w11 + 0.0 * w12 + 0.0 * w20 + 0.0 * w21 + 0.0 * w22 != 0.0:
+            raise NonFiniteState(f"collocation iterate left the finite range at t = {t:.6g}")
         d0, d1, d2 = _solve3(
             lu_real,
             f00 * r0 + f10 * r1 + f20 * r2 - m_real * w00,

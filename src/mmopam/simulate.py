@@ -8,8 +8,8 @@ Three ways of producing the same combinatorics are implemented here:
   analytic Jacobian, recording Poincare-section crossings on the fly.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps; at delta = 0 it reproduces
-  the piecewise affine map to integrator tolerance. Its legs use scipy's
-  DOP853 through :func:`solve_ivp`.
+  the piecewise affine map to integrator tolerance. Its legs use the
+  package's own scalar DOP853 (:mod:`mmopam.dop853`).
 * :func:`classify_series` turns a simulated time series into a signature by
   thresholding the minimum x of each inter-crossing cycle.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import radau
-from .errors import DiscontinuityHit, DomainError, NotPeriodic, StepSizeUnderflow
+from . import dop853, radau
+from .errors import DiscontinuityHit, DomainError, NotPeriodic
 from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
@@ -30,8 +30,9 @@ from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    The hybrid simulator calls it through this module global, so only its
-    legs import scipy and a caller can rebind it to observe solves.
+    No code in the package calls it: both simulators run on the package's
+    own solvers. It stays because the benchmark tracer in ``perfbench``
+    looks it up here and rebinds it on every traced run.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -256,9 +257,12 @@ def canard_hole_radius(eps: float, delta: float) -> float:
 
 @dataclass
 class HybridResult:
+    """Returns Z at the last fold, the tail signature and period, and the DOP853 counters summed over all legs."""
+
     returns: list[float]
     signature: Signature | None
     period: int | None
+    solver_stats: radau.SolverStats | None = None
 
 
 def hybrid_simulate(
@@ -277,7 +281,8 @@ def hybrid_simulate(
         dZ/dx = (alpha Q + beta) (kappa + lambda P + Z) (W + delta Z rho F_xz)
 
     along each leg, with W = rho * F_x(., 0). At delta = 0 each leg reduces
-    to the exact affine segment map.
+    to the exact affine segment map. Each leg is one :func:`mmopam.dop853.solve`;
+    the result carries their counters, summed, as ``solver_stats``.
     """
     if delta < 0.0:
         raise DomainError("delta must be nonnegative")
@@ -285,12 +290,13 @@ def hybrid_simulate(
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
     dZdx = params.field.dZdx
+    stats = radau.SolverStats()
 
     def leg(x_from, x_to, Z):
-        sol = solve_ivp(dZdx, (x_from, x_to), [Z], method="DOP853", args=(delta,), rtol=rel_tol, atol=abs_tol)
-        if sol.status != 0:
-            raise StepSizeUnderflow(f"reduced-flow leg failed on [{x_from}, {x_to}]: {sol.message}")
-        return float(sol.y[0, -1])
+        nonlocal stats
+        Z, st = dop853.solve(dZdx, x_from, Z, x_to, rel_tol, abs_tol, args=(delta,))
+        stats += st
+        return Z
 
     Z = float(Z0)
     returns: list[float] = []
@@ -309,7 +315,7 @@ def hybrid_simulate(
     sig = None
     if period is not None:
         sig = signature_from_signs([Z < 0.0 for Z in returns[-period:]])
-    return HybridResult(returns, sig, period)
+    return HybridResult(returns, sig, period, stats)
 
 
 def classify_series(

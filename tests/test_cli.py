@@ -225,13 +225,13 @@ for argv in json.loads(sys.argv[1]):
 scipy_after_maps = loaded_scipy()
 assert run(json.loads(sys.argv[2])) == 4  # 3 crossings are too few to classify, but the system was integrated
 scipy_after_full = loaded_scipy()
-run(json.loads(sys.argv[3]))  # 3 returns are too few to classify: exit 4, but the legs were solved
-print(json.dumps([scipy_after_maps, scipy_after_full, "scipy.integrate" in sys.modules]))
+assert run(json.loads(sys.argv[3])) == 4  # 3 returns are too few to classify, but the legs were solved
+print(json.dumps([scipy_after_maps, scipy_after_full, loaded_scipy()]))
 """
 
 
 def test_map_level_commands_never_import_scipy():
-    # nor does the full-system integration; only the hybrid's DOP853 legs load scipy.integrate
+    # nor do the full-system integration and the hybrid: both run on the package's own solvers
     map_level = [
         ["pam", "signature", *ROW_1_3],
         ["pam", "bounds", "--a", "0.9", "--b", "0.8", "--l", "-7.2", "--L", "2"],
@@ -250,7 +250,7 @@ def test_map_level_commands_never_import_scipy():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    scipy_after_maps, scipy_after_full, integrate_after_hybrid = json.loads(proc.stdout)
+    scipy_after_maps, scipy_after_full, scipy_after_hybrid = json.loads(proc.stdout)
     assert scipy_after_maps == []
     assert scipy_after_full == []
-    assert integrate_after_hybrid
+    assert scipy_after_hybrid == []

@@ -141,14 +141,13 @@ def ref_jac(params, s, eps, delta):
     )
 
 
-def ref_dZdx(params, x, s, delta):
-    Z = s[0]
+def ref_dZdx(params, x, Z, delta):
     Qx = ref_Q(params, x)
     u = params.alpha * Qx + params.beta
     P = params.alpha * Qx * Qx / 2.0 + params.beta * Qx
     w = np.polyval(np.polyder(q_polynomial(params.rho)), x)
     corr = delta * Z * ref_rho(params.rho, x) * ref_Fxz(x, 0.0)
-    return [u * (params.kappa + params.lam * P + Z) * (w + corr)]
+    return u * (params.kappa + params.lam * P + Z) * (w + corr)
 
 
 def same(got, want) -> bool:
@@ -205,8 +204,9 @@ def test_integrator_kernels_exact(rho):
             jac = fld.jac(0.0, s, eps, delta)
             assert same(jac, ref_jac(params, s, eps, delta))
             assert all(type(v) is float for row in jac for v in row)
-            Z = np.array([z])
-            assert fld.dZdx(np.float64(x), Z, delta) == ref_dZdx(params, np.float64(x), Z, delta)
+            dZ = fld.dZdx(x, z, delta)
+            assert type(dZ) is float
+            assert dZ == ref_dZdx(params, np.float64(x), z, delta)
 
 
 def _sheet_states(geom):

@@ -142,6 +142,24 @@ def test_non_finite_state_raises():
         radau.solve(push, no_jac, 0.0, (sys.float_info.max, 0.0, 0.0), 10.0, 1e-6, 1e-9)
 
 
+def test_overflowing_collocation_iterate_raises():
+    # near the largest float the Newton iterates overflow while the derivative stays finite; scipy's
+    # lu_solve rejects the non-finite right-hand side, and without the check this solve never ends
+    calls = []
+
+    def push(t, s):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise AssertionError(f"runaway solve, stalled at t = {t}")
+        return 1e300, 0.0, 0.0
+
+    def no_jac(t, s):
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
+    with pytest.raises(NonFiniteState, match="collocation iterate"):
+        radau.solve(push, no_jac, 0.0, (1.79e308, 0.0, 0.0), 1e9, 1e-6, 1e-9)
+
+
 def test_integrate_full_sums_stats_over_extensions(fixed_rho, monkeypatch):
     solves = []
     solve = radau.solve
