@@ -66,20 +66,20 @@ from .segments import (
     sao_branch,
     segment_affine,
 )
-from .simulate import (
-    HybridResult,
-    SectionSpec,
-    SimConfig,
-    TimeSeries,
-    canard_hole_radius,
-    classify_series,
-    detect_section_crossings,
-    hybrid_simulate,
-    integrate_full,
-    visual_rescale,
-)
 from .synthesis import solve_alpha_beta, solve_kappa_lambda, synthesize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The simulators are the one part of the package that needs numpy, so their names load on first use.
+_SIMULATE = ("HybridResult", "SectionSpec", "SimConfig", "TimeSeries", "canard_hole_radius", "classify_series",
+             "detect_section_crossings", "hybrid_simulate", "integrate_full", "visual_rescale")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATE)
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

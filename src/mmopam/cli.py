@@ -19,8 +19,8 @@ import json
 import sys
 
 from . import plotting
-from .errors import MmopamError, NotPeriodic
-from .family import CanonicalParams, RhoSpec, check_z0, compute_geometry
+from .errors import DomainError, MmopamError, NotPeriodic
+from .family import CanonicalParams, RhoSpec, check_z0, compute_geometry, json_float
 from .pam import (
     PamCoefficients,
     Signature,
@@ -29,20 +29,10 @@ from .pam import (
     iterate_orbit,
     lao_bounds,
     sao_bounds,
-    atmost_atleast_bounds,
     transform,
     untransform,
 )
 from .segments import associated_pam
-from .simulate import (
-    SectionSpec,
-    SimConfig,
-    canard_hole_radius,
-    classify_series,
-    hybrid_simulate,
-    integrate_full,
-    visual_rescale,
-)
 from .synthesis import synthesize
 from .tables import verify_all
 
@@ -50,6 +40,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INCONCLUSIVE = 4
+
+PAM_KEYS = ("a11", "a12", "a21", "a22")
+CANONICAL_KEYS = ("alpha", "beta", "kappa", "lam")
+SIM_KEYS = ("eps", "delta", "rel_tol", "abs_tol", "max_slow_time")
 
 
 # --------------------------------------------------------------------------
@@ -65,10 +59,13 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not (isinstance(config, dict) and all(isinstance(config.get(k, {}), dict) for k in ("pam", "canonical", "sim"))):
+        raise DomainError("a config must be a JSON object, and so must its pam, canonical and sim sections")
+    return config
 
 
-def _merged(section: dict, args: argparse.Namespace, keys: list[str]) -> dict:
+def _merged(section: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     out = dict(section)
     for key in keys:
         val = getattr(args, key, None)
@@ -78,11 +75,11 @@ def _merged(section: dict, args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 def _pam_from(args, config: dict) -> PamCoefficients:
-    vals = _merged(config.get("pam", {}), args, ["a11", "a12", "a21", "a22"])
-    missing = [k for k in ("a11", "a12", "a21", "a22") if k not in vals]
+    vals = _merged(config.get("pam", {}), args, PAM_KEYS)
+    missing = [k for k in PAM_KEYS if k not in vals]
     if missing:
         raise _usage(f"missing map coefficients: {', '.join(missing)}")
-    return PamCoefficients(vals["a11"], vals["a12"], vals["a21"], vals["a22"])
+    return PamCoefficients(*(json_float(vals, k) for k in PAM_KEYS))
 
 
 def _rho_from(args, section: dict) -> RhoSpec:
@@ -108,27 +105,34 @@ def _canonical_from(args, config: dict) -> CanonicalParams:
     section = _canonical_section(config)
     if "lambda" in section:
         section["lam"] = section.pop("lambda")
-    vals = _merged(section, args, ["alpha", "beta", "kappa", "lam"])
+    vals = _merged(section, args, CANONICAL_KEYS)
     rho = _rho_from(args, section)
-    missing = [k for k in ("alpha", "beta", "kappa", "lam") if k not in vals]
+    missing = [k for k in CANONICAL_KEYS if k not in vals]
     if missing:
         if getattr(args, "from_pam", False) or config.get("pam"):
             return synthesize(_pam_from(args, config), rho)
         raise _usage(f"missing vector-field parameters: {', '.join(missing)}")
-    return CanonicalParams(vals["alpha"], vals["beta"], vals["kappa"], vals["lam"], rho)
+    return CanonicalParams(*(json_float(vals, k) for k in CANONICAL_KEYS), rho)
 
 
-def _sim_from(args, config: dict) -> SimConfig:
-    vals = _merged(config.get("sim", {}), args, ["eps", "delta", "rel_tol", "abs_tol", "max_slow_time"])
-    init = vals.get("initial_state")
-    return SimConfig(
-        eps=vals.get("eps", 1e-7),
-        delta=vals.get("delta", 5e-3),
-        rel_tol=vals.get("rel_tol", 1e-8),
-        abs_tol=vals.get("abs_tol", 1e-10),
-        max_slow_time=vals.get("max_slow_time", 40.0),
-        initial_state=tuple(init) if init is not None else None,
-    )
+def _sim_values(args, config: dict) -> dict:
+    """The keys of the merged "sim" section that are present, as numbers; SimConfig holds the defaults."""
+    vals = _merged(config.get("sim", {}), args, SIM_KEYS)
+    out = {k: json_float(vals, k) for k in SIM_KEYS if k in vals}
+    if "initial_state" in vals:
+        state = vals["initial_state"]
+        if not isinstance(state, list) or len(state) != 3:
+            raise DomainError(f"initial_state must be a list of three numbers, got {state!r}")
+        out["initial_state"] = tuple(json_float(state, i) for i in range(3))
+    return out
+
+
+def _write_z_csv(path: str, values: list[float]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "Z"])
+        for n, z in enumerate(values):
+            writer.writerow([n, repr(z)])
 
 
 # --------------------------------------------------------------------------
@@ -140,11 +144,7 @@ def cmd_pam_iterate(args) -> int:
     pam = _pam_from(args, config)
     orbit = iterate_orbit(pam, args.z0, max_iters=args.max_iters)
     if args.out_csv:
-        with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "Z"])
-            for n, z in enumerate(orbit.iterates):
-                writer.writerow([n, repr(z)])
+        _write_z_csv(args.out_csv, orbit.iterates)
     if args.out_svg:
         plotting.cobweb_plot(pam, orbit.iterates[-min(len(orbit.iterates), 200):], args.out_svg)
     if not orbit.converged:
@@ -168,30 +168,19 @@ def cmd_pam_signature(args) -> int:
 def cmd_pam_bounds(args) -> int:
     tp = TransformedPam(a=args.a, b=args.b, mu=args.mu, l=args.l)
     out: dict = {"a": args.a, "b": args.b, "l": args.l}
-    if args.L is not None and args.s is not None:
-        lao_win, sao_win = atmost_atleast_bounds(tp, args.L, args.s)
-        out["lao_window"] = _interval_obj(lao_win, args.L, "L")
-        out["sao_window"] = _interval_obj(sao_win, args.s, "s")
-    elif args.L is not None:
-        mu2, mu1 = lao_bounds(tp, args.L)
-        out["lao_window"] = {"L": args.L, "lower": mu2, "upper": mu1, "lower_closed": False, "upper_closed": True}
-    elif args.s is not None:
-        mu3, mu4 = sao_bounds(tp, args.s)
-        out["sao_window"] = {"s": args.s, "lower": mu3, "upper": mu4, "lower_closed": True, "upper_closed": False}
-    else:
+    if args.L is None and args.s is None:
         raise _usage("provide --L and/or --s")
+    # the L^1 window is (mu2, mu1] and the 1^s window is [mu3, mu4), as in pam.atmost_atleast_bounds
+    if args.L is not None:
+        out["lao_window"] = _interval_obj("L", args.L, *lao_bounds(tp, args.L), False, True)
+    if args.s is not None:
+        out["sao_window"] = _interval_obj("s", args.s, *sao_bounds(tp, args.s), True, False)
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
 
-def _interval_obj(win, count: int, key: str) -> dict:
-    return {
-        key: count,
-        "lower": win.lower,
-        "upper": win.upper,
-        "lower_closed": win.lower_closed,
-        "upper_closed": win.upper_closed,
-    }
+def _interval_obj(key: str, count: int, lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> dict:
+    return {key: count, "lower": lower, "upper": upper, "lower_closed": lower_closed, "upper_closed": upper_closed}
 
 
 def cmd_pam_transform(args) -> int:
@@ -235,22 +224,23 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig  # here and below: simulate loads numpy, which no other command needs
+
     config = _load_config(args.config)
     params = _canonical_from(args, config)
+    sim = _sim_values(args, config)
     if args.mode == "hybrid":
-        return _simulate_hybrid(args, params)
-    return _simulate_full(args, config, params)
+        # the hybrid reads only delta, on its own domain delta >= 0
+        return _simulate_hybrid(args, params, sim.get("delta", SimConfig.delta))
+    return _simulate_full(args, params, SimConfig(**sim))
 
 
-def _simulate_hybrid(args, params: CanonicalParams) -> int:
-    delta = args.delta if args.delta is not None else 5e-3
+def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
+    from .simulate import hybrid_simulate
+
     result = hybrid_simulate(params, delta, args.z_init, args.returns)
     if args.out_prefix:
-        with open(args.out_prefix + "_returns.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "Z"])
-            for n, z in enumerate(result.returns):
-                writer.writerow([n, repr(z)])
+        _write_z_csv(args.out_prefix + "_returns.csv", result.returns)
     for z in result.returns:
         print(repr(z))
     if result.signature is None:
@@ -262,8 +252,9 @@ def _simulate_hybrid(args, params: CanonicalParams) -> int:
     return EXIT_OK
 
 
-def _simulate_full(args, config: dict, params: CanonicalParams) -> int:
-    cfg = _sim_from(args, config)
+def _simulate_full(args, params: CanonicalParams, cfg) -> int:
+    from .simulate import SectionSpec, canard_hole_radius, classify_series, integrate_full, visual_rescale
+
     sec = SectionSpec(x_section=args.x_section)
     geom = compute_geometry(params)
     series = integrate_full(params, cfg, section=sec, n_crossings=args.crossings)

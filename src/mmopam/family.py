@@ -31,8 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
+from math import isfinite, sqrt
 
 from .errors import DomainError, FoldPointEvaluation, QuadratureFailure
 
@@ -75,7 +74,7 @@ _KCD = tuple((k, float(_C[k]), float(_D[k])) for k in range(9, 1, -1))  # (k, C_
 _KD = tuple(k * d for k, _, d in _KCD)  # F_xz / x, descending
 _C2, _D2 = float(_C[2]), float(_D[2])
 _RHO_DEN = tuple(float(c) for c in _RHO_DEN_EXACT)
-_RHO_DDEN = tuple(np.polyder(np.array(_RHO_DEN)).tolist())
+_RHO_DDEN = tuple(c * k for c, k in zip(_RHO_DEN, range(4, 0, -1)))
 
 
 def _horner(coeffs, x):
@@ -139,7 +138,7 @@ class RhoSpec:
         if self.variant == "quadratic":
             if self.p is None or self.q is None:
                 raise DomainError("quadratic rho needs p and q")
-            self._check_nonzero_on_interval(np.array([self.q, 1.0, self.p]), "rho")
+            self._check_nonzero_on_interval(self.p, self.q)
         elif self.variant == "fixed_rational":
             if self.p is not None or self.q is not None:
                 raise DomainError("fixed_rational rho takes no (p, q)")
@@ -150,15 +149,24 @@ class RhoSpec:
             raise DomainError(f"unknown rho variant {self.variant!r}")
 
     @staticmethod
-    def _check_nonzero_on_interval(poly: np.ndarray, name: str) -> None:
-        # dense sampling plus explicit root check on the working interval
-        xs = np.linspace(X_MIN, X_MAX, 2001)
-        vals = np.polyval(poly, xs)
-        roots = np.roots(poly) if len(poly) > 1 else np.array([])
-        real = roots[np.abs(roots.imag) < 1e-10].real
-        bad = real[(real >= X_MIN - 1e-9) & (real <= X_MAX + 1e-9)]
-        if np.any(vals == 0.0) or bad.size:
-            raise DomainError(f"{name} vanishes on [{X_MIN}, {X_MAX}]")
+    def _check_nonzero_on_interval(p: float, q: float) -> None:
+        """Raise if p + x + q x^2 has a root within 1e-9 of [X_MIN, X_MAX], from the closed form.
+
+        A complex pair with imaginary part below 1e-10 counts as a (near-double) real root.
+        """
+        if not (isfinite(p) and isfinite(q)):
+            raise DomainError(f"rho needs finite p and q, got p={p}, q={q}")
+        if q == 0.0:
+            roots = (-p,)
+        else:
+            disc = 1.0 - 4.0 * q * p
+            if disc >= 0.0:
+                t = -0.5 * (1.0 + sqrt(disc))  # no cancellation: the x coefficient is +1
+                roots = (t / q, p / t)
+            else:
+                roots = (-0.5 / q,) if sqrt(-disc) / (2.0 * abs(q)) < 1e-10 else ()
+        if any(X_MIN - 1e-9 <= r <= X_MAX + 1e-9 for r in roots):
+            raise DomainError(f"rho vanishes on [{X_MIN}, {X_MAX}]")
 
     def rho(self, x):
         if self.variant == "quadratic":
@@ -182,29 +190,13 @@ class RhoSpec:
         if obj == "fixed_rational":
             return cls("fixed_rational")
         if isinstance(obj, dict) and "quadratic" in obj:
-            return cls("quadratic", p=float(obj["quadratic"]["p"]), q=float(obj["quadratic"]["q"]))
+            coeffs = obj["quadratic"]
+            return cls("quadratic", p=json_float(coeffs, "p"), q=json_float(coeffs, "q"))
         raise DomainError(f"unrecognized rho specification {obj!r}")
 
 
 QUADRATIC = "quadratic"
 FIXED_RATIONAL = "fixed_rational"
-
-
-def _rho_fx_polynomial(rho: RhoSpec) -> np.ndarray:
-    """Polynomial coefficients (descending) of W = rho(x) * F_x(x, 0).
-
-    For quadratic rho the product is trivially polynomial. For the fixed
-    rational rho, F_x(., 0) is divisible by 1/rho in exact arithmetic; a
-    nonzero remainder would mean Q has no closed form and raises.
-    """
-    fx_desc = [Fraction(k) * _C[k] for k in range(9, 0, -1)]  # F_x(., 0), descending x^8..x^0
-    if rho.variant == "quadratic":
-        rho_desc = [Fraction(rho.q).limit_denominator(10**15), Fraction(1), Fraction(rho.p).limit_denominator(10**15)]
-        return np.array([float(c) for c in _poly_mul(rho_desc, fx_desc)])
-    quot, rem = _poly_divmod(fx_desc, _RHO_DEN_EXACT)
-    if any(rem):
-        raise DomainError("rho * F_x(., 0) leaves a nonzero remainder; Q has no polynomial form")
-    return np.array([float(c) for c in quot])
 
 
 def _poly_mul(a, b):
@@ -226,16 +218,32 @@ def _poly_divmod(num, den):
     return out, num[len(out):]
 
 
-def q_polynomial(rho: RhoSpec) -> np.ndarray:
-    """Descending coefficients of Q(x) = int_0^x rho F_s."""
-    return np.polyint(_rho_fx_polynomial(rho))  # constant term 0: Q(0) = 0
+def q_polynomial(rho: RhoSpec) -> tuple[float, ...]:
+    """Descending coefficients of Q(x) = int_0^x W, with W = rho(x) * F_x(x, 0).
+
+    For quadratic rho, W is a product of polynomials. For the fixed rational
+    rho, F_x(., 0) is divisible by 1/rho in exact arithmetic; a nonzero
+    remainder would mean Q has no closed form and raises. W is rounded to
+    floats and divided term by term, c_k / (k + 1).
+    """
+    fx_desc = [Fraction(k) * _C[k] for k in range(9, 0, -1)]  # F_x(., 0), descending x^8..x^0
+    if rho.variant == "quadratic":
+        rho_desc = [Fraction(rho.q).limit_denominator(10**15), Fraction(1), Fraction(rho.p).limit_denominator(10**15)]
+        w = _poly_mul(rho_desc, fx_desc)
+    else:
+        w, rem = _poly_divmod(fx_desc, _RHO_DEN_EXACT)
+        if any(rem):
+            raise DomainError("rho * F_x(., 0) leaves a nonzero remainder; Q has no polynomial form")
+    n = len(w)
+    return tuple(float(c) / (n - i) for i, c in enumerate(w)) + (0.0,)  # constant term 0: Q(0) = 0
 
 
 @lru_cache(maxsize=64)
 def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Plain-float coefficients of Q and of W = Q', built once per rho."""
-    qpoly = q_polynomial(rho)
-    return tuple(qpoly.tolist()), tuple(np.polyder(qpoly).tolist())
+    """Coefficients of Q and of W = Q', built once per rho; W is differentiated from Q, rounding included."""
+    q = q_polynomial(rho)
+    n = len(q) - 1
+    return q, tuple(c * (n - i) for i, c in enumerate(q[:-1]))
 
 
 # --- the compiled field ------------------------------------------------------
@@ -357,13 +365,16 @@ class CanonicalParams:
     def from_json(cls, text: str) -> "CanonicalParams":
         obj = json.loads(text)
         check_z0(obj)
-        return cls(
-            alpha=float(obj["alpha"]),
-            beta=float(obj["beta"]),
-            kappa=float(obj["kappa"]),
-            lam=float(obj["lambda"]),
-            rho=RhoSpec.from_json_obj(obj["rho"]),
-        )
+        values = (json_float(obj, key) for key in ("alpha", "beta", "kappa", "lambda"))
+        return cls(*values, RhoSpec.from_json_obj(obj.get("rho")))
+
+
+def json_float(obj, key) -> float:
+    """``float(obj[key])``; a missing key or a value that float() rejects raises DomainError."""
+    try:
+        return float(obj[key])
+    except (LookupError, TypeError, ValueError):
+        raise DomainError(f"{key!r} must be a number in {obj!r}") from None
 
 
 def check_z0(obj: dict) -> None:

@@ -170,13 +170,11 @@ def _detect_tail_period(hist: list[float], tol: float, max_period: int) -> int |
 
 
 def _transient_length(hist: list[float], p: int, tol: float) -> int:
-    for n in range(len(hist) - p):
-        if all(
-            abs(hist[i + p] - hist[i]) <= tol
-            for i in range(n, len(hist) - p)
-        ):
-            return n
-    return len(hist) - p
+    """Index after the last i with |Z_{i+p} - Z_i| > tol (a nan difference counts), or 0 if there is none."""
+    for i in range(len(hist) - p - 1, -1, -1):
+        if not abs(hist[i + p] - hist[i]) <= tol:
+            return i + 1
+    return 0
 
 
 def detect_signature(orbit: OrbitResult) -> Signature:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .pam import PamCoefficients, pam_eval
 
@@ -34,12 +32,12 @@ class Axes:
 
 
 def _axes_for(curves) -> Axes:
-    xs = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
-    ys = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
-    if xs.size == 0:
+    xs = [float(v) for c in curves for v in c[0]]
+    ys = [float(v) for c in curves for v in c[1]]
+    if not xs:
         raise DomainError("nothing to plot")
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     pad_x = 0.05 * (x_hi - x_lo) or 1.0
     pad_y = 0.05 * (y_hi - y_lo) or 1.0
     return Axes(x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y)
@@ -134,11 +132,11 @@ def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str, title: s
     body.append(_polyline(ax, [lo, hi], [lo, hi], "#999", 0.8))
     # branches (left of and right of the jump)
     if lo < 0.0:
-        xs = np.linspace(lo, -1e-9, 50)
-        body.append(_polyline(ax, xs, pam.a11 * xs + pam.a12, PALETTE[0]))
+        xs = _linspace(lo, -1e-9, 50)
+        body.append(_polyline(ax, xs, [pam.a11 * x + pam.a12 for x in xs], PALETTE[0]))
     if hi > 0.0:
-        xs = np.linspace(1e-9, hi, 50)
-        body.append(_polyline(ax, xs, pam.a21 * xs + pam.a22, PALETTE[1]))
+        xs = _linspace(1e-9, hi, 50)
+        body.append(_polyline(ax, xs, [pam.a21 * x + pam.a22 for x in xs], PALETTE[1]))
     # staircase
     px, py = [iterates[0]], [iterates[0]]
     z = iterates[0]
@@ -149,6 +147,12 @@ def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str, title: s
         z = w
     body.append(_polyline(ax, px, py, PALETTE[2], 0.9))
     _write_svg(path, body)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace's points: i * step + start, with the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 def _write_svg(path: str, body: list[str]) -> None:

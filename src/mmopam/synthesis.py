@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import log
 
-import numpy as np
-
 from .errors import DomainError, SingularSystem, SynthesisVerificationFailure
 from .family import CanonicalParams, ManifoldGeometry, RhoSpec, compute_geometry, eval_Q
 from .pam import PamCoefficients
@@ -35,25 +33,21 @@ def _solve_2x2(a: float, b: float, c: float, d: float, r1: float, r2: float, wha
     return float((r1 * d - b * r2) / det), float((a * r2 - c * r1) / det)
 
 
-def slope_matrix(rho: RhoSpec, geom: ManifoldGeometry) -> np.ndarray:
-    """2x2 matrix A with (log a11, log a21) = A @ (alpha, beta)."""
+def slope_matrix(rho: RhoSpec, geom: ManifoldGeometry) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Rows of the 2x2 matrix A with (log a11, log a21) = A @ (alpha, beta)."""
     probe = CanonicalParams(0.0, 0.0, 0.0, 0.0, rho)
-    Q = {x: eval_Q(probe, x) for x in (geom.xhat4, geom.x1, geom.x2, geom.x3, geom.x4, geom.xhat3, geom.xhat1)}
-    q_h4, q_1, q_2, q_3, q_4, q_h3, q_h1 = (
-        Q[geom.xhat4], Q[geom.x1], Q[geom.x2], Q[geom.x3], Q[geom.x4], Q[geom.xhat3], Q[geom.xhat1],
-    )
-    return np.array(
-        [
-            [0.5 * (q_1**2 - q_h4**2 + q_4**2 - q_h1**2), q_1 - q_h4 + q_4 - q_h1],
-            [0.5 * (q_3**2 - q_2**2 + q_4**2 - q_h3**2), q_3 - q_2 + q_4 - q_h3],
-        ]
+    abscissas = (geom.xhat4, geom.x1, geom.x2, geom.x3, geom.x4, geom.xhat3, geom.xhat1)
+    q_h4, q_1, q_2, q_3, q_4, q_h3, q_h1 = (eval_Q(probe, x) for x in abscissas)
+    return (
+        (0.5 * (q_1**2 - q_h4**2 + q_4**2 - q_h1**2), q_1 - q_h4 + q_4 - q_h1),
+        (0.5 * (q_3**2 - q_2**2 + q_4**2 - q_h3**2), q_3 - q_2 + q_4 - q_h3),
     )
 
 
 def solve_alpha_beta(a11: float, a21: float, rho: RhoSpec, geom: ManifoldGeometry) -> tuple[float, float]:
     if a11 <= 0.0 or a21 <= 0.0:
         raise DomainError("branch slopes must be positive")
-    (a, b), (c, d) = slope_matrix(rho, geom).tolist()
+    (a, b), (c, d) = slope_matrix(rho, geom)
     return _solve_2x2(a, b, c, d, log(a11), log(a21), "slope system")
 
 

@@ -211,29 +211,36 @@ ROW_1_3 = ["--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2"]
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+
+def loaded():
+    # the modules of each package named in sys.argv[1] that are loaded now
+    return {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg) for pkg in json.loads(sys.argv[1])}
+
+import mmopam
+after_import = loaded()
 from mmopam.cli import main
+after_import_cli = loaded()
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
-def loaded_scipy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     assert run(argv) == 0, argv
-scipy_after_maps = loaded_scipy()
-assert run(json.loads(sys.argv[2])) == 4  # 3 crossings are too few to classify, but the system was integrated
-scipy_after_full = loaded_scipy()
-assert run(json.loads(sys.argv[3])) == 4  # 3 returns are too few to classify, but the legs were solved
-print(json.dumps([scipy_after_maps, scipy_after_full, loaded_scipy()]))
+after_maps = loaded()
+assert run(json.loads(sys.argv[3])) == 4  # 3 crossings are too few to classify, but the system was integrated
+after_full = loaded()
+assert run(json.loads(sys.argv[4])) == 4  # 3 returns are too few to classify, but the legs were solved
+print(json.dumps([after_import, after_import_cli, after_maps, after_full, loaded()]))
 """
 
 
-def test_map_level_commands_never_import_scipy():
-    # nor do the full-system integration and the hybrid: both run on the package's own solvers
+def test_map_level_commands_never_import_scipy(tmp_path):
+    # nor do the full-system integration and the hybrid: both run on the package's own solvers;
+    # numpy is loaded by the simulators alone, never by the map level
     map_level = [
         ["pam", "signature", *ROW_1_3],
+        ["pam", "iterate", *ROW_1_3, "--out-svg", str(tmp_path / "cobweb.svg")],
         ["pam", "bounds", "--a", "0.9", "--b", "0.8", "--l", "-7.2", "--L", "2"],
         ["synth", *ROW_1_3, "--verify"],
         ["verify-tables"],
@@ -246,11 +253,61 @@ def test_map_level_commands_never_import_scipy():
     hybrid = ["simulate", "--mode", "hybrid", "--from-pam", *ROW_1_3, "--z-init", "-0.5", "--returns", "3"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(map_level), json.dumps(full), json.dumps(hybrid)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(["numpy", "scipy"]),
+         json.dumps(map_level), json.dumps(full), json.dumps(hybrid)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    scipy_after_maps, scipy_after_full, scipy_after_hybrid = json.loads(proc.stdout)
-    assert scipy_after_maps == []
-    assert scipy_after_full == []
-    assert scipy_after_hybrid == []
+    after_import, after_import_cli, after_maps, after_full, after_hybrid = json.loads(proc.stdout)
+    none = {"numpy": [], "scipy": []}
+    assert after_import == none
+    assert after_import_cli == none
+    assert after_maps == none
+    assert "numpy" in after_full["numpy"]
+    assert after_full["scipy"] == []
+    assert after_hybrid["scipy"] == []
+
+
+HYBRID_1_1 = ["simulate", "--mode", "hybrid", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--from-pam"]
+
+
+def test_simulate_hybrid_reads_delta_from_config(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sim": {"delta": 0.05}}))
+    from_config = run(capsys, *HYBRID_1_1, "--config", str(cfg), "--returns", "5")
+    from_flag = run(capsys, *HYBRID_1_1, "--delta", "0.05", "--returns", "5")
+    default = run(capsys, *HYBRID_1_1, "--returns", "5")
+    assert from_config == from_flag
+    assert from_config[1] != default[1]
+
+
+PAM_1_3 = {"a11": 0.3, "a12": 7, "a21": 0.9, "a22": -2}
+VF_1_3 = {"alpha": 0.87, "beta": 0.02, "kappa": 30.0, "lambda": -90.0}
+SIGNATURE, SYNTH, FULL = ["pam", "signature"], ["synth"], ["simulate", "--mode", "full", "--max-slow-time", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (SIGNATURE, {"pam": {**PAM_1_3, "a11": "0.3x"}}),
+        (SIGNATURE, {"pam": {**PAM_1_3, "a11": None}}),
+        (SIGNATURE, {"pam": {**PAM_1_3, "a11": [0.3]}}),
+        (SIGNATURE, {"pam": [0.3, 7, 0.9, -2]}),
+        (SIGNATURE, [PAM_1_3]),
+        (SYNTH, {"pam": PAM_1_3, "canonical": {"rho": {"quadratic": {"p": 1.0}}}}),
+        (SYNTH, {"pam": PAM_1_3, "canonical": {"rho": {"quadratic": {"p": "a", "q": 1}}}}),
+        (SYNTH, {"pam": PAM_1_3, "canonical": {"rho": {"quadratic": 1.0}}}),
+        (FULL, {"canonical": {**VF_1_3, "alpha": "a"}}),
+        (FULL, {"canonical": VF_1_3, "sim": {"delta": "small"}}),
+        (FULL, {"canonical": VF_1_3, "sim": {"eps": None}}),
+        (FULL, {"canonical": VF_1_3, "sim": {"initial_state": [1.3, 0.0]}}),
+        (FULL, {"canonical": VF_1_3, "sim": {"initial_state": [1.3, "y", 0.0]}}),
+    ],
+)
+def test_malformed_config_values_exit_3(capsys, tmp_path, argv, config):
+    # a missing key or a value that float() rejects is a domain error, not a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 3, err
+    assert err.startswith("error: ")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,54 @@ class TestRhoSpec:
         # p + x + q x^2 with p=0, q=0 vanishes at x=0
         with pytest.raises(DomainError):
             RhoSpec("quadratic", p=0.0, q=0.0)
+
+    @staticmethod
+    def _numpy_check_passes(p, q):
+        # the check the closed form replaced: dense sampling plus numpy.roots, with its margins
+        poly = np.array([q, 1.0, p])
+        vals = np.polyval(poly, np.linspace(-3.0, 2.0, 2001))
+        roots = np.roots(poly)
+        real = roots[np.abs(roots.imag) < 1e-10].real
+        return not (np.any(vals == 0.0) or np.any((real >= -3.0 - 1e-9) & (real <= 2.0 + 1e-9)))
+
+    def test_root_check_matches_numpy_oracle(self):
+        rng = random.Random(9)
+        cases = []
+        for _ in range(5000):
+            q = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, 3)
+            kind = rng.randrange(4)
+            if kind == 0:
+                p, q = rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0)
+            elif kind == 1:
+                p = rng.uniform(-5.0, 5.0)
+            elif kind == 2:  # a root at r
+                r = rng.uniform(-4.0, 3.0)
+                p = -r - q * r * r
+            else:  # a double root, or a complex pair close to one
+                q = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 1)
+                p = (1.0 + rng.uniform(-1e-6, 1e-6)) / (4.0 * q)
+            cases.append((p, q))
+        for _ in range(1000):  # complex pairs near 0 whose imaginary part is f * 1e-10, either side of the rule
+            q = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(4, 7)
+            f = rng.choice([rng.uniform(0.05, 0.5), rng.uniform(2.0, 20.0)])
+            cases.append(((1.0 + (2.0 * q * f * 1e-10) ** 2) / (4.0 * q), q))
+        # roots at the interval ends and just inside and outside the 1e-9 margin
+        for r in (-3.0, 2.0, 0.0, -3.0 - 9e-10, 2.0 + 9e-10, -3.0 - 1.1e-9, 2.0 + 1.1e-9):
+            cases += [(-r - q * r * r, q) for q in (0.0, 0.1, -0.1, 1e-6, 2.0)]
+        cases += [(1.0, 0.25), (-1.0, -0.25), (3.0, 1.0 / 12.0), (0.0, 0.0), (1.0, 1.0)]
+        for p, q in cases:
+            try:
+                RhoSpec("quadratic", p=p, q=q)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == self._numpy_check_passes(p, q), (p, q)
+        assert 0 < sum(self._numpy_check_passes(p, q) for p, q in cases) < len(cases)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)])
+    def test_quadratic_needs_finite_coefficients(self, p, q):
+        with pytest.raises(DomainError):
+            RhoSpec("quadratic", p=p, q=q)
 
     def test_drho_matches_finite_difference(self):
         for rho in (RhoSpec("fixed_rational"), RhoSpec("quadratic", p=1.0, q=1.0)):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from mmopam.pam import (
     PamCoefficients,
     Signature,
     TransformedPam,
+    _transient_length,
     atmost_atleast_bounds,
     detect_signature,
     iterate_orbit,
@@ -95,6 +97,29 @@ def test_orbit_period_values_match_fixed_cycle():
     orbit = iterate_orbit(ROW_1_3, -0.5)
     cycle = sorted(orbit.iterates[-orbit.period :])
     assert math.isclose(cycle[0], z_neg, abs_tol=1e-8)
+
+
+def test_transient_length_matches_definition():
+    # the transient is the index after the last i with |Z_{i+p} - Z_i| > tol, or 0 if there is none
+    def brute_force(hist, p, tol):
+        return next(
+            (n for n in range(len(hist) - p) if all(abs(hist[i + p] - hist[i]) <= tol for i in range(n, len(hist) - p))),
+            len(hist) - p,
+        )
+
+    rng = random.Random(3)
+    for _ in range(300):
+        a, b, l = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), -rng.uniform(0.5, 10.0)
+        pam = untransform(TransformedPam(a, b, rng.uniform(0.0, -l), l))  # admissible: 0 < mu < -l
+        orbit = iterate_orbit(pam, rng.uniform(-5.0, 5.0))
+        for p in (1, 2, 3, 5):
+            assert _transient_length(orbit.iterates, p, orbit.tol) == brute_force(orbit.iterates, p, orbit.tol)
+        if orbit.converged:
+            assert orbit.transient_length == brute_force(orbit.iterates, orbit.period, orbit.tol)
+    assert _transient_length([1.0, 2.0, 1.0, 2.0], 2, 1e-10) == 0
+    assert _transient_length([0.0, 1.0, 2.0, 1.0, 2.0], 2, 1e-10) == 1
+    assert _transient_length([1.0, 2.0, 1.0, 3.0], 2, 1e-10) == 2
+    assert _transient_length([1.0, float("nan"), 1.0, 1.0], 1, 1e-10) == 2
 
 
 def test_orbit_from_positive_start_same_signature():
