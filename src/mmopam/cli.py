@@ -58,8 +58,11 @@ def _usage(msg: str) -> SystemExit:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _usage(f"cannot read config {path!r}: {exc}") from exc
     if not (isinstance(config, dict) and all(isinstance(config.get(k, {}), dict) for k in ("pam", "canonical", "sim"))):
         raise DomainError("a config must be a JSON object, and so must its pam, canonical and sim sections")
     return config
@@ -224,7 +227,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import SimConfig  # here and below: simulate loads numpy, which no other command needs
+    from .simulate import SimConfig  # here and below: simulate and its solvers load for this command only
 
     config = _load_config(args.config)
     params = _canonical_from(args, config)

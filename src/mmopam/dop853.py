@@ -176,7 +176,7 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
             scale = atol + (abs(y) if abs(y) >= abs(y_new) else abs(y_new)) * rtol
             err5 = s5 / scale
             err3 = s3 / scale
-            # numpy's squared norm of one element, sqrt(e * e) ** 2, is e * e
+            # scipy's squared norm of one element, sqrt(e * e) ** 2, is e * e
             err5_norm_2 = err5 * err5
             err3_norm_2 = err3 * err3
             if err5_norm_2 == 0 and err3_norm_2 == 0:

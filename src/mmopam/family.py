@@ -68,7 +68,7 @@ _RHO_DEN_EXACT = [
     Fraction(1),
 ]
 
-# --- plain-float kernels: each loop keeps numpy.polyval's operation order -----
+# --- plain-float kernels: each loop keeps polyval's operation order -----------
 
 _KCD = tuple((k, float(_C[k]), float(_D[k])) for k in range(9, 1, -1))  # (k, C_k, D_k), k = 9..2
 _KD = tuple(k * d for k, _, d in _KCD)  # F_xz / x, descending
@@ -78,7 +78,7 @@ _RHO_DDEN = tuple(c * k for c, k in zip(_RHO_DEN, range(4, 0, -1)))
 
 
 def _horner(coeffs, x):
-    """Polynomial with descending coefficients, summed as numpy.polyval does."""
+    """Polynomial with descending coefficients, summed in Horner order as polyval does."""
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c

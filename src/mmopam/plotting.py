@@ -150,7 +150,7 @@ def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str, title: s
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """numpy.linspace's points: i * step + start, with the last point set to stop."""
+    """linspace's points: i * step + start, with the last point set to stop."""
     step = (stop - start) / (num - 1)
     return [i * step + start for i in range(num - 1)] + [stop]
 

@@ -12,8 +12,8 @@ root located by :func:`_brentq` on the step's dense output with
 xtol = rtol = 4 EPS.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
-arithmetic on Python floats and complex numbers, so the step loop uses no
-numpy. ``fun(t, s, *args)`` returns the three derivatives at the state
+arithmetic on Python floats and complex numbers, so the step loop needs no
+array library. ``fun(t, s, *args)`` returns the three derivatives at the state
 tuple ``s``; ``jac(t, s, *args)`` returns the Jacobian as three rows.
 """
 

@@ -140,15 +140,15 @@ def _sao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
     return SegmentSpec(geom.x2, geom.x3, "S_a2"), SegmentSpec(geom.xhat3, geom.x4, "S_a3")
 
 
-def lao_branch(params: CanonicalParams, geom: ManifoldGeometry, method: str = "closed_form") -> AffineMap:
+def lao_branch(params: CanonicalParams, geom: ManifoldGeometry) -> AffineMap:
     """Z < 0 branch: S_a1 passage xhat4 -> x1, then S_a3 passage xhat1 -> x4."""
-    first, second = (segment_affine(params, seg, method) for seg in _lao_segments(geom))
+    first, second = (segment_affine(params, seg) for seg in _lao_segments(geom))
     return compose(second, first)
 
 
-def sao_branch(params: CanonicalParams, geom: ManifoldGeometry, method: str = "closed_form") -> AffineMap:
+def sao_branch(params: CanonicalParams, geom: ManifoldGeometry) -> AffineMap:
     """Z > 0 branch: S_a2 passage x2 -> x3, then S_a3 passage xhat3 -> x4."""
-    first, second = (segment_affine(params, seg, method) for seg in _sao_segments(geom))
+    first, second = (segment_affine(params, seg) for seg in _sao_segments(geom))
     return compose(second, first)
 
 
@@ -171,10 +171,8 @@ def offset_coefficients(
     return tuple(coeffs)
 
 
-def associated_pam(
-    params: CanonicalParams, geom: ManifoldGeometry, method: str = "closed_form"
-) -> PamCoefficients:
+def associated_pam(params: CanonicalParams, geom: ManifoldGeometry) -> PamCoefficients:
     """The piecewise affine map associated with the canonical vector field."""
-    m1 = lao_branch(params, geom, method)
-    m2 = sao_branch(params, geom, method)
+    m1 = lao_branch(params, geom)
+    m2 = sao_branch(params, geom)
     return PamCoefficients(a11=m1.slope, a12=m1.offset, a21=m2.slope, a22=m2.offset)

@@ -17,9 +17,12 @@ Three ways of producing the same combinatorics are implemented here:
 from __future__ import annotations
 
 import csv
+import math
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from itertools import islice
 
 from . import dop853, radau
 from .errors import DiscontinuityHit, DomainError, NotPeriodic
@@ -67,8 +70,8 @@ class SimConfig:
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (1e-14 <= tol <= 1e-6):
                 raise DomainError(f"{name} must lie in [1e-14, 1e-6], got {tol}")
-        if self.max_slow_time <= 0.0:
-            raise DomainError("max_slow_time must be positive")
+        if not (0.0 < self.max_slow_time < math.inf):
+            raise DomainError(f"max_slow_time must be positive and finite, got {self.max_slow_time}")
 
     def resolve_initial_state(self, params: CanonicalParams) -> tuple[float, float, float]:
         if self.initial_state is not None:
@@ -103,20 +106,19 @@ class SectionSpec:
 class TimeSeries:
     """Sampled trajectory with section-crossing bookkeeping.
 
-    ``event_marks`` holds sample indices nearest to each detected crossing;
-    ``crossing_states`` holds the interpolation-refined (t, x, y, z) there.
+    The columns are float sequences (``array('d')`` from :func:`integrate_full`);
+    ``crossing_states`` holds the interpolation-refined (t, x, y, z) at each crossing.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    event_marks: list[int] = field(default_factory=list)
+    t: Sequence[float]
+    x: Sequence[float]
+    y: Sequence[float]
+    z: Sequence[float]
     crossing_states: list[tuple[float, float, float, float]] = field(default_factory=list)
     solver_stats: radau.SolverStats | None = None
 
     def __post_init__(self):
-        if not np.all(np.diff(self.t) > 0.0):
+        if not all(a < b for a, b in zip(self.t, islice(self.t, 1, None))):
             raise DomainError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
@@ -154,8 +156,7 @@ def integrate_full(
     state = cfg.resolve_initial_state(params)
     t0 = 0.0
     span = cfg.max_slow_time
-    ts_parts: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
+    cols = (array("d"), array("d"), array("d"), array("d"))
     crossings: list[tuple[float, float, float, float]] = []
     stats = radau.SolverStats()
     max_extensions = 6 if n_crossings is not None else 0
@@ -175,9 +176,7 @@ def integrate_full(
             terminal=None if n_crossings is None else n_crossings - len(crossings),
         )
         stats += sol.stats
-        tt, yy = _densify(sol)
-        ts_parts.append(tt)
-        ys_parts.append(yy)
+        _densify(sol, cols)
         crossings.extend((te, *se) for te, se in zip(sol.t_events, sol.y_events))
         if n_crossings is None or len(crossings) >= n_crossings:
             break
@@ -188,41 +187,54 @@ def integrate_full(
             f"only {len(crossings)} of {n_crossings} section crossings within "
             f"{t0 + span:.3g} slow-time units"
         )
-
-    t = np.concatenate(ts_parts)
-    y = np.concatenate(ys_parts, axis=1)
-    # drop duplicate junction samples between extension chunks
-    keep = np.concatenate([[True], np.diff(t) > 0.0])
-    t, y = t[keep], y[:, keep]
-    marks = [int(np.searchsorted(t, tc)) for tc, *_ in crossings]
-    marks = [min(m, len(t) - 1) for m in marks]
-    return TimeSeries(t, y[0], y[1], y[2], event_marks=marks, crossing_states=crossings, solver_stats=stats)
+    return TimeSeries(*cols, crossing_states=crossings, solver_stats=stats)
 
 
-def _densify(sol: radau.RadauSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the per-step cubics, inserting midpoints until adjacent x gaps fall below DENSIFY_DX.
+def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) -> None:
+    """Append one solve's samples to the columns (t, x, y, z).
 
-    A sample at a step end is taken from the step that ends there, as ``OdeSolution`` does.
+    The samples are the step ends, each from the step that ends there as ``OdeSolution``
+    does, and the bisection points of each step's cubic while adjacent x values differ by
+    more than DENSIFY_DX, at most 24 levels deep. A sample whose t does not exceed the last
+    one is skipped, so the junction of two extension chunks appears once.
     """
-    ends = np.array(sol.t)
-    cubics = np.array(sol.cubics)
+    a = sol.t[0]
+    sa = radau.dense_eval(sol.cubics[0], a)
+    _push(cols, a, sa)
+    for cubic, b in zip(sol.cubics, islice(sol.t, 1, None)):
+        sb = radau.dense_eval(cubic, b)
+        _refine(cols, cubic, a, sa, b, sb, 24)
+        _push(cols, b, sb)
+        a, sa = b, sb
 
-    def at(t, components=(0, 1, 2)):
-        c = cubics[np.clip(np.searchsorted(ends, t, side="left") - 1, 0, len(cubics) - 1)]
-        x = (t - c[:, 0]) / c[:, 1]
-        x2 = x * x
-        x3 = x2 * x
-        return np.array([c[:, 5 + 3 * j] * x + c[:, 6 + 3 * j] * x2 + c[:, 7 + 3 * j] * x3 + c[:, 2 + j] for j in components])
 
-    t = ends
-    for _ in range(24):
-        x = at(t, (0,))[0]
-        gaps = np.abs(np.diff(x)) > DENSIFY_DX
-        if not gaps.any():
-            break
-        mids = 0.5 * (t[:-1][gaps] + t[1:][gaps])
-        t = np.unique(np.concatenate([t, mids]))
-    return t, at(t)
+# Module-level, not a closure in _densify: a closure that calls itself is a reference
+# cycle, which would keep each run's columns alive until the cyclic collector runs.
+def _refine(cols, cubic, a: float, sa, b: float, sb, depth: int) -> None:
+    """Push the bisection points strictly between samples (a, sa) and (b, sb), in order."""
+    if depth and abs(sb[0] - sa[0]) > DENSIFY_DX:
+        m = 0.5 * (a + b)
+        sm = radau.dense_eval(cubic, m)
+        _refine(cols, cubic, a, sa, m, sm, depth - 1)
+        _push(cols, m, sm)
+        _refine(cols, cubic, m, sm, b, sb, depth - 1)
+
+
+def _push(cols, t: float, s: tuple[float, float, float]) -> None:
+    """Append the sample (t, *s) unless t does not exceed the last sample time."""
+    ts, xs, ys, zs = cols
+    if not ts or t > ts[-1]:
+        ts.append(t)
+        xs.append(s[0])
+        ys.append(s[1])
+        zs.append(s[2])
+
+
+def _sample_crossings(series: TimeSeries, x_section: float, direction: int) -> list[tuple[int, float]]:
+    """(i, w) per directed crossing of {x = x_section} between samples i and i + 1, where w
+    is the root of the linear interpolant of x(t), as a fraction of the sample step."""
+    g = [(v - x_section) * direction for v in series.x]
+    return [(i, g[i] / (g[i] - g[i + 1])) for i in range(len(g) - 1) if g[i] < 0.0 <= g[i + 1]]
 
 
 def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: float | None = None) -> list[tuple[float, float]]:
@@ -237,17 +249,11 @@ def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: fl
     xs = sec.x_section if x_section is None else x_section
     if xs is None:
         raise DomainError("section abscissa unresolved; pass x_section explicitly")
-    g = (series.x - xs) * sec.crossing_direction
-    out = []
-    for i in np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]:
-        w = g[i] / (g[i] - g[i + 1])  # interpolant root, as a fraction of the sample step
-        out.append(
-            (
-                float(series.y[i] + w * (series.y[i + 1] - series.y[i])),
-                float(series.z[i] + w * (series.z[i + 1] - series.z[i])),
-            )
-        )
-    return out
+    y, z = series.y, series.z
+    return [
+        (float(y[i] + w * (y[i + 1] - y[i])), float(z[i] + w * (z[i + 1] - z[i])))
+        for i, w in _sample_crossings(series, xs, sec.crossing_direction)
+    ]
 
 
 def canard_hole_radius(eps: float, delta: float) -> float:
@@ -284,8 +290,10 @@ def hybrid_simulate(
     to the exact affine segment map. Each leg is one :func:`mmopam.dop853.solve`;
     the result carries their counters, summed, as ``solver_stats``.
     """
-    if delta < 0.0:
-        raise DomainError("delta must be nonnegative")
+    if not (0.0 <= delta < math.inf):
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    if not math.isfinite(Z0):
+        raise DomainError(f"Z0 must be finite, got {Z0}")
     if n_returns < 1:
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
@@ -337,9 +345,7 @@ def classify_series(
         times = [tc for tc, *_ in series.crossing_states]
         states = [(xv, yv, zv) for _, xv, yv, zv in series.crossing_states]
     else:
-        xs = sec.resolve(geom)
-        g = (series.x - xs) * sec.crossing_direction
-        idx = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
+        idx = [i for i, _ in _sample_crossings(series, sec.resolve(geom), sec.crossing_direction)]
         times = [float(series.t[i]) for i in idx]
         states = [(float(series.x[i]), float(series.y[i]), float(series.z[i])) for i in idx]
     if len(times) < transient_skip + 3:
@@ -347,14 +353,13 @@ def classify_series(
 
     symbols: list[bool] = []
     for ta, tb in zip(times[:-1], times[1:]):
-        window = (series.t >= ta) & (series.t < tb)
-        if not window.any():
+        lo, hi = bisect_left(series.t, ta), bisect_left(series.t, tb)
+        if lo >= hi:
             raise NotPeriodic("empty sampling window between section crossings")
-        symbols.append(float(series.x[window].min()) < geom.lao_threshold)
+        symbols.append(float(min(islice(series.x, lo, hi))) < geom.lao_threshold)
 
     states = states[: len(symbols)]
-    arr = np.asarray(states)
-    spread = float((arr.max(axis=0) - arr.min(axis=0)).max())
+    spread = max(max(c) - min(c) for c in zip(*states))
     tol_abs = recurrence_tol * max(1.0, spread)
     n = len(symbols)
 
@@ -379,26 +384,11 @@ def visual_rescale(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
         raise DomainError("delta must be nonzero for the z rescale")
     return replace(
         series,
-        x=series.x * (2.0 / 7.0),
-        y=series.y * 1.5,
-        z=series.z / delta,
+        x=array("d", (v * (2.0 / 7.0) for v in series.x)),
+        y=array("d", (v * 1.5 for v in series.y)),
+        z=array("d", (v / delta for v in series.z)),
         crossing_states=[
             (t, xv * (2.0 / 7.0), yv * 1.5, zv / delta)
-            for t, xv, yv, zv in series.crossing_states
-        ],
-    )
-
-
-def visual_rescale_inverse(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
-    if delta == 0.0:
-        raise DomainError("delta must be nonzero for the z rescale")
-    return replace(
-        series,
-        x=series.x * 3.5,
-        y=series.y / 1.5,
-        z=series.z * delta,
-        crossing_states=[
-            (t, xv * 3.5, yv / 1.5, zv * delta)
             for t, xv, yv, zv in series.crossing_states
         ],
     )
