@@ -256,22 +256,18 @@ def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
 
 
 def _simulate_full(args, params: CanonicalParams, cfg) -> int:
-    from .simulate import SectionSpec, canard_hole_radius, classify_series, integrate_full, visual_rescale
+    from .simulate import SectionSpec, canard_hole_radius, classify_series, integrate_full
 
     sec = SectionSpec(x_section=args.x_section)
     geom = compute_geometry(params)
-    series = integrate_full(params, cfg, section=sec, n_crossings=args.crossings)
+    try:
+        series = integrate_full(params, cfg, section=sec, n_crossings=args.crossings)
+    except NotPeriodic as exc:
+        if args.out_prefix and exc.series is not None:
+            _write_full_outputs(args.out_prefix, exc.series, cfg.delta)
+        raise
     if args.out_prefix:
-        series.to_csv(args.out_prefix + "_series.csv")
-        rescaled = visual_rescale(series, delta=cfg.delta)
-        plotting.time_series_plot(rescaled, args.out_prefix + "_timeseries.svg")
-        plotting.projection_plot(rescaled, args.out_prefix + "_xz.svg", coords="xz")
-        crossings = [
-            {"t": t, "x": x, "y": y, "z": z, "Z": z / cfg.delta}
-            for t, x, y, z in series.crossing_states
-        ]
-        with open(args.out_prefix + "_crossings.json", "w", encoding="utf-8") as fh:
-            json.dump(crossings, fh, indent=2)
+        _write_full_outputs(args.out_prefix, series, cfg.delta)
     hole = canard_hole_radius(cfg.eps, cfg.delta)
     Zs = [z / cfg.delta for *_, z in series.crossing_states]
     flagged = sum(abs(Z) < hole for Z in Zs)
@@ -286,6 +282,19 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     if args.compare_pam:
         return _report_match(params, str(sig))
     return EXIT_OK
+
+
+def _write_full_outputs(prefix: str, series, delta: float) -> None:
+    """The series CSV, the time-series and x-z SVGs and the crossings JSON of one full run."""
+    from .simulate import visual_rescale
+
+    series.to_csv(prefix + "_series.csv")
+    rescaled = visual_rescale(series, delta=delta)
+    plotting.time_series_plot(rescaled, prefix + "_timeseries.svg")
+    plotting.projection_plot(rescaled, prefix + "_xz.svg", coords="xz")
+    crossings = [{"t": t, "x": x, "y": y, "z": z, "Z": z / delta} for t, x, y, z in series.crossing_states]
+    with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
+        json.dump(crossings, fh, indent=2)
 
 
 def _report_match(params: CanonicalParams, observed: str) -> int:

@@ -11,13 +11,16 @@ clamp of the last step to ``t_bound``, the floor ``rtol >= 100 EPS`` and
 ``select_initial_step`` of order 7. Dense output is left out: the caller
 needs only the end state.
 
-``fun(t, y, *args)`` returns the derivative at the float ``y``. Sums over
-the stages run in index order and skip the exact zeros of the tableau.
+``fun(t, y, *args)`` returns the derivative at the float ``y``. One step's
+11 stage sums and its 3 tail sums (b, e3, e5) are straight-line expressions,
+generated from ``STAGES`` and ``TAIL`` on first use: each runs in index order
+from ``0.0 +`` and skips the exact zeros of the tableau.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from math import inf, nextafter, sqrt
 
 from .errors import DomainError, StepSizeUnderflow
@@ -98,6 +101,50 @@ MAX_FACTOR = 10  # maximum allowed increase in a step size
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 
+@lru_cache(maxsize=None)
+def _stepper(nargs: int):
+    """``step(fun, args, t, y, h, k0) -> (y_new, f_new, s3, s5)``: one step's stages and tail sums.
+
+    Generated from STAGES and TAIL: each stage sum and each of the three tail
+    sums (b, e3, e5) is one expression over the nonzero entries in index order,
+    starting from ``0.0 +``. The entries are closure cells of the factory. The
+    ``nargs`` extra arguments are passed to ``fun`` by name, so the code is
+    built once per arity: a call through ``*args`` misses the interpreter's
+    fast path and adds about a third to the cost of a small ``fun`` such as
+    the hybrid dZ/dx.
+    """
+    consts = {}
+    extra = "".join(f", a{i}" for i in range(nargs))
+    lines = [f"{extra[2:]}, = args"] if nargs else []
+    for s, (c, row) in enumerate(STAGES, 1):
+        consts[f"c{s}"] = c
+        terms = ""
+        for j, a in row:
+            consts[f"a{s}_{j}"] = a
+            terms += f" + k{j} * a{s}_{j}"
+        lines.append(f"k{s} = fun(t + c{s} * h, y + (0.0{terms}) * h{extra})")
+    sums = {"b": "", "e3": "", "e5": ""}
+    for j, *weights in TAIL:
+        for name, w in zip(sums, weights):
+            consts[f"{name}_{j}"] = w
+            sums[name] += f" + k{j} * {name}_{j}"
+    lines.append(f"y_new = y + h * (0.0{sums['b']})")
+    lines.append(f"f_new = fun(t + h, y_new{extra})")
+    lines.append(f"s3 = 0.0{sums['e3']}")
+    lines.append(f"s5 = 0.0{sums['e5']}")
+    # scipy's sums also run over the zero weights and its maximum propagates nan, so a
+    # non-finite stage or end state gives a nan error norm: 0 * v is nan unless v is finite
+    zero = [f"k{j}" for j in range(1, len(STAGES) + 1) if j not in OUT] + ["f_new"]
+    lines.append("s5 += " + " + ".join(f"0.0 * {k}" for k in zero))
+    lines.append("return y_new, f_new, s3, s5")
+    src = f"def make({', '.join(consts)}):\n    def step(fun, args, t, y, h, k0):\n"
+    src += "".join(f"        {line}\n" for line in lines)
+    src += "    return step\n"
+    namespace = {}
+    exec(compile(src, f"<mmopam.dop853 step, {nargs} extra arguments>", "exec"), namespace)
+    return namespace["make"](*consts.values())
+
+
 def _norm(v):
     """scipy's RMS norm of a one-element array."""
     return sqrt(v * v)
@@ -136,7 +183,7 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
     f = fun(t, y, *args)
     h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, rtol, atol)
     st = SolverStats(nfev=2)
-    K = [0.0] * 12
+    step = _stepper(len(args))
 
     while True:
         min_step = 10 * abs(nextafter(t, direction * inf) - t)
@@ -154,25 +201,9 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
             h = t_new - t
             h_abs = abs(h)
 
-            K[0] = f
-            for s, (c, row) in enumerate(STAGES, 1):
-                dy = 0.0
-                for j, a in row:
-                    dy += K[j] * a
-                K[s] = fun(t + c * h, y + dy * h, *args)
-            sb = s3 = s5 = 0.0
-            for j, b, e3, e5 in TAIL:
-                k = K[j]
-                sb += k * b
-                s3 += k * e3
-                s5 += k * e5
-            y_new = y + h * sb
-            f_new = fun(t + h, y_new, *args)
+            y_new, f_new, s3, s5 = step(fun, args, t, y, h, f)
             st.nfev += 12
 
-            # scipy's sums also run over the zero weights and its maximum propagates nan, so a
-            # non-finite stage or end state gives a nan error norm: 0 * v is nan unless v is finite
-            s5 += 0.0 * K[1] + 0.0 * K[2] + 0.0 * K[3] + 0.0 * K[4] + 0.0 * f_new
             scale = atol + (abs(y) if abs(y) >= abs(y_new) else abs(y_new)) * rtol
             err5 = s5 / scale
             err3 = s3 / scale

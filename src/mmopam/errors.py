@@ -14,7 +14,14 @@ class DiscontinuityHit(MmopamError):
 
 
 class NotPeriodic(MmopamError):
-    """A periodic pattern was required but none was detected."""
+    """A periodic pattern was required but none was detected.
+
+    ``series`` is the partial time series when the integration itself came up short, else None.
+    """
+
+    def __init__(self, message: str, series=None):
+        super().__init__(message)
+        self.series = series
 
 
 class QuadratureFailure(MmopamError):

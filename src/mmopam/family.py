@@ -21,8 +21,13 @@ the fold heights taken from exact rational F.
 
 :class:`Field`, built once per parameter set as ``params.field``, is the one
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
-right-hand side and Jacobian, and the hybrid slow flow. Loops start from 0.0,
-so they take scalars and, element-wise, arrays; the ``eval_*`` functions use it.
+Jacobian, and the integrators' kernels. Loops start from 0.0, so they take
+scalars and, element-wise, arrays; the ``eval_*`` functions use it. The Radau
+right-hand side ``Field.rhs`` and the hybrid slow flow ``Field.dZdx`` are
+straight-line functions: the same loops unrolled, with the same operations in
+the same order, compiled once per rho shape and bound to a parameter set's
+constants on first use, so the map level, which builds a Field per parameter
+set, never pays for them.
 """
 
 from __future__ import annotations
@@ -246,6 +251,83 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return q, tuple(c * (n - i) for i, c in enumerate(q[:-1]))
 
 
+# --- straight-line integrator kernels ------------------------------------------
+#
+# The Radau rhs and the hybrid dZdx run thousands of times per solve, so each is one
+# function whose Horner loops are unrolled into expressions. The operations and their
+# order are those of the loops above, the leading 0.0 * x + and 0.0 + terms included,
+# so every input, +-inf and nan too, gives the same bits. Constants are closure cells
+# bound by a factory compiled once per kernel and rho shape; no value enters the source.
+
+_KERNEL_SRC = {
+    "rhs": """\
+def rhs(t, s, eps, delta):
+    x, y, z = s
+    Q = {Q}
+    u = alpha * Q + beta
+    P = alpha * Q * Q / 2.0 + beta * Q
+    r = {rho}
+    J = 0.5 - x
+    return (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
+""",
+    "dZdx": """\
+def dZdx(x, Z, delta):
+    Q = {Q}
+    u = alpha * Q + beta
+    P = alpha * Q * Q / 2.0 + beta * Q
+    return u * (kappa + lam * P + Z) * ({W} + delta * Z * {rho} * ({Fxz} * x))
+""",
+}
+
+
+def _horner_src(names) -> str:
+    """The loop of :func:`_horner` over the named coefficients, unrolled."""
+    acc = "0.0"
+    for c in names:
+        acc = f"({acc} * x + {c})"
+    return acc
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _kernel_factory(name: str, variant: str, nq: int):
+    """``make(alpha, beta, kappa, lam, p, q, q_coeffs, w_coeffs)`` returning kernel ``name``, compiled once per shape."""
+    F = "0.0"
+    for k, _, _ in _KCD:  # the loop of eval_F
+        F = f"({F} + (C{k} + D{k} * z)) * x"
+    rho = "(rho_p + x + rho_q * x * x)" if variant == QUADRATIC else f"(1.0 / {_horner_src(_names('R', 5))})"
+    body = _KERNEL_SRC[name].format(
+        Q=_horner_src(_names("Q", nq)),
+        W=_horner_src(_names("W", nq - 1)),
+        F=f"({F}) * x",
+        Fxz=_horner_src(_names("KD", 8)),
+        rho=rho,
+    )
+    unpack = {
+        "q_coeffs": _names("Q", nq),
+        "w_coeffs": _names("W", nq - 1),
+        "CS": [f"C{k}" for k, _, _ in _KCD],
+        "DS": [f"D{k}" for k, _, _ in _KCD],
+        "KDS": _names("KD", 8),
+        "RS": _names("R", 5),
+    }
+    src = "def make(alpha, beta, kappa, lam, rho_p, rho_q, q_coeffs, w_coeffs):\n"
+    src += "".join(f"    {', '.join(names)}, = {seq}\n" for seq, names in unpack.items())
+    src += "".join("    " + line + "\n" for line in body.splitlines())
+    src += f"    return {name}\n"
+    namespace = {
+        "CS": tuple(c for _, c, _ in _KCD),
+        "DS": tuple(d for _, _, d in _KCD),
+        "KDS": _KD,
+        "RS": _RHO_DEN,
+    }
+    exec(compile(src, f"<mmopam.family {name} kernel, {variant} rho>", "exec"), namespace)
+    return namespace["make"]
+
+
 # --- the compiled field ------------------------------------------------------
 
 
@@ -257,7 +339,7 @@ class Field:
     Holding the F kernels here keeps the integrators off rebound module names.
     """
 
-    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w")
+    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w", "_spec", "_rhs", "_dZdx")
 
     F = staticmethod(eval_F)
     Fx = staticmethod(eval_Fx)
@@ -270,6 +352,8 @@ class Field:
         self.kappa, self.lam = float(params.kappa), float(params.lam)
         self.rho, self.drho = params.rho.rho, params.rho.drho
         self._q, self._w = _q_tables(params.rho)
+        self._spec = params.rho
+        self._rhs = self._dZdx = None  # the integrator kernels, bound on first use
 
     def Q(self, x):
         return _horner(self._q, x)
@@ -294,14 +378,8 @@ class Field:
         r = self.rho(x)
         return r * lin * fx, (self.kappa + self.lam * P) * lin * r * fx
 
-    def rhs(self, t, s, eps, delta):
-        """Slow-time (x', y', z') at the state s = (x, y, z), for the Radau solver with ``args=(eps, delta)``."""
-        x, y, z = s
-        G, H = self.drift(x)
-        return (y - self.F(x, z)) / eps, 0.5 - x, delta * G + z * H
-
     def jac(self, t, s, eps, delta):
-        """Analytic Jacobian of :meth:`rhs`, as three rows."""
+        """Analytic Jacobian of :attr:`rhs`, as three rows."""
         x, y, z = s
         lam = self.lam
         r = self.rho(x)
@@ -319,11 +397,31 @@ class Field:
             (delta * Gp + z * Hp, 0.0, r * u * J),
         )
 
-    def dZdx(self, x, Z, delta):
-        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz), for the DOP853 legs."""
-        _, u, P = self.QuP(x)
-        corr = delta * Z * self.rho(x) * self.Fxz(x, 0.0)
-        return u * (self.kappa + self.lam * P + Z) * (_horner(self._w, x) + corr)
+    @property
+    def rhs(self):
+        """Slow-time (x', y', z') at s = (x, y, z), called ``rhs(t, s, eps, delta)`` by the Radau solver.
+
+        The same products as :meth:`drift`: (y - F(x, z)) / eps, J(x) and delta G + z H.
+        """
+        if self._rhs is None:
+            self._rhs = self._bind("rhs")
+        return self._rhs
+
+    @property
+    def dZdx(self):
+        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz).
+
+        Called ``dZdx(x, Z, delta)`` by the DOP853 legs.
+        """
+        if self._dZdx is None:
+            self._dZdx = self._bind("dZdx")
+        return self._dZdx
+
+    def _bind(self, name):
+        """The straight-line kernel ``name`` with this parameter set's constants in its closure."""
+        spec = self._spec
+        make = _kernel_factory(name, spec.variant, len(self._q))
+        return make(self.alpha, self.beta, self.kappa, self.lam, spec.p, spec.q, self._q, self._w)
 
 
 # --- canonical parameters ----------------------------------------------------

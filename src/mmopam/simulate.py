@@ -143,7 +143,8 @@ def integrate_full(
     Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` is given, extends
     the time span (a bounded number of times) until that many directed
     section crossings have been collected. The returned series carries the
-    solver counters, summed over the extensions, as ``solver_stats``.
+    solver counters, summed over the extensions, as ``solver_stats``. Too few
+    crossings raise NotPeriodic, whose ``series`` is what was integrated.
     """
     geom = compute_geometry(params)
     sec = section or SectionSpec()
@@ -182,12 +183,13 @@ def integrate_full(
             break
         t0 = sol.t[-1]
         state = sol.y[-1]
-    else:
+    series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats)
+    if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
-            f"only {len(crossings)} of {n_crossings} section crossings within "
-            f"{t0 + span:.3g} slow-time units"
+            f"only {len(crossings)} of {n_crossings} section crossings within {t0:.3g} slow-time units",
+            series=series,
         )
-    return TimeSeries(*cols, crossing_states=crossings, solver_stats=stats)
+    return series
 
 
 def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) -> None:

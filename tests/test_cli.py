@@ -162,6 +162,23 @@ def test_simulate_hybrid_delta_zero(capsys, tmp_path):
     assert returns_file.exists()
 
 
+def test_simulate_full_too_few_crossings(capsys, tmp_path):
+    """Exit 4 names the span actually integrated, and --out-prefix still gets the partial run."""
+    prefix = str(tmp_path / "run")
+    argv = ["simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2",
+            "--eps", "1e-5", "--delta", "1e-2"]
+    code, _, err = run(capsys, *argv, "--max-slow-time", "0.5", "--crossings", "10", "--out-prefix", prefix)
+    assert code == 4
+    assert "only 4 of 10 section crossings within 3.5 slow-time units" in err
+    for suffix in ("_timeseries.svg", "_xz.svg"):
+        assert "<svg" in (tmp_path / f"run{suffix}").read_text()
+    assert len(json.loads((tmp_path / "run_crossings.json").read_text())) == 4
+    assert (tmp_path / "run_series.csv").read_text().splitlines()[-1].split(",")[0] == "3.5"
+    code, _, err = run(capsys, *argv, "--max-slow-time", "3")
+    assert code == 4
+    assert "section crossings within 21 slow-time units" in err
+
+
 def test_verify_tables(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-tables", "--json", str(report_path))

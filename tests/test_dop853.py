@@ -63,7 +63,74 @@ def _scipy_hybrid(params, delta, Z, n_returns):
     return returns, nfev
 
 
+def _loop_step(fun, args, t, y, h, f):
+    """One step's stages and tail sums as loops over the tableau: the reference for the straight-line step."""
+    K = [0.0] * 12
+    K[0] = f
+    for s, (c, row) in enumerate(dop853.STAGES, 1):
+        dy = 0.0
+        for j, a in row:
+            dy += K[j] * a
+        K[s] = fun(t + c * h, y + dy * h, *args)
+    sb = s3 = s5 = 0.0
+    for j, b, e3, e5 in dop853.TAIL:
+        k = K[j]
+        sb += k * b
+        s3 += k * e3
+        s5 += k * e5
+    y_new = y + h * sb
+    f_new = fun(t + h, y_new, *args)
+    s5 += 0.0 * K[1] + 0.0 * K[2] + 0.0 * K[3] + 0.0 * K[4] + 0.0 * f_new
+    return y_new, f_new, s3, s5
+
+
+def _solve_with_both_steps(fun, t0, y0, t_bound, args=()):
+    """``dop853.solve`` with the straight-line step and with the loop step. The points where fun is
+    evaluated and the end states must agree to the bit, the counters exactly. Returns the end state."""
+    runs = []
+    for step in (None, _loop_step):
+        calls = []
+
+        def traced(t, y, *a):
+            calls.append((t.hex(), y.hex()))
+            return fun(t, y, *a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if step is not None:
+                mp.setattr(dop853, "_stepper", lambda nargs: step)
+            y, st = dop853.solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
+        runs.append((y.hex(), st, calls))
+    assert runs[0] == runs[1]
+    return float.fromhex(runs[0][0])
+
+
+def _check_legs_against_loop_step(item, n_returns):
+    """Both steps on the legs of ``n_returns`` hybrid returns from a pool item; returns the leg directions."""
+    params = _row_params(item["input"]["row"])
+    geom = mmopam.compute_geometry(params)
+    delta, Z = item["input"]["delta"], item["input"]["z0"]
+    directions = set()
+    for _ in range(n_returns):
+        for x_from, x_to in _legs(geom, Z):
+            Z = _solve_with_both_steps(params.field.dZdx, x_from, Z, x_to, (delta,))
+            directions.add(x_to > x_from)
+    return directions
+
+
 # --- fast tier ------------------------------------------------------------------------
+
+
+def test_straight_line_step_matches_loop_step_bitwise():
+    directions = set()
+    for item in _POOL["pool"][::9]:
+        directions |= _check_legs_against_loop_step(item, 2)
+    assert directions == {True, False}
+    # the step is generated per number of extra arguments; none here
+    dZdx = _row_params("3^1").field.dZdx
+    _solve_with_both_steps(lambda x, Z: dZdx(x, Z, 5e-3), -2.5, -0.4, -2.0)
+    # y' = y from -0.0: each sum's leading 0.0 + decides the sign of zero, as in the loops
+    assert _solve_with_both_steps(lambda t, y: y, 0.0, -0.0, 1.0).hex() == "0x0.0p+0"
+
 
 
 @pytest.mark.parametrize("delta", [1e-3, 5e-3, 1e-2])
@@ -164,6 +231,12 @@ def test_hybrid_pool_matches_fingerprint_and_scipy(i, pool_runs):
     assert _deviation(res.returns, want["returns"]) <= 1.0
     assert _deviation(res.returns, ref_returns) <= 1.0
     assert res.solver_stats.nfev == ref_nfev
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("i", range(len(_POOL["pool"])), ids=lambda i: f"{_POOL['pool'][i]['input']['row']}-{i}")
+def test_hybrid_pool_legs_match_loop_step_bitwise(i):
+    assert _check_legs_against_loop_step(_POOL["pool"][i], _POOL["n_returns"]) == {True, False}
 
 
 @pytest.mark.slow

@@ -15,6 +15,9 @@ import pytest
 from mmopam import family
 from mmopam.errors import DomainError
 from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, q_polynomial
+from mmopam.pam import PamCoefficients
+from mmopam.segments import associated_pam
+from mmopam.synthesis import synthesize
 
 CF = np.array([float(c) for c in family._C])
 DF = np.array([float(d) for d in family._D])
@@ -192,21 +195,58 @@ def test_rho_Q_kernels_exact(rho):
             assert family.eval_pq(params, x) == ref_pq(params, np.float64(x))
 
 
+def bits(v) -> str:
+    """float.hex, with every nan alike."""
+    v = float(v)
+    return "nan" if math.isnan(v) else v.hex()
+
+
 @pytest.mark.parametrize("rho", RHOS, ids=["fixed", "quad11", "quad"])
 def test_integrator_kernels_exact(rho):
-    params = CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho)
-    fld = params.field
     eps, delta = 1e-7, 5e-3
-    for x in XS[::7].tolist():
-        for z in ZS:
-            s = (x, family.eval_F(x, z) + 0.01, z)
-            assert fld.rhs(0.0, s, eps, delta) == ref_rhs(params, s, eps, delta)
-            jac = fld.jac(0.0, s, eps, delta)
-            assert same(jac, ref_jac(params, s, eps, delta))
-            assert all(type(v) is float for row in jac for v in row)
-            dZ = fld.dZdx(x, z, delta)
-            assert type(dZ) is float
-            assert dZ == ref_dZdx(params, np.float64(x), z, delta)
+    states = [(x, z) for x in XS.tolist() + [math.inf, -math.inf, math.nan] for z in ZS]
+    for kappa, lam in ((27.2674, -64.5764), (-0.0, -0.0)):
+        params = CanonicalParams(0.8743, 0.024, kappa, lam, rho)
+        fld = params.field
+        with np.errstate(all="ignore"):  # the non-finite states overflow and make nan in the references
+            for x, z in states:
+                s = (x, family.eval_F(x, z) + 0.01, z)
+                rhs = fld.rhs(0.0, s, eps, delta)
+                assert all(type(v) is float for v in rhs)
+                assert list(map(bits, rhs)) == list(map(bits, ref_rhs(params, s, eps, delta)))
+                jac = fld.jac(0.0, s, eps, delta)
+                assert all(type(v) is float for row in jac for v in row)
+                assert [bits(v) for row in jac for v in row] == list(map(bits, ref_jac(params, s, eps, delta).ravel()))
+                dZ = fld.dZdx(x, z, delta)
+                assert type(dZ) is float
+                assert bits(dZ) == bits(ref_dZdx(params, np.float64(x), z, delta))
+
+
+def test_map_level_path_compiles_no_kernel(monkeypatch):
+    """The map level builds a Field per parameter set; only an integrator's first use binds a kernel."""
+    requested = []
+    factory = family._kernel_factory
+    monkeypatch.setattr(family, "_kernel_factory", lambda *key: requested.append(key) or factory(*key))
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), RhoSpec("fixed_rational"))
+    associated_pam(params, compute_geometry(params))
+    family.eval_P(params, 0.3), family.eval_pq(params, 0.3), family.eval_Q(params, 0.3)
+    assert requested == []
+    fld = params.field
+    assert fld.dZdx is fld.dZdx
+    assert requested == [("dZdx", "fixed_rational", 6)]
+
+
+def test_kernels_compiled_once_per_rho_shape(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(family, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False)
+    family._kernel_factory.cache_clear()
+    fields = [CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho).field for rho in RHOS + RHOS]
+    for fld in fields:
+        fld.rhs, fld.dZdx
+    assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in ("rhs", "dZdx")
+                                      for v in ("fixed_rational", "quadratic"))
+    # each parameter set keeps its own constants: the two quadratic rho differ
+    assert fields[1].dZdx(0.3, -0.5, 5e-3) != fields[2].dZdx(0.3, -0.5, 5e-3)
 
 
 def _sheet_states(geom):
