@@ -13,6 +13,7 @@ computes the mu-intervals that bound the number of consecutive LAOs/SAOs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .errors import DiscontinuityHit, DomainError, NotPeriodic
 
@@ -22,7 +23,7 @@ DISCONTINUITY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class PamCoefficients:
-    """Branch coefficients (a11, a12) for Z < 0 and (a21, a22) for Z > 0."""
+    """Branch coefficients (a11, a12) for Z < 0 and (a21, a22) for Z > 0: finite, with positive slopes."""
 
     a11: float
     a12: float
@@ -30,6 +31,8 @@ class PamCoefficients:
     a22: float
 
     def __post_init__(self):
+        if not (isfinite(self.a11) and isfinite(self.a12) and isfinite(self.a21) and isfinite(self.a22)):
+            raise DomainError(f"map coefficients must be finite, got {self.as_tuple()}")
         if not (self.a11 > 0.0 and self.a21 > 0.0):
             raise DomainError(f"branch slopes must be positive, got a11={self.a11}, a21={self.a21}")
 
@@ -42,12 +45,17 @@ class TransformedPam:
     """(a, b, mu, l) form used by the At Most & At Least bounds.
 
     a = a11, b = a21, mu = a12, and l = a22 - a12 is the height of the jump.
+    All four must be finite.
     """
 
     a: float
     b: float
     mu: float
     l: float
+
+    def __post_init__(self):
+        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.mu) and isfinite(self.l)):
+            raise DomainError(f"map coefficients must be finite, got a={self.a}, b={self.b}, mu={self.mu}, l={self.l}")
 
 
 def transform(pam: PamCoefficients) -> TransformedPam:

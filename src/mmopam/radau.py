@@ -13,8 +13,12 @@ xtol = rtol = 4 EPS.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
 arithmetic on Python floats and complex numbers, so the step loop needs no
-array library. ``fun(t, s, *args)`` returns the three derivatives at the state
-tuple ``s``; ``jac(t, s, *args)`` returns the Jacobian as three rows.
+array library. The hot paths are straight-line code: :func:`_lu3` is the
+pivoted LU unrolled, the Newton iteration writes both forward and back
+substitutions inline, and the step predicts the stages from the last step's
+cubic inline; :func:`_solve3` serves only the error estimate.
+``fun(t, s, *args)`` returns the three derivatives at the state tuple ``s``;
+``jac(t, s, *args)`` returns the Jacobian as three rows.
 """
 
 from __future__ import annotations
@@ -118,26 +122,38 @@ def _lu3(m):
     """LU factors of the 3x3 matrix with rows m[0:3], m[3:6], m[6:9], or None when singular.
 
     Partial pivoting picks rows as LAPACK's ``getrf`` does (largest |Re| + |Im|,
-    first on ties) and scales by the pivot's reciprocal; entries may be float or
-    complex. Returns (p0, p1, p2, u00, u01, u02, l10, u11, u12, l20, l21, u22):
-    factor row i is original row p_i.
+    first on ties, so a nan key never wins) and scales by the pivot's reciprocal;
+    entries may be float or complex. Returns (p0, p1, p2, u00, u01, u02, l10, u11,
+    u12, l20, l21, u22): factor row i is original row p_i. Straight-line code: a
+    row swap rebinds the names of the row's index and entries.
     """
-    rows = [[0, m[0], m[1], m[2]], [1, m[3], m[4], m[5]], [2, m[6], m[7], m[8]]]
-    for k in (1, 2):
-        piv = max(range(k - 1, 3), key=lambda i: abs(rows[i][k].real) + abs(rows[i][k].imag))
-        rows[k - 1], rows[piv] = rows[piv], rows[k - 1]
-        top = rows[k - 1]
-        if top[k] == 0:
-            return None
-        inv = 1 / top[k]
-        for row in rows[k:]:
-            row[k] = lk = row[k] * inv
-            for j in range(k + 1, 4):
-                row[j] -= lk * top[j]
-    if rows[2][3] == 0:
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = m
+    pa, pb, pc = 0, 1, 2
+    ka = abs(a0.real) + abs(a0.imag)
+    kb = abs(b0.real) + abs(b0.imag)
+    kc = abs(c0.real) + abs(c0.imag)
+    if kc > (kb if kb > ka else ka):
+        pa, pc, a0, a1, a2, c0, c1, c2 = 2, 0, c0, c1, c2, a0, a1, a2
+    elif kb > ka:
+        pa, pb, a0, a1, a2, b0, b1, b2 = 1, 0, b0, b1, b2, a0, a1, a2
+    if a0 == 0:
         return None
-    (p0, u00, u01, u02), (p1, l10, u11, u12), (p2, l20, l21, u22) = rows
-    return p0, p1, p2, u00, u01, u02, l10, u11, u12, l20, l21, u22
+    inv = 1 / a0
+    b0 = b0 * inv
+    b1 -= b0 * a1
+    b2 -= b0 * a2
+    c0 = c0 * inv
+    c1 -= c0 * a1
+    c2 -= c0 * a2
+    if abs(c1.real) + abs(c1.imag) > abs(b1.real) + abs(b1.imag):
+        pb, pc, b0, b1, b2, c0, c1, c2 = pc, pb, c0, c1, c2, b0, b1, b2
+    if b1 == 0:
+        return None
+    c1 = c1 * (1 / b1)
+    c2 -= c1 * b2
+    if c2 == 0:
+        return None
+    return pa, pb, pc, a0, a1, a2, b0, b1, b2, c0, c1, c2
 
 
 def _solve3(lu, b0, b1, b2):
@@ -195,7 +211,10 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
     """scipy's ``solve_collocation_system`` for n = 3: (converged, n_iter, Z, rate).
 
     Z holds the stage increments row by row, Z[3 i + j] for stage i, component j.
+    Both substitutions are :func:`_solve3`'s expressions, written out in the loop.
     """
+    rp0, rp1, rp2, ru00, ru01, ru02, rl10, ru11, ru12, rl20, rl21, ru22 = lu_real
+    cp0, cp1, cp2, cu00, cu01, cu02, cl10, cu11, cu12, cl20, cl21, cu22 = lu_complex
     m_real = MU_REAL / h
     m_complex = MU_COMPLEX / h
     (t00, t01, t02), (t10, t11, t12), _ = T
@@ -227,18 +246,28 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
         # with F finite, a non-finite iterate W is what makes scipy's lu_solve raise here
         if 0.0 * w00 + 0.0 * w01 + 0.0 * w02 + 0.0 * w10 + 0.0 * w11 + 0.0 * w12 + 0.0 * w20 + 0.0 * w21 + 0.0 * w22 != 0.0:
             raise NonFiniteState(f"collocation iterate left the finite range at t = {t:.6g}")
-        d0, d1, d2 = _solve3(
-            lu_real,
+        b = (
             f00 * r0 + f10 * r1 + f20 * r2 - m_real * w00,
             f01 * r0 + f11 * r1 + f21 * r2 - m_real * w01,
             f02 * r0 + f12 * r1 + f22 * r2 - m_real * w02,
         )
-        c0, c1, c2 = _solve3(
-            lu_complex,
+        c0 = b[rp0]
+        c1 = b[rp1] - c0 * rl10
+        c2 = b[rp2] - c0 * rl20 - c1 * rl21
+        d2 = c2 / ru22
+        d1 = (c1 - d2 * ru12) / ru11
+        d0 = (c0 - d2 * ru02 - d1 * ru01) / ru00
+        b = (
             f00 * k0 + f10 * k1 + f20 * k2 - m_complex * complex(w10, w20),
             f01 * k0 + f11 * k1 + f21 * k2 - m_complex * complex(w11, w21),
             f02 * k0 + f12 * k1 + f22 * k2 - m_complex * complex(w12, w22),
         )
+        c0 = b[cp0]
+        c1 = b[cp1] - c0 * cl10
+        c2 = b[cp2] - c0 * cl20 - c1 * cl21
+        c2 = c2 / cu22
+        c1 = (c1 - c2 * cu12) / cu11
+        c0 = (c0 - c2 * cu02 - c1 * cu01) / cu00
         e0, e1, e2 = c0.real, c1.real, c2.real
         i0, i1, i2 = c0.imag, c1.imag, c2.imag
         q0, q1, q2 = d0 / s0, d1 / s1, d2 / s2
@@ -278,10 +307,10 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
 def _iteration_matrices(h, J):
     """LU factors of MU_REAL/h I - J and MU_COMPLEX/h I - J."""
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    return tuple(
-        _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
-        for mu in (MU_REAL / h, MU_COMPLEX / h)
-    )
+    mu = MU_REAL / h
+    lu_real = _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
+    mu = MU_COMPLEX / h
+    return lu_real, _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
 
 
 # --- the solver ----------------------------------------------------------------------
@@ -313,6 +342,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     current_jac = True
     cubic = None  # dense output of the last step
     e0_, e1_, e2_ = E
+    c_0, c_1, _ = C
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
     sol = RadauSolution([t], [(u0, u1, u2)], [], stats=st)
     if event is not None:
@@ -335,11 +365,27 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
             h = h_abs = t_new - t
             if cubic is None:
                 Z0 = (0.0,) * 9
-            else:
-                Z0 = tuple(
-                    v - u
-                    for tc in (t + h * C[0], t + h * C[1], t + h)
-                    for v, u in zip(dense_eval(cubic, tc), (u0, u1, u2))
+            else:  # the last step's cubic at the three stage times, less the state
+                t_old, h_old, v0, v1, v2, q00, q01, q02, q10, q11, q12, q20, q21, q22 = cubic
+                xa = (t + h * c_0 - t_old) / h_old
+                xa2 = xa * xa
+                xa3 = xa2 * xa
+                xb = (t + h * c_1 - t_old) / h_old
+                xb2 = xb * xb
+                xb3 = xb2 * xb
+                xc = (t + h - t_old) / h_old
+                xc2 = xc * xc
+                xc3 = xc2 * xc
+                Z0 = (
+                    q00 * xa + q01 * xa2 + q02 * xa3 + v0 - u0,
+                    q10 * xa + q11 * xa2 + q12 * xa3 + v1 - u1,
+                    q20 * xa + q21 * xa2 + q22 * xa3 + v2 - u2,
+                    q00 * xb + q01 * xb2 + q02 * xb3 + v0 - u0,
+                    q10 * xb + q11 * xb2 + q12 * xb3 + v1 - u1,
+                    q20 * xb + q21 * xb2 + q22 * xb3 + v2 - u2,
+                    q00 * xc + q01 * xc2 + q02 * xc3 + v0 - u0,
+                    q10 * xc + q11 * xc2 + q12 * xc3 + v1 - u1,
+                    q20 * xc + q21 * xc2 + q22 * xc3 + v2 - u2,
                 )
             s0, s1, s2 = atol + abs(u0) * rtol, atol + abs(u1) * rtol, atol + abs(u2) * rtol
             converged = False

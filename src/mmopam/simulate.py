@@ -86,7 +86,8 @@ class SectionSpec:
 
     ``x_section`` of None resolves to the midpoint of the two rightmost fold
     abscissas, which the fast fall after an SAO jump crosses exactly once per
-    oscillation; the default direction is decreasing x.
+    oscillation; a given ``x_section`` must be finite. The default direction
+    is decreasing x.
     """
 
     x_section: float | None = None
@@ -95,6 +96,8 @@ class SectionSpec:
     def __post_init__(self):
         if self.crossing_direction not in (-1, 1):
             raise DomainError("crossing_direction must be -1 or +1")
+        if self.x_section is not None and not math.isfinite(self.x_section):
+            raise DomainError(f"x_section must be finite, got {self.x_section}")
 
     def resolve(self, geom: ManifoldGeometry) -> float:
         if self.x_section is not None:
@@ -140,12 +143,14 @@ def integrate_full(
 ) -> TimeSeries:
     """Integrate the slow-time system with the Radau IIA(5) solver of :mod:`mmopam.radau`.
 
-    Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` is given, extends
+    Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1) is given, extends
     the time span (a bounded number of times) until that many directed
     section crossings have been collected. The returned series carries the
     solver counters, summed over the extensions, as ``solver_stats``. Too few
     crossings raise NotPeriodic, whose ``series`` is what was integrated.
     """
+    if n_crossings is not None and n_crossings < 1:
+        raise DomainError(f"n_crossings must be positive, got {n_crossings}")
     geom = compute_geometry(params)
     sec = section or SectionSpec()
     x_sec = sec.resolve(geom)

@@ -179,6 +179,40 @@ def test_simulate_full_too_few_crossings(capsys, tmp_path):
     assert "section crossings within 21 slow-time units" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pam", "signature", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "nan"],
+        ["synth", "--a11", "0.3", "--a12", "nan", "--a21", "0.9", "--a22", "-2"],
+        ["pam", "bounds", "--a", "0.3", "--b", "0.9", "--l", "nan", "--L", "2"],
+        ["pam", "bounds", "--a", "0.3", "--b", "0.9", "--l", "-9", "--mu", "inf", "--s", "2"],
+        ["pam", "transform", "--inverse", "--a", "0.3", "--b", "0.9", "--mu=-inf", "--l", "-9"],
+    ],
+    ids=["signature-a22-nan", "synth-a12-nan", "bounds-l-nan", "bounds-mu-inf", "transform-mu-inf"],
+)
+def test_non_finite_map_coefficients_exit_3(capsys, argv):
+    # before, signature iterated 100k times and exited 4, synth printed "kappa": NaN (invalid JSON)
+    # and bounds printed windows; a non-finite coefficient is a domain error
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: map coefficients must be finite")
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [(["--crossings", "0"], "n_crossings"), (["--crossings", "-3"], "n_crossings"), (["--x-section", "nan"], "x_section")],
+    ids=["crossings-0", "crossings-negative", "x-section-nan"],
+)
+def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
+    argv = ["simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2",
+            "--eps", "1e-5", "--delta", "1e-2"]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {name} must be")
+
+
 def test_verify_tables(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-tables", "--json", str(report_path))

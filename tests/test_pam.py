@@ -46,6 +46,19 @@ def test_nonpositive_slopes_rejected():
         PamCoefficients(0.5, 1.0, -0.3, -2.0)
 
 
+@pytest.mark.parametrize("field", range(4), ids=["a11", "a12", "a21", "a22"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(field, bad):
+    values = [0.3, 7.0, 0.9, -2.0]
+    values[field] = bad
+    with pytest.raises(DomainError, match="finite"):
+        PamCoefficients(*values)
+    values = [0.3, 0.9, 7.0, -9.0]
+    values[field] = bad
+    with pytest.raises(DomainError, match="finite"):
+        TransformedPam(*values)
+
+
 def test_transform_roundtrip():
     pam = PamCoefficients(0.3, 7.0, 0.9, -2.0)
     tp = transform(pam)

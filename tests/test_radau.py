@@ -10,6 +10,7 @@ step-size decision flips and the step sequences part.
 
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -185,6 +186,126 @@ def test_integrate_full_sums_stats_over_extensions(fixed_rho, monkeypatch):
     assert total.steps > 0 and total.nlu > 0
 
 
+# --- the unrolled 3x3 LU ------------------------------------------------------------------
+
+
+def _loop_lu3(m):
+    """The pivoting loop that ``radau._lu3`` unrolls, kept as its bitwise reference."""
+    rows = [[0, m[0], m[1], m[2]], [1, m[3], m[4], m[5]], [2, m[6], m[7], m[8]]]
+    for k in (1, 2):
+        piv = max(range(k - 1, 3), key=lambda i: abs(rows[i][k].real) + abs(rows[i][k].imag))
+        rows[k - 1], rows[piv] = rows[piv], rows[k - 1]
+        top = rows[k - 1]
+        if top[k] == 0:
+            return None
+        inv = 1 / top[k]
+        for row in rows[k:]:
+            row[k] = lk = row[k] * inv
+            for j in range(k + 1, 4):
+                row[j] -= lk * top[j]
+    if rows[2][3] == 0:
+        return None
+    (p0, u00, u01, u02), (p1, l10, u11, u12), (p2, l20, l21, u22) = rows
+    return p0, p1, p2, u00, u01, u02, l10, u11, u12, l20, l21, u22
+
+
+def _bits(v):
+    """A value's type and exact bits: pivot indices as they are, floats and complex parts by float.hex."""
+    if type(v) is complex:
+        return "complex", v.real.hex(), v.imag.hex()
+    if type(v) is float:
+        return "float", v.hex()
+    return v
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _fuzz_entry(rng, kind):
+    x = rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.gauss(0.0, 10.0 ** rng.randint(-3, 3))
+    if kind == "real":
+        return x
+    return complex(x, rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.gauss(0.0, 1.0))
+
+
+def _fuzz_matrices(seed, kind, n):
+    """Seeded 3x3 matrices: random and special entries (ties, +-0.0, +-inf, nan) and singular ones.
+
+    "mixed" is the shape of the complex iteration matrix: a complex diagonal, real off-diagonals.
+    """
+    rng = random.Random(seed)
+    for _ in range(n):
+        m = []
+        for i in range(9):
+            m.append(_fuzz_entry(rng, "complex" if kind == "complex" or kind == "mixed" and i % 4 == 0 else "real"))
+        shape = rng.randrange(5)
+        if shape == 1:  # two proportional rows
+            r, q = rng.sample(range(3), 2)
+            f = rng.choice((1.0, -1.0, 2.0, 0.0))
+            m[3 * q : 3 * q + 3] = [f * v for v in m[3 * r : 3 * r + 3]]
+        elif shape == 2:  # a zero column
+            c = rng.randrange(3)
+            m[c], m[c + 3], m[c + 6] = 0.0, -0.0, 0.0
+        elif shape == 3:  # equal pivot keys in the first column
+            m[3] = m[6] = m[0]
+        yield tuple(m)
+
+
+@pytest.mark.parametrize("kind, seed", [("real", 1), ("mixed", 2), ("complex", 3)], ids=["real", "mixed", "complex"])
+def test_lu3_matches_loop_reference_bitwise(kind, seed):
+    seen_none = seen_nan = 0
+    for m in _fuzz_matrices(seed, kind, 6000):
+        want = _loop_lu3(m)
+        got = radau._lu3(m)
+        if want is None:
+            assert got is None, m
+            seen_none += 1
+            continue
+        assert got is not None, m
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], m
+        seen_nan += any(v != v for v in want)
+    assert seen_none > 500 and seen_nan > 500
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lu3_row_order_matches_scipy_lu_factor(kind):
+    from scipy.linalg import lu_factor
+
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        a = rng.standard_normal((3, 3))
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal((3, 3))
+        lu = radau._lu3(tuple(a.ravel().tolist()))
+        factors, piv = lu_factor(a)
+        perm = [0, 1, 2]  # getrf's interchanges, applied in order
+        for i, p in enumerate(piv):
+            perm[i], perm[p] = perm[p], perm[i]
+        assert list(lu[:3]) == perm
+        assert np.allclose(lu[3:], factors.ravel(), rtol=1e-9, atol=1e-12)
+
+
+# One stiff pool item per row: crossing states and counters recorded with the loop LU and the
+# _solve3 calls that the straight-line code replaced. Any change in any step shows here.
+PINNED = {
+    0: (
+        [("0x1.f17138f6e5f15p-2", "0x1.00000000416d9p-1", "-0x1.bbd03548ad934p-2", "-0x1.67dc1436a29d8p-8"),
+         ("0x1.7cabf5f213005p+0", "0x1.0000000116decp-1", "-0x1.bc0300105088cp-2", "0x1.4d5297c26786dp-8")],
+        radau.SolverStats(steps=1632, rejected=29, nfev=14150, njev=405, nlu=1188, newton_failures=28),
+    ),
+    4: (
+        [("0x1.f0d036aa399a6p-2", "0x1.000000006b247p-1", "-0x1.bbe39a9ae4651p-2", "-0x1.7ca9d37536d5cp-10"),
+         ("0x1.7c375513f3b53p+0", "0x1.fffffffd4411bp-2", "-0x1.bc9985d480f09p-2", "0x1.2a71f2abc6682p-5")],
+        radau.SolverStats(steps=1676, rejected=28, nfev=14440, njev=407, nlu=1190, newton_failures=27),
+    ),
+    8: (
+        [("0x1.e97e13f9ceac6p-2", "0x1.ffffffffd9175p-2", "-0x1.bbde0487781cap-2", "-0x1.57442cb9c8cf1p-9"),
+         ("0x1.720b758ef8d85p+0", "0x1.00000000a0b5fp-1", "-0x1.bbf30b5772b60p-2", "0x1.cd3693bafbc89p-10")],
+        radau.SolverStats(steps=1467, rejected=28, nfev=13031, njev=442, nlu=1222, newton_failures=18),
+    ),
+}
+
+
 # --- the stiff benchmark pool ------------------------------------------------------------
 
 
@@ -212,6 +333,16 @@ def pool_runs():
                            cfg.abs_tol, (cfg.eps, cfg.delta), cross)
         runs.append((integrate_full(p, cfg, n_crossings=_POOL["n_crossings"]), ref))
     return runs
+
+
+@pytest.mark.parametrize("i", [_POOL_IDS[i] for i in PINNED])
+def test_stiff_pool_item_pinned(i):
+    item = _POOL["pool"][i]
+    cfg = SimConfig(eps=_POOL["eps"], delta=_POOL["delta"], initial_state=tuple(item["input"]["state"]))
+    series = integrate_full(_row_params(item["input"]["row"]), cfg, n_crossings=_POOL["n_crossings"])
+    crossings, stats = PINNED[i]
+    assert [tuple(v.hex() for v in c) for c in series.crossing_states] == crossings
+    assert series.solver_stats == stats
 
 
 @pytest.mark.slow

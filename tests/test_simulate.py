@@ -69,6 +69,22 @@ class TestSectionSpec:
         with pytest.raises(DomainError):
             SectionSpec(crossing_direction=0)
 
+    @pytest.mark.parametrize("x_section", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abscissa_rejected(self, x_section):
+        # a plane at nan is never crossed: integrate_full would run every extension for nothing
+        with pytest.raises(DomainError, match="x_section"):
+            SectionSpec(x_section=x_section)
+
+
+@pytest.mark.parametrize("n_crossings", [0, -3])
+def test_integrate_full_needs_a_positive_crossing_count(params_1_1, monkeypatch, n_crossings):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the count is checked before any integration")
+
+    monkeypatch.setattr(mmopam.simulate.radau, "solve", no_solve)
+    with pytest.raises(DomainError, match="n_crossings"):
+        integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2), n_crossings=n_crossings)
+
 
 class TestTimeSeries:
     def test_monotone_time_required(self):
