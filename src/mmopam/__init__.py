@@ -71,8 +71,8 @@ from .synthesis import solve_alpha_beta, solve_kappa_lambda, synthesize
 __version__ = "0.1.0"
 
 # The simulators and their two ODE solvers load on first use, so the map level never holds them.
-_SIMULATE = ("HybridResult", "SectionSpec", "SimConfig", "TimeSeries", "canard_hole_radius", "classify_series",
-             "detect_section_crossings", "hybrid_simulate", "integrate_full", "visual_rescale")
+_SIMULATE = ("HybridResult", "SimConfig", "TimeSeries", "canard_hole_radius", "classify_series", "hybrid_simulate",
+             "integrate_full", "visual_rescale")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATE)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import plotting
@@ -256,12 +257,11 @@ def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
 
 
 def _simulate_full(args, params: CanonicalParams, cfg) -> int:
-    from .simulate import SectionSpec, canard_hole_radius, classify_series, integrate_full
+    from .simulate import canard_hole_radius, classify_series, integrate_full
 
-    sec = SectionSpec(x_section=args.x_section)
     geom = compute_geometry(params)
     try:
-        series = integrate_full(params, cfg, section=sec, n_crossings=args.crossings)
+        series = integrate_full(params, cfg, x_section=args.x_section, n_crossings=args.crossings)
     except NotPeriodic as exc:
         if args.out_prefix and exc.series is not None:
             _write_full_outputs(args.out_prefix, exc.series, cfg.delta)
@@ -274,7 +274,7 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     if flagged:
         print(f"canard-hole flagged crossings: {flagged}/{len(Zs)} (|Z| < {hole:.3g})", file=sys.stderr)
     try:
-        sig = classify_series(series, geom, sec)
+        sig = classify_series(series, geom)
     except NotPeriodic as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -334,7 +334,12 @@ def cmd_crossover(args) -> int:
     rho = RhoSpec("fixed_rational")
     probe = CanonicalParams(0.0, 0.0, 0.0, 0.0, rho)
     geom = compute_geometry(probe)
-    grid = max(2, args.grid)
+    grid = args.grid
+    if grid < 2:
+        raise _usage(f"--grid must be at least 2, got {grid}")
+    # the scan maps every error to "(none)", so a start on which every point fails is refused here
+    if not math.isfinite(args.z_init):
+        raise DomainError(f"--z-init must be finite, got {args.z_init}")
     windows: list[tuple[float, float, str]] = []
     records = []
     for i in range(grid):

@@ -151,6 +151,8 @@ def iterate_orbit(
     """
     if max_iters < 1 or tol <= 0.0:
         raise DomainError("max_iters must be positive and tol > 0")
+    if not isfinite(Z0):
+        raise DomainError(f"Z0 must be finite, got {Z0}")
     Z = float(Z0)
     if abs(Z) <= DISCONTINUITY_GUARD:
         raise DiscontinuityHit("initial condition on the jump")

@@ -5,7 +5,7 @@ Three ways of producing the same combinatorics are implemented here:
 * :func:`integrate_full` integrates the slow-time system
   eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + z*H(x)
   with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
-  analytic Jacobian, recording Poincare-section crossings on the fly.
+  analytic Jacobian, locating Poincare-section crossings as solver event roots.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps; at delta = 0 it reproduces
   the piecewise affine map to integrator tolerance. Its legs use the
@@ -80,37 +80,12 @@ class SimConfig:
         return (x0, float(eval_F(x0, 0.0)), -self.delta / 2.0)
 
 
-@dataclass(frozen=True)
-class SectionSpec:
-    """Poincare plane {x = x_section} with a signed crossing direction.
-
-    ``x_section`` of None resolves to the midpoint of the two rightmost fold
-    abscissas, which the fast fall after an SAO jump crosses exactly once per
-    oscillation; a given ``x_section`` must be finite. The default direction
-    is decreasing x.
-    """
-
-    x_section: float | None = None
-    crossing_direction: int = -1
-
-    def __post_init__(self):
-        if self.crossing_direction not in (-1, 1):
-            raise DomainError("crossing_direction must be -1 or +1")
-        if self.x_section is not None and not math.isfinite(self.x_section):
-            raise DomainError(f"x_section must be finite, got {self.x_section}")
-
-    def resolve(self, geom: ManifoldGeometry) -> float:
-        if self.x_section is not None:
-            return self.x_section
-        return 0.5 * (geom.x3 + geom.x4)
-
-
 @dataclass
 class TimeSeries:
     """Sampled trajectory with section-crossing bookkeeping.
 
     The columns are float sequences (``array('d')`` from :func:`integrate_full`);
-    ``crossing_states`` holds the interpolation-refined (t, x, y, z) at each crossing.
+    ``crossing_states`` holds the (t, x, y, z) of each crossing, a solver event root.
     """
 
     t: Sequence[float]
@@ -138,22 +113,25 @@ class TimeSeries:
 def integrate_full(
     params: CanonicalParams,
     cfg: SimConfig,
-    section: SectionSpec | None = None,
+    x_section: float | None = None,
     n_crossings: int | None = None,
 ) -> TimeSeries:
     """Integrate the slow-time system with the Radau IIA(5) solver of :mod:`mmopam.radau`.
 
-    Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1) is given, extends
-    the time span (a bounded number of times) until that many directed
-    section crossings have been collected. The returned series carries the
-    solver counters, summed over the extensions, as ``solver_stats``. Too few
-    crossings raise NotPeriodic, whose ``series`` is what was integrated.
+    The section is the plane {x = x_section}, crossed in decreasing x; None picks the
+    midpoint of the two rightmost folds, which the fast fall after an SAO jump crosses
+    once per oscillation. Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1)
+    is given, extends the time span (a bounded number of times) until that many section
+    crossings have been collected. The returned series carries the solver counters, summed
+    over the extensions, as ``solver_stats``. Too few crossings raise NotPeriodic, whose
+    ``series`` is what was integrated.
     """
     if n_crossings is not None and n_crossings < 1:
         raise DomainError(f"n_crossings must be positive, got {n_crossings}")
     geom = compute_geometry(params)
-    sec = section or SectionSpec()
-    x_sec = sec.resolve(geom)
+    x_sec = 0.5 * (geom.x3 + geom.x4) if x_section is None else x_section
+    if not math.isfinite(x_sec):  # a plane at nan is never crossed: every extension would run for nothing
+        raise DomainError(f"x_section must be finite, got {x_section}")
     fld = params.field
 
     def cross(t, s):
@@ -178,7 +156,7 @@ def integrate_full(
             cfg.abs_tol,
             args=(cfg.eps, cfg.delta),
             event=cross,
-            direction=sec.crossing_direction,
+            direction=-1,
             terminal=None if n_crossings is None else n_crossings - len(crossings),
         )
         stats += sol.stats
@@ -235,32 +213,6 @@ def _push(cols, t: float, s: tuple[float, float, float]) -> None:
         xs.append(s[0])
         ys.append(s[1])
         zs.append(s[2])
-
-
-def _sample_crossings(series: TimeSeries, x_section: float, direction: int) -> list[tuple[int, float]]:
-    """(i, w) per directed crossing of {x = x_section} between samples i and i + 1, where w
-    is the root of the linear interpolant of x(t), as a fraction of the sample step."""
-    g = [(v - x_section) * direction for v in series.x]
-    return [(i, g[i] / (g[i] - g[i + 1])) for i in range(len(g) - 1) if g[i] < 0.0 <= g[i + 1]]
-
-
-def detect_section_crossings(series: TimeSeries, sec: SectionSpec, x_section: float | None = None) -> list[tuple[float, float]]:
-    """Directed crossings of {x = x_section} located from the samples.
-
-    Each crossing sits at the root of the linear interpolant of x(t) between
-    the bracketing samples, where (y, z) are interpolated too. When the series
-    carries integrator-refined crossing states those are used directly.
-    """
-    if series.crossing_states:
-        return [(yv, zv) for (_, _, yv, zv) in series.crossing_states]
-    xs = sec.x_section if x_section is None else x_section
-    if xs is None:
-        raise DomainError("section abscissa unresolved; pass x_section explicitly")
-    y, z = series.y, series.z
-    return [
-        (float(y[i] + w * (y[i + 1] - y[i])), float(z[i] + w * (z[i + 1] - z[i])))
-        for i, w in _sample_crossings(series, xs, sec.crossing_direction)
-    ]
 
 
 def canard_hole_radius(eps: float, delta: float) -> float:
@@ -333,30 +285,24 @@ def hybrid_simulate(
     return HybridResult(returns, sig, period, stats)
 
 
-def classify_series(
-    series: TimeSeries,
-    geom: ManifoldGeometry,
-    sec: SectionSpec | None = None,
-    transient_skip: int = 5,
-    recurrence_tol: float = 1e-3,
-) -> Signature:
-    """Signature of a periodic series: one symbol per inter-crossing cycle.
+# The classifier skips this many leading crossings as transient, and two crossing states
+# recur when they agree within RECURRENCE_TOL times the larger of 1 and their spread.
+TRANSIENT_SKIP = 5
+RECURRENCE_TOL = 1e-3
+
+
+def classify_series(series: TimeSeries, geom: ManifoldGeometry) -> Signature:
+    """Signature of a periodic series: one symbol per cycle between ``series.crossing_states``.
 
     A cycle is an LAO when its minimum x dips below the threshold between the
     left jump-landing abscissa and the second fold; otherwise it is an SAO.
     Periodicity is established by near-recurrence of (x, y, z) at crossings
     over at least two full periods; failing that raises NotPeriodic.
     """
-    sec = sec or SectionSpec()
-    if series.crossing_states:
-        times = [tc for tc, *_ in series.crossing_states]
-        states = [(xv, yv, zv) for _, xv, yv, zv in series.crossing_states]
-    else:
-        idx = [i for i, _ in _sample_crossings(series, sec.resolve(geom), sec.crossing_direction)]
-        times = [float(series.t[i]) for i in idx]
-        states = [(float(series.x[i]), float(series.y[i]), float(series.z[i])) for i in idx]
-    if len(times) < transient_skip + 3:
-        raise NotPeriodic(f"only {len(times)} section crossings; need at least {transient_skip + 3}")
+    times = [tc for tc, *_ in series.crossing_states]
+    states = [(xv, yv, zv) for _, xv, yv, zv in series.crossing_states]
+    if len(times) < TRANSIENT_SKIP + 3:
+        raise NotPeriodic(f"only {len(times)} section crossings; need at least {TRANSIENT_SKIP + 3}")
 
     symbols: list[bool] = []
     for ta, tb in zip(times[:-1], times[1:]):
@@ -367,7 +313,7 @@ def classify_series(
 
     states = states[: len(symbols)]
     spread = max(max(c) - min(c) for c in zip(*states))
-    tol_abs = recurrence_tol * max(1.0, spread)
+    tol_abs = RECURRENCE_TOL * max(1.0, spread)
     n = len(symbols)
 
     def recurs(i: int, p: int) -> bool:
@@ -376,8 +322,8 @@ def classify_series(
         ) <= tol_abs
     # search the trailing window only, so a slowly contracting transient at
     # the front cannot mask an already-converged tail
-    for p in range(1, (n - transient_skip) // 2 + 1):
-        window = min(2 * p, n - p - transient_skip)
+    for p in range(1, (n - TRANSIENT_SKIP) // 2 + 1):
+        window = min(2 * p, n - p - TRANSIENT_SKIP)
         if window < p:
             break
         if all(recurs(i, p) for i in range(n - p - window, n - p)):

@@ -11,15 +11,14 @@ Two reference data sets are frozen here:
   used. One lower endpoint (row 8^1) is known to disagree with the bound
   formulas in the 4th decimal; the harness recomputes from the formulas, so
   that row reports the discrepancy rather than hiding it.
-
-Rows are verified one after another; the work is GIL-bound Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import MmopamError
+from .errors import DomainError, MmopamError
 from .family import FIXED_RATIONAL, RhoSpec
 from .pam import (
     PamCoefficients,
@@ -208,6 +207,9 @@ def verify_mu_window_benchmarks(tol: float = 1e-4) -> TableReport:
 
 
 def verify_all(synthesis_tol: float = 1e-3, window_tol: float = 1e-4) -> list[TableReport]:
+    for name, tol in (("synthesis_tol", synthesis_tol), ("window_tol", window_tol)):
+        if not (0.0 < tol < math.inf):
+            raise DomainError(f"{name} must be positive and finite, got {tol}")
     return [
         verify_synthesis_benchmarks(synthesis_tol),
         verify_signature_benchmarks(),

@@ -9,6 +9,13 @@ import mmopam
 from mmopam.cli import main
 
 
+CROSSOVER_SEGMENT = [
+    "--alpha", "-0.0610", "--beta", "0.2430",
+    "--kappa1", "24.4916", "--lambda1", "-96.1819",
+    "--kappa2", "24.5673", "--lambda2", "-81.8569",
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -213,6 +220,34 @@ def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
     assert err.startswith(f"error: {name} must be")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pam", "signature", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "nan"], "Z0 must be finite"),
+        (["pam", "iterate", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "inf"], "Z0 must be finite"),
+        (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--z-init", "nan"], "--z-init must be finite"),
+        (["verify-tables", "--synthesis-tol", "nan"], "synthesis_tol must be positive and finite"),
+        (["verify-tables", "--window-tol", "-1"], "window_tol must be positive and finite"),
+    ],
+    ids=["signature-z0-nan", "iterate-z0-inf", "crossover-z-init-nan", "verify-synthesis-tol-nan", "verify-window-tol-negative"],
+)
+def test_non_finite_start_and_tolerances_exit_3(capsys, argv, message):
+    # a nan start never recurs and every comparison with a nan tolerance fails: both are refused before any work
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_crossover_grid_below_two_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crossover", *CROSSOVER_SEGMENT, "--grid", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid must be at least 2" in captured.err
+
+
 def test_verify_tables(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-tables", "--json", str(report_path))
@@ -270,11 +305,6 @@ def test_crossover_csv_columns_are_numbers(capsys, tmp_path):
             float(text)
 
 
-CROSSOVER_SEGMENT = [
-    "--alpha", "-0.0610", "--beta", "0.2430",
-    "--kappa1", "24.4916", "--lambda1", "-96.1819",
-    "--kappa2", "24.5673", "--lambda2", "-81.8569",
-]
 ROW_1_3 = ["--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2"]
 
 IMPORT_PROBE = """

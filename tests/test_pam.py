@@ -155,6 +155,13 @@ def test_all_positive_orbit_rejected():
         detect_signature(orbit)
 
 
+@pytest.mark.parametrize("Z0", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_rejected(Z0):
+    # a nan orbit never recurs, so iterating it could only run out of iterations
+    with pytest.raises(DomainError, match="Z0 must be finite"):
+        iterate_orbit(ROW_1_3, Z0)
+
+
 def test_unconverged_orbit_raises():
     orbit = iterate_orbit(ROW_1_3, -0.5, max_iters=2)
     assert not orbit.converged

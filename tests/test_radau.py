@@ -22,7 +22,7 @@ from mmopam import radau
 from mmopam.errors import NonFiniteState, RootFindingFailure, StepSizeUnderflow
 from mmopam.family import CanonicalParams, Field, eval_F, eval_Fx
 from mmopam.radau import _brentq
-from mmopam.simulate import SectionSpec, SimConfig, integrate_full
+from mmopam.simulate import SimConfig, integrate_full
 
 STIFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "fingerprints" / "stiff.json"
 ROWS = {"1^1": (0.3, 1.0, 0.9, -2.0), "1^3": (0.3, 7.0, 0.9, -2.0), "3^1": (0.9, 1.0, 0.4, -3.0)}
@@ -322,7 +322,8 @@ def pool_runs():
         p = params[item["input"]["row"]]
         fld = p.field
         cfg = SimConfig(eps=_POOL["eps"], delta=_POOL["delta"], initial_state=tuple(item["input"]["state"]))
-        x_sec = SectionSpec().resolve(mmopam.compute_geometry(p))
+        geom = mmopam.compute_geometry(p)
+        x_sec = 0.5 * (geom.x3 + geom.x4)  # integrate_full's default section
 
         def cross(t, s, eps, delta, x_sec=x_sec):
             return s[0] - x_sec

@@ -10,12 +10,10 @@ from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
 from mmopam.family import CanonicalParams, eval_F
 from mmopam.pam import PamCoefficients, iterate_orbit
 from mmopam.simulate import (
-    SectionSpec,
     SimConfig,
     TimeSeries,
     canard_hole_radius,
     classify_series,
-    detect_section_crossings,
     hybrid_simulate,
     integrate_full,
     visual_rescale,
@@ -60,20 +58,33 @@ class TestSimConfig:
         assert math.isclose(z0, 0.0 - cfg.delta / 2.0)
 
 
-class TestSectionSpec:
-    def test_default_resolves_between_last_folds(self, geometry):
-        sec = SectionSpec()
-        assert math.isclose(sec.resolve(geometry), 0.5, abs_tol=1e-9)
+class TestSection:
+    def test_default_resolves_between_last_folds(self, params_1_1, monkeypatch):
+        class Stop(Exception):
+            pass
 
-    def test_direction_validated(self):
-        with pytest.raises(DomainError):
-            SectionSpec(crossing_direction=0)
+        seen = {}
+
+        def capture(*args, event, direction, **kwargs):
+            seen.update(event=event, direction=direction)
+            raise Stop
+
+        monkeypatch.setattr(mmopam.simulate.radau, "solve", capture)
+        with pytest.raises(Stop):
+            integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2))
+        # the plane x = 0.5, crossed in decreasing x
+        assert math.isclose(seen["event"](0.0, (0.5, 0.0, 0.0)), 0.0, abs_tol=1e-9)
+        assert seen["direction"] == -1
 
     @pytest.mark.parametrize("x_section", [math.nan, math.inf, -math.inf])
-    def test_non_finite_abscissa_rejected(self, x_section):
+    def test_non_finite_abscissa_rejected(self, params_1_1, monkeypatch, x_section):
         # a plane at nan is never crossed: integrate_full would run every extension for nothing
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the abscissa is checked before any integration")
+
+        monkeypatch.setattr(mmopam.simulate.radau, "solve", no_solve)
         with pytest.raises(DomainError, match="x_section"):
-            SectionSpec(x_section=x_section)
+            integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2), x_section=x_section, n_crossings=4)
 
 
 @pytest.mark.parametrize("n_crossings", [0, -3])
@@ -99,45 +110,6 @@ class TestTimeSeries:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x,y,z"
         assert len(lines) == 6
-
-
-def synthetic_series():
-    # x sweeps down through 0.5 once per unit of time
-    t = np.linspace(0.0, 4.0, 801)
-    x = np.cos(2 * np.pi * t)
-    y = np.sin(2 * np.pi * t)
-    z = 0.1 * t
-    return TimeSeries(t, x, y, z)
-
-
-class TestDetectCrossings:
-    def test_constant_x_no_crossings(self):
-        t = np.linspace(0, 1, 10)
-        series = TimeSeries(t, np.full(10, 2.0), np.zeros(10), np.zeros(10))
-        assert detect_section_crossings(series, SectionSpec(x_section=0.5)) == []
-
-    def test_directed_crossings_found(self):
-        series = synthetic_series()
-        hits = detect_section_crossings(series, SectionSpec(x_section=0.5, crossing_direction=-1))
-        assert len(hits) == 4
-        # x = cos(2 pi t) falls through 0.5 at t = 1/6 (mod 1); y there is
-        # sin = +sqrt(3)/2 (up to the sample-spacing interpolation error)
-        for yv, _ in hits:
-            assert math.isclose(yv, math.sqrt(3) / 2, abs_tol=5e-3)
-
-    def test_crossing_is_the_interpolant_root(self):
-        # piecewise-linear samples: the crossing and its (y, z) are exact
-        t = np.array([0.0, 1.0, 2.0])
-        series = TimeSeries(t, np.array([1.0, 0.0, 1.0]), np.array([0.0, 4.0, 12.0]), np.array([2.0, 6.0, 6.0]))
-        assert detect_section_crossings(series, SectionSpec(x_section=0.25)) == [(3.0, 5.0)]
-        assert detect_section_crossings(series, SectionSpec(x_section=0.25, crossing_direction=1)) == [(6.0, 6.0)]
-
-    def test_direction_filter(self):
-        series = synthetic_series()
-        up = detect_section_crossings(series, SectionSpec(x_section=0.5, crossing_direction=1))
-        assert len(up) == 4
-        for yv, _ in up:
-            assert math.isclose(yv, -math.sqrt(3) / 2, abs_tol=5e-3)
 
 
 class TestHybrid:
@@ -209,40 +181,39 @@ def test_canard_hole_radius():
 
 
 class TestClassifySeries:
-    def _series_from_symbols(self, symbols, geom):
-        # build a synthetic sampled trajectory: each cycle crosses x = 0.5
-        # downward once and dips to -2.5 (LAO) or -1.0 (SAO)
-        t_parts, x_parts = [], []
-        t0 = 0.0
+    def _series_from_symbols(self, symbols, with_crossings=True):
+        # a synthetic trajectory: each unit-time cycle starts at x = 1.3, dips to -2.5 (LAO)
+        # or -1.0 (SAO), and crosses the section x = 0.5 downward once on its way down
+        t_parts, x_parts, crossings = [], [], []
         for k, is_lao in enumerate(symbols):
             depth = -2.5 if is_lao else -1.0
-            tt = np.linspace(t0, t0 + 1.0, 51)[:-1]
-            phase = (tt - t0) * 2 * np.pi
-            xx = 0.5 * (1.3 + depth) + 0.5 * (1.3 - depth) * np.cos(phase)
+            mid, amp = 0.5 * (1.3 + depth), 0.5 * (1.3 - depth)
+            tt = np.linspace(k, k + 1.0, 51)[:-1]
             t_parts.append(tt)
-            x_parts.append(xx)
-            t0 += 1.0
+            x_parts.append(mid + amp * np.cos((tt - k) * 2 * np.pi))
+            crossings.append((k + math.acos((0.5 - mid) / amp) / (2 * np.pi), 0.5, 0.0, 0.0))
         t = np.concatenate(t_parts)
         x = np.concatenate(x_parts)
-        y = np.zeros_like(t)
-        z = np.where(x > 0.4, 0.01, -0.01)  # irrelevant detail, recurrent
-        return TimeSeries(t, x, y, np.zeros_like(t))
+        return TimeSeries(t, x, np.zeros_like(t), np.zeros_like(t), crossing_states=crossings if with_crossings else [])
 
     def test_periodic_pattern_classified(self, geometry):
         symbols = [True, False, False] * 8  # 1^2 repeated
-        series = self._series_from_symbols(symbols, geometry)
-        sig = classify_series(series, geometry, SectionSpec(x_section=0.5))
+        sig = classify_series(self._series_from_symbols(symbols), geometry)
         assert str(sig) == "1^2"
 
     def test_all_lao(self, geometry):
-        series = self._series_from_symbols([True] * 12, geometry)
-        sig = classify_series(series, geometry, SectionSpec(x_section=0.5))
+        sig = classify_series(self._series_from_symbols([True] * 12), geometry)
         assert str(sig) == "1^0"
 
     def test_too_few_crossings(self, geometry):
-        series = self._series_from_symbols([True, False], geometry)
         with pytest.raises(NotPeriodic):
-            classify_series(series, geometry, SectionSpec(x_section=0.5))
+            classify_series(self._series_from_symbols([True, False]), geometry)
+
+    def test_no_crossing_states(self, geometry):
+        # the samples alone are never searched for crossings
+        series = self._series_from_symbols([True, False, False] * 8, with_crossings=False)
+        with pytest.raises(NotPeriodic, match="only 0 section crossings; need at least 8"):
+            classify_series(series, geometry)
 
 
 @pytest.mark.slow
