@@ -13,7 +13,7 @@ computes the mu-intervals that bound the number of consecutive LAOs/SAOs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 
 from .errors import DiscontinuityHit, DomainError, NotPeriodic
 
@@ -146,11 +146,17 @@ def iterate_orbit(
     """Iterate from Z0, detecting the smallest period sustained over 3 extra periods.
 
     A period p is accepted once |Z_{n+p} - Z_n| <= tol holds over a trailing
-    window of 3p iterations. Non-convergence is reported, not raised; hitting
-    the discontinuity guard raises DiscontinuityHit.
+    window of 3p iterations. The period check runs after every iterate while
+    the history holds fewer than 256 points, then on every 32nd; the first
+    check that finds a period ends the iteration, so this schedule decides
+    the length of ``iterates``. Non-convergence is reported, not raised;
+    hitting the discontinuity guard raises DiscontinuityHit.
     """
-    if max_iters < 1 or tol <= 0.0:
-        raise DomainError("max_iters must be positive and tol > 0")
+    if max_iters < 1 or not 0.0 < tol < inf or max_period < 1:
+        raise DomainError(
+            f"max_iters and max_period must be positive and 0 < tol < inf, "
+            f"got max_iters={max_iters}, tol={tol}, max_period={max_period}"
+        )
     if not isfinite(Z0):
         raise DomainError(f"Z0 must be finite, got {Z0}")
     Z = float(Z0)
@@ -171,10 +177,20 @@ def iterate_orbit(
 
 
 def _detect_tail_period(hist: list[float], tol: float, max_period: int) -> int | None:
-    n = len(hist)
-    for p in range(1, min(max_period, (n - 1) // 4) + 1):
-        # need recurrence across the trailing 3p-wide confirmation window
-        if all(abs(hist[-1 - i] - hist[-1 - p - i]) <= tol for i in range(3 * p + 1)):
+    """Smallest p <= max_period with |hist[-1 - i] - hist[-1 - p - i]| <= tol for i = 0..3p, else None.
+
+    These 3p + 1 differences need 4p + 1 points, so p <= (len(hist) - 1) // 4;
+    a nan difference fails. The newest difference (i = 0) is checked for every
+    candidate p in one pass, and only the survivors check i = 1..3p.
+    """
+    top = min(max_period, (len(hist) - 1) // 4)
+    if top < 1:
+        return None
+    z = hist[-1]
+    # hist[-1 - top + k] is hist[-1 - p] with p = top - k: the survivors come in decreasing p
+    survivors = [top - k for k, w in enumerate(hist[-1 - top : -1]) if abs(z - w) <= tol]
+    for p in reversed(survivors):
+        if all(abs(hist[-1 - i] - hist[-1 - p - i]) <= tol for i in range(1, 3 * p + 1)):
             return p
     return None
 

@@ -9,6 +9,7 @@ from mmopam.pam import (
     PamCoefficients,
     Signature,
     TransformedPam,
+    _detect_tail_period,
     _transient_length,
     atmost_atleast_bounds,
     detect_signature,
@@ -135,6 +136,56 @@ def test_transient_length_matches_definition():
     assert _transient_length([1.0, float("nan"), 1.0, 1.0], 1, 1e-10) == 2
 
 
+def test_detect_tail_period_matches_definition():
+    # the smallest p whose trailing 3p + 1 differences |Z_{k+p} - Z_k| are all <= tol, over p <= (n - 1) // 4
+    def loop_scan(hist, tol, max_period):
+        n = len(hist)
+        for p in range(1, min(max_period, (n - 1) // 4) + 1):
+            if all(abs(hist[-1 - i] - hist[-1 - p - i]) <= tol for i in range(3 * p + 1)):
+                return p
+        return None
+
+    def check_prefixes(hist, tol, max_periods=(1, 2, 3, 1000)):
+        for m in range(1, len(hist) + 1):
+            for max_period in max_periods:
+                assert _detect_tail_period(hist[:m], tol, max_period) == loop_scan(hist[:m], tol, max_period)
+
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b, l = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), -rng.uniform(0.5, 10.0)
+        pam = untransform(TransformedPam(a, b, rng.uniform(0.0, -l), l))  # admissible: 0 < mu < -l
+        orbit = iterate_orbit(pam, rng.uniform(-5.0, 5.0), max_iters=400)
+        check_prefixes(orbit.iterates, orbit.tol)
+
+    # every difference of the tail is exactly d, so tol = d accepts and the floats either side of d split
+    d = 0.5
+    for p in (1, 2, 3, 5):
+        cycle = [float(c) for c in rng.sample(range(-8, 9, 2), p)]  # distinct by 2 > d: no shorter lag passes
+        hist = [100.0, -100.0, 7.0] + [cycle[k % p] + d * (k // p) for k in range(6 * p + 2)]
+        assert _detect_tail_period(hist, d, 1000) == p
+        assert _detect_tail_period(hist, math.nextafter(d, math.inf), 1000) == p
+        assert _detect_tail_period(hist, math.nextafter(d, 0.0), 1000) is None
+        for tol in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+            check_prefixes(hist, tol)
+
+    # non-finite entries: inf - inf and nan differences fail, inf - finite exceeds tol
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in (1, 2, 4):
+            tail = [float(k % p) for k in range(8 * p + 4)]
+            for j in (0, len(tail) // 2, len(tail) - 1):
+                check_prefixes(tail[:j] + [bad] + tail[j + 1 :], 1e-10)
+            check_prefixes([bad] * (6 * p), 1e-10)
+
+    # fewer than 5 points hold no 3p + 1 window for any p
+    for hist in ([], [1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0]):
+        for max_period in (1, 1000):
+            assert _detect_tail_period(hist, 1e-10, max_period) is None
+    # a cap below (n - 1) // 4 hides the true period
+    alternating = [float(k % 2) for k in range(20)]
+    assert _detect_tail_period(alternating, 1e-10, 1) is None
+    assert _detect_tail_period(alternating, 1e-10, 2) == 2
+
+
 def test_orbit_from_positive_start_same_signature():
     assert str(detect_signature(iterate_orbit(ROW_1_3, 0.5))) == "1^3"
 
@@ -160,6 +211,25 @@ def test_non_finite_start_rejected(Z0):
     # a nan orbit never recurs, so iterating it could only run out of iterations
     with pytest.raises(DomainError, match="Z0 must be finite"):
         iterate_orbit(ROW_1_3, Z0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"max_period": 0},
+        {"max_period": -3},
+        {"max_iters": 0},
+    ],
+    ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max-period-zero", "max-period-negative", "max-iters-zero"],
+)
+def test_invalid_iteration_settings_rejected(kwargs):
+    # tol = nan never recurs, tol = inf accepts period 1 after 4 iterates, max_period < 1 never detects
+    with pytest.raises(DomainError, match="0 < tol < inf"):
+        iterate_orbit(ROW_1_3, -0.5, **kwargs)
 
 
 def test_unconverged_orbit_raises():
