@@ -13,12 +13,9 @@ correspondence dynamically.
 from .errors import (
     DiscontinuityHit,
     DomainError,
-    FoldPointEvaluation,
-    MethodMismatch,
     MmopamError,
     NonFiniteState,
     NotPeriodic,
-    QuadratureFailure,
     RootFindingFailure,
     SingularSystem,
     StepSizeUnderflow,

@@ -24,18 +24,6 @@ class NotPeriodic(MmopamError):
         self.series = series
 
 
-class QuadratureFailure(MmopamError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class MethodMismatch(MmopamError):
-    """Closed-form and quadrature evaluations of the same quantity disagree."""
-
-
-class FoldPointEvaluation(MmopamError):
-    """Evaluation requested at (or numerically at) a fold abscissa where F_x = 0."""
-
-
 class SingularSystem(MmopamError):
     """A 2x2 solve in the synthesis pipeline is singular relative to the scale of its terms."""
 

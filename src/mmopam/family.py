@@ -11,8 +11,7 @@ the sheet profile F(., 0), so there is no z0 parameter.
 Two rho families are supported: Quadratic rho(x) = p + x + q x^2, and the
 fixed rational rho whose reciprocal is a specific quartic. For both, the
 product rho * F_x(., 0) reduces to a polynomial (exactly, for the fixed
-rational choice), so Q has a closed polynomial form; an adaptive-quadrature
-evaluator is kept alongside as an independent oracle.
+rational choice), so Q has a closed polynomial form.
 
 The geometry is the family's design: F_x(., 0) vanishes at the folds -2, -1,
 0 and 1, and F(-2) = F(8/5), F(0) = F(3/2) and F(1) = F(-5/2), all exactly in
@@ -38,11 +37,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite, sqrt
 
-from .errors import DomainError, FoldPointEvaluation, QuadratureFailure
+from .errors import DomainError
 
 X_MIN, X_MAX = -3.0, 2.0
-FOLD_TOL = 1e-12
-_QUAD_ABS_TOL = 1e-12
 
 # --- exact coefficients of F(x, z) = sum_k (C_k + D_k z) x^k -----------------
 
@@ -370,14 +367,6 @@ class Field:
         J = 0.5 - x
         return (self.kappa + self.lam * P) * u * r * J, r * u * J
 
-    def pq(self, x):
-        fx = self.Fx(x, 0.0)
-        if abs(fx) < FOLD_TOL:
-            raise FoldPointEvaluation(f"F_x vanishes at x = {x}")
-        _, lin, P = self.QuP(x)
-        r = self.rho(x)
-        return r * lin * fx, (self.kappa + self.lam * P) * lin * r * fx
-
     def jac(self, t, s, eps, delta):
         """Analytic Jacobian of :attr:`rhs`, as three rows."""
         x, y, z = s
@@ -442,6 +431,13 @@ class CanonicalParams:
     lam: float
     rho: RhoSpec
 
+    def __post_init__(self):
+        if not (isfinite(self.alpha) and isfinite(self.beta) and isfinite(self.kappa) and isfinite(self.lam)):
+            raise DomainError(
+                "vector-field parameters must be finite, got "
+                f"alpha={self.alpha}, beta={self.beta}, kappa={self.kappa}, lambda={self.lam}"
+            )
+
     @cached_property
     def field(self) -> Field:
         """The compiled kernels of this parameter set, built on first use."""
@@ -486,21 +482,6 @@ def eval_Q(params: CanonicalParams, x):
     return params.field.Q(x)
 
 
-def eval_Q_quadrature(params: CanonicalParams, x: float) -> float:
-    """Q(x) by adaptive quadrature; the independent oracle for the closed form."""
-    from scipy.integrate import quad
-
-    rho = params.rho
-
-    def integrand(s):
-        return rho.rho(s) * eval_Fx(s, 0.0)
-
-    val, err = quad(integrand, 0.0, float(x), epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=10_000)
-    if err > max(_QUAD_ABS_TOL * 10.0, 1e-10 * abs(val)):
-        raise QuadratureFailure(f"Q({x}): error estimate {err:.2e} above tolerance")
-    return val
-
-
 def eval_P(params: CanonicalParams, x):
     """P(x) = alpha*Q^2/2 + beta*Q, the antiderivative of p(x)."""
     return params.field.QuP(x)[2]
@@ -514,15 +495,6 @@ def eval_G(params: CanonicalParams, x):
 def eval_H(params: CanonicalParams, x):
     """H(x) = rho (alpha Q + beta) J."""
     return params.field.drift(x)[1]
-
-
-def eval_pq(params: CanonicalParams, x: float) -> tuple[float, float]:
-    """Coefficients of the segment equation dZ/dx = p(x) Z + q(x).
-
-    The g1 = J factor cancels between G, H and the slow drift, leaving
-    p = rho*(alpha Q + beta)*F_x and q = (kappa + lambda P)*rho*(alpha Q + beta)*F_x.
-    """
-    return params.field.pq(x)
 
 
 def eval_vector_field(

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1
 
-from .errors import DomainError, MethodMismatch, QuadratureFailure
-from .family import CanonicalParams, ManifoldGeometry, eval_P, eval_pq
+from .errors import DomainError
+from .family import CanonicalParams, ManifoldGeometry, eval_P
 from .pam import PamCoefficients
 
 SHEET_LABELS = ("S_a1", "S_a2", "S_a3")
@@ -48,15 +48,10 @@ def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
     return AffineMap(outer.slope * inner.slope, outer.slope * inner.offset + outer.offset)
 
 
-def segment_affine(
-    params: CanonicalParams,
-    seg: SegmentSpec,
-    method: str = "closed_form",
-    check_tol: float = 1e-8,
-) -> AffineMap:
-    """Affine map of one segment, by closed form or by adaptive quadrature.
+def segment_affine(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
+    """Affine map of one segment, in closed form.
 
-    Closed form: with P the antiderivative of p (P = alpha Q^2/2 + beta Q and
+    With P the antiderivative of p (P = alpha Q^2/2 + beta Q and
     q = (kappa + lambda P) P'), substitution v = P(u) collapses both integrals:
 
         slope  = exp(vb - va)
@@ -65,27 +60,7 @@ def segment_affine(
 
     with va = P(x_start), vb = P(x_end). The second form is the one evaluated:
     near-unit slopes need |lambda| ~ 1e7, where the first form cancels.
-    method="self_check" computes both routes and raises MethodMismatch beyond
-    check_tol relative deviation.
     """
-    if method == "closed_form":
-        return _segment_closed_form(params, seg)
-    if method == "quadrature":
-        return _segment_quadrature(params, seg)
-    if method == "self_check":
-        cf = _segment_closed_form(params, seg)
-        qd = _segment_quadrature(params, seg)
-        dev = max(
-            abs(cf.slope - qd.slope) / max(1.0, abs(qd.slope)),
-            abs(cf.offset - qd.offset) / max(1.0, abs(qd.offset)),
-        )
-        if dev > check_tol:
-            raise MethodMismatch(f"closed form deviates from quadrature by {dev:.2e} on {seg}")
-        return cf
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _segment_closed_form(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     va = eval_P(params, seg.x_start)
     d = eval_P(params, seg.x_end) - va
     ka, la = params.kappa, params.lam
@@ -103,33 +78,6 @@ def _segment_offset_basis(params: CanonicalParams, seg: SegmentSpec) -> tuple[fl
     d = eval_P(params, seg.x_end) - va
     em1 = expm1(d)
     return exp(d), em1, (va + 1.0) * em1 - d
-
-
-def _segment_quadrature(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
-    from scipy.integrate import quad
-
-    xs, xe = seg.x_start, seg.x_end
-
-    def p_of(x):
-        return eval_pq(params, x)[0]
-
-    def q_of(x):
-        return eval_pq(params, x)[1]
-
-    def integrate(f, a, b):
-        val, err = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=500)
-        if err > max(1e-10, 1e-9 * abs(val)):
-            raise QuadratureFailure(f"segment integral error estimate {err:.2e}")
-        return val
-
-    slope = exp(integrate(p_of, xs, xe))
-
-    def offset_integrand(u):
-        inner, _ = quad(p_of, u, xe, epsabs=1e-12, epsrel=1e-12, limit=500)
-        return q_of(u) * exp(inner)
-
-    offset = integrate(offset_integrand, xs, xe)
-    return AffineMap(slope, offset)
 
 
 def _lao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:

@@ -72,6 +72,9 @@ class SimConfig:
                 raise DomainError(f"{name} must lie in [1e-14, 1e-6], got {tol}")
         if not (0.0 < self.max_slow_time < math.inf):
             raise DomainError(f"max_slow_time must be positive and finite, got {self.max_slow_time}")
+        state = self.initial_state
+        if state is not None and not (len(state) == 3 and all(math.isfinite(v) for v in state)):
+            raise DomainError(f"initial_state must be None or three finite numbers, got {state!r}")
 
     def resolve_initial_state(self, params: CanonicalParams) -> tuple[float, float, float]:
         if self.initial_state is not None:

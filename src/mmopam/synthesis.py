@@ -24,6 +24,10 @@ from .segments import associated_pam, offset_coefficients
 # absolute floor, keeps well-conditioned systems with small entries solvable.
 DET_RTOL = 1e-12
 
+# synthesize() returns parameters only if their associated map reproduces every
+# target coefficient t to within VERIFY_RTOL * max(1, |t|).
+VERIFY_RTOL = 1e-8
+
 
 def _solve_2x2(a: float, b: float, c: float, d: float, r1: float, r2: float, what: str) -> tuple[float, float]:
     """(u, v) with a u + b v = r1 and c u + d v = r2, by Cramer's rule."""
@@ -64,11 +68,7 @@ def solve_kappa_lambda(
     return _solve_2x2(a, b, c, d, a12, a22, "offset system")
 
 
-def synthesize(
-    target: PamCoefficients,
-    rho: RhoSpec,
-    verify_tol: float = 1e-8,
-) -> CanonicalParams:
+def synthesize(target: PamCoefficients, rho: RhoSpec) -> CanonicalParams:
     """Full pipeline: geometry, (alpha, beta), then (kappa, lambda), with roundtrip check."""
     probe = CanonicalParams(0.0, 0.0, 0.0, 0.0, rho)
     geom = compute_geometry(probe)
@@ -79,8 +79,8 @@ def synthesize(
     dev = max(
         abs(g - t) / max(1.0, abs(t)) for g, t in zip(got.as_tuple(), target.as_tuple())
     )
-    if dev > verify_tol:
+    if dev > VERIFY_RTOL:
         raise SynthesisVerificationFailure(
-            f"roundtrip residual {dev:.2e} exceeds {verify_tol:.1e} (got {got}, target {target})"
+            f"roundtrip residual {dev:.2e} exceeds {VERIFY_RTOL:.1e} (got {got}, target {target})"
         )
     return params

@@ -36,6 +36,8 @@ from mmopam.tables import (
     verify_synthesis_benchmarks,
 )
 
+from oracles import segment_quadrature
+
 FIXED = RhoSpec("fixed_rational")
 QUAD = RhoSpec("quadratic", p=1.0, q=1.0)
 
@@ -98,7 +100,7 @@ def test_criterion_4_forward_inverse_roundtrip(capsys):
         )
         row_ok = True
         for rho in (FIXED, QUAD):
-            params = synthesize(target, rho, verify_tol=1e-8)
+            params = synthesize(target, rho)
             got = associated_pam(params, geoms[rho])
             dev = max(
                 abs(g - t) / max(1.0, abs(t)) for g, t in zip(got.as_tuple(), target.as_tuple())
@@ -135,8 +137,8 @@ def test_criterion_5_closed_form_vs_quadrature(capsys):
         ]
         dev = 0.0
         for seg in segs:
-            cf = segment_affine(params, seg, method="closed_form")
-            qd = segment_affine(params, seg, method="quadrature")
+            cf = segment_affine(params, seg)
+            qd = segment_quadrature(params, seg)
             dev = max(
                 dev,
                 abs(cf.slope - qd.slope) / max(1.0, abs(qd.slope)),

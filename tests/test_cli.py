@@ -221,18 +221,30 @@ def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, config",
     [
-        (["pam", "signature", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "nan"], "Z0 must be finite"),
-        (["pam", "iterate", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "inf"], "Z0 must be finite"),
-        (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--z-init", "nan"], "--z-init must be finite"),
-        (["verify-tables", "--synthesis-tol", "nan"], "synthesis_tol must be positive and finite"),
-        (["verify-tables", "--window-tol", "-1"], "window_tol must be positive and finite"),
+        (["pam", "signature", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "nan"], "Z0 must be finite", None),
+        (["pam", "iterate", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "inf"], "Z0 must be finite", None),
+        (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--z-init", "nan"], "--z-init must be finite", None),
+        (["verify-tables", "--synthesis-tol", "nan"], "synthesis_tol must be positive and finite", None),
+        (["verify-tables", "--window-tol", "-1"], "window_tol must be positive and finite", None),
+        (["simulate", "--mode", "hybrid", "--alpha", "0.1", "--beta", "0.2", "--kappa", "1", "--lam", "nan", "--returns", "5"],
+         "vector-field parameters must be finite", None),
+        (["simulate", "--mode", "full", "--alpha", "inf", "--beta", "0.2", "--kappa", "1", "--lam", "1"],
+         "vector-field parameters must be finite", None),
+        (["simulate", "--mode", "full"], "initial_state must be None or three finite numbers",
+         {"canonical": {"alpha": 0.87, "beta": 0.02, "kappa": 30.0, "lambda": -90.0},
+          "sim": {"initial_state": [float("nan"), 0.0, 0.0]}}),
     ],
-    ids=["signature-z0-nan", "iterate-z0-inf", "crossover-z-init-nan", "verify-synthesis-tol-nan", "verify-window-tol-negative"],
+    ids=["signature-z0-nan", "iterate-z0-inf", "crossover-z-init-nan", "verify-synthesis-tol-nan", "verify-window-tol-negative",
+         "hybrid-lam-nan", "full-alpha-inf", "config-initial-state-nan"],
 )
-def test_non_finite_start_and_tolerances_exit_3(capsys, argv, message):
+def test_non_finite_start_and_tolerances_exit_3(capsys, tmp_path, argv, message, config):
     # a nan start never recurs and every comparison with a nan tolerance fails: both are refused before any work
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmopam.errors import DomainError, FoldPointEvaluation
+from mmopam.errors import DomainError
 from mmopam.family import (
     _C,
     CanonicalParams,
@@ -23,11 +23,11 @@ from mmopam.family import (
     eval_J,
     eval_P,
     eval_Q,
-    eval_Q_quadrature,
-    eval_pq,
     eval_vector_field,
     q_polynomial,
 )
+
+from oracles import Q_quadrature
 
 
 def central_diff(f, x, h=1e-6):
@@ -167,7 +167,7 @@ def test_Q_closed_form_vs_quadrature(fixed_rho, quad_rho):
         params = CanonicalParams(0.2, -0.3, 1.0, -2.0, rho)
         for x in (-2.5, -1.0, 0.5, 1.6):
             closed = eval_Q(params, x)
-            quad = eval_Q_quadrature(params, x)
+            quad = Q_quadrature(params, x)
             assert math.isclose(closed, quad, rel_tol=1e-9, abs_tol=1e-10)
 
 
@@ -193,17 +193,20 @@ def test_G_H_relationship(fixed_rho):
         )
 
 
-def test_pq_at_fold_rejected(fixed_rho, geometry):
-    params = CanonicalParams(0.5, 0.3, 2.0, -4.0, fixed_rho)
-    with pytest.raises(FoldPointEvaluation):
-        eval_pq(params, geometry.x4)
-
-
 def test_vector_field_z_frozen_without_drift(fixed_rho):
     # alpha = beta = 0 makes G and H vanish identically
     params = CanonicalParams(0.0, 0.0, 3.0, -5.0, fixed_rho)
     _, _, dz = eval_vector_field(params, 0.7, 0.1, 0.2, eps=1e-4, delta=1e-2)
     assert dz == 0.0
+
+
+@pytest.mark.parametrize("index", range(4), ids=["alpha", "beta", "kappa", "lambda"])
+def test_params_must_be_finite(fixed_rho, index):
+    for bad in (math.nan, math.inf, -math.inf):
+        values = [0.2, -0.3, 1.0, -2.0]
+        values[index] = bad
+        with pytest.raises(DomainError, match="vector-field parameters must be finite"):
+            CanonicalParams(*values, fixed_rho)
 
 
 def test_params_json_roundtrip(quad_rho):

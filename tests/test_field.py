@@ -89,16 +89,6 @@ def ref_P(params, x):
     return params.alpha * Qx * Qx / 2.0 + params.beta * Qx
 
 
-def ref_pq(params, x):
-    fx = ref_Fx(x, 0.0)
-    Qx = ref_Q(params, x)
-    lin = params.alpha * Qx + params.beta
-    r = ref_rho(params.rho, x)
-    p = r * lin * fx
-    q = (params.kappa + params.lam * (params.alpha * Qx * Qx / 2.0 + params.beta * Qx)) * lin * r * fx
-    return p, q
-
-
 def ref_G(params, x):
     Qx = ref_Q(params, x)
     return (
@@ -191,8 +181,6 @@ def test_rho_Q_kernels_exact(rho):
         assert family.eval_P(params, x) == ref_P(params, x)
         assert family.eval_G(params, x) == ref_G(params, x)
         assert family.eval_H(params, x) == ref_H(params, x)
-        if x not in (-2.0, -1.0, 0.0, 1.0):  # eval_pq rejects the folds
-            assert family.eval_pq(params, x) == ref_pq(params, np.float64(x))
 
 
 def bits(v) -> str:
@@ -229,7 +217,7 @@ def test_map_level_path_compiles_no_kernel(monkeypatch):
     monkeypatch.setattr(family, "_kernel_factory", lambda *key: requested.append(key) or factory(*key))
     params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), RhoSpec("fixed_rational"))
     associated_pam(params, compute_geometry(params))
-    family.eval_P(params, 0.3), family.eval_pq(params, 0.3), family.eval_Q(params, 0.3)
+    family.eval_P(params, 0.3), family.eval_Q(params, 0.3)
     assert requested == []
     fld = params.field
     assert fld.dZdx is fld.dZdx

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mmopam.errors import DomainError, MethodMismatch
+from mmopam.errors import DomainError
 from mmopam.family import CanonicalParams
 from mmopam.pam import detect_signature, iterate_orbit
 from mmopam.segments import (
@@ -15,6 +15,8 @@ from mmopam.segments import (
     sao_branch,
     segment_affine,
 )
+
+from oracles import segment_quadrature
 
 PARAMS_1_3 = (0.8743, 0.0240, 30.1744, -90.4070)  # realizes the 1^3 target map
 
@@ -60,30 +62,10 @@ def test_closed_form_matches_quadrature(rho_name, request, geometry):
         SegmentSpec(geometry.xhat3, geometry.x4, "S_a3"),
     ]
     for seg in segs:
-        cf = segment_affine(params, seg, method="closed_form")
-        qd = segment_affine(params, seg, method="quadrature")
+        cf = segment_affine(params, seg)
+        qd = segment_quadrature(params, seg)
         assert math.isclose(cf.slope, qd.slope, rel_tol=1e-9, abs_tol=1e-10)
         assert math.isclose(cf.offset, qd.offset, rel_tol=1e-9, abs_tol=1e-8)
-
-
-def test_self_check_method(fixed_rho, geometry):
-    params = CanonicalParams(*PARAMS_1_3, fixed_rho)
-    seg = SegmentSpec(geometry.x2, geometry.x3, "S_a2")
-    m = segment_affine(params, seg, method="self_check")
-    assert m.slope > 0.0
-
-
-def test_unknown_method(fixed_rho, geometry):
-    params = CanonicalParams(*PARAMS_1_3, fixed_rho)
-    with pytest.raises(DomainError):
-        segment_affine(params, SegmentSpec(0.25, 0.5, "S_a2"), method="exact")
-
-
-def test_self_check_tolerance_trips(fixed_rho, geometry):
-    params = CanonicalParams(*PARAMS_1_3, fixed_rho)
-    seg = SegmentSpec(geometry.xhat4, geometry.x1, "S_a1")
-    with pytest.raises(MethodMismatch):
-        segment_affine(params, seg, method="self_check", check_tol=0.0)
 
 
 def test_branch_slopes_positive(fixed_rho, geometry):

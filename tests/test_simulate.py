@@ -44,6 +44,8 @@ class TestSimConfig:
             {"max_slow_time": -1.0},
             {"max_slow_time": math.inf},
             {"max_slow_time": math.nan},
+            {"initial_state": (1.3, 0.0)},
+            {"initial_state": (math.nan, 0.0, 0.0)},
         ],
     )
     def test_invariants(self, kwargs):
