@@ -234,7 +234,10 @@ def cmd_simulate(args) -> int:
     params = _canonical_from(args, config)
     sim = _sim_values(args, config)
     if args.mode == "hybrid":
-        # the hybrid reads only delta, on its own domain delta >= 0
+        # the hybrid reads only delta, on its own domain delta >= 0; a full-system setting would go unused
+        unused = [k for k in sim if k != "delta"] + (["x_section"] if args.x_section is not None else [])
+        if unused:
+            raise DomainError(f"--mode hybrid takes no {', '.join(unused)}: only --mode full reads them")
         return _simulate_hybrid(args, params, sim.get("delta", SimConfig.delta))
     return _simulate_full(args, params, SimConfig(**sim))
 

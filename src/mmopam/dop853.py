@@ -1,19 +1,20 @@
-"""DOP853 for one equation in plain floats, forward or backward.
+"""DOP853 for n equations in plain floats, forward or backward.
 
 A step-for-step port of scipy's ``RungeKutta._step_impl`` and
 ``DOP853._estimate_error_norm`` (``scipy.integrate._ivp.rk``): the explicit
 Runge-Kutta pair of order 8 with the 5th and 3rd order error estimators of
 Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
-Sec. II.5. It keeps scipy's 12-stage tableau, the combined error norm, the
-step-size controller (safety 0.9, factors in [0.2, 10], exponent -1/8, no
-growth right after a rejection), the minimum step of ten spacings of t, the
-clamp of the last step to ``t_bound``, the floor ``rtol >= 100 EPS`` and
-``select_initial_step`` of order 7. Dense output is left out: the caller
-needs only the end state.
+Sec. II.5. It keeps scipy's 12-stage tableau, the combined error norm over
+the components with its ``sqrt(n)``, the step-size controller (safety 0.9,
+factors in [0.2, 10], exponent -1/8, no growth right after a rejection), the
+minimum step of ten spacings of t, the clamp of the last step to
+``t_bound``, the floor ``rtol >= 100 EPS`` and ``select_initial_step`` of
+order 7. Dense output is left out: the caller needs only the step ends.
 
-``fun(t, y, *args)`` returns the derivative at the float ``y``. One step's
-11 stage sums and its 3 tail sums (b, e3, e5) are straight-line expressions,
-generated from ``STAGES`` and ``TAIL`` on first use: each runs in index order
+The state is a tuple of floats and ``fun(t, y, *args)`` returns its
+derivative as a tuple. One step, its stage sums, its 3 tail sums (b, e3, e5)
+and the error scales, is straight-line code generated per number of
+equations and of extra arguments on first use: each sum runs in index order
 from ``0.0 +`` and skips the exact zeros of the tableau.
 """
 
@@ -102,64 +103,84 @@ ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 
 @lru_cache(maxsize=None)
-def _stepper(nargs: int):
-    """``step(fun, args, t, y, h, k0) -> (y_new, f_new, s3, s5)``: one step's stages and tail sums.
+def _stepper(n: int, nargs: int):
+    """``step(fun, args, t, y, h, k0, rtol, atol) -> (y_new, f_new, ss3, ss5)`` for ``n`` equations.
 
-    Generated from STAGES and TAIL: each stage sum and each of the three tail
-    sums (b, e3, e5) is one expression over the nonzero entries in index order,
-    starting from ``0.0 +``. The entries are closure cells of the factory. The
-    ``nargs`` extra arguments are passed to ``fun`` by name, so the code is
-    built once per arity: a call through ``*args`` misses the interpreter's
-    fast path and adds about a third to the cost of a small ``fun`` such as
-    the hybrid dZ/dx.
+    One step's stages, its end state and derivative, and the squared sums
+    ``ss3``, ``ss5`` of the two error estimates over the component scales
+    ``atol + max(|y|, |y_new|) rtol``. Generated from STAGES and TAIL: each
+    component of each stage sum and of the three tail sums (b, e3, e5) is one
+    expression over the nonzero entries in index order, starting from
+    ``0.0 +``. The entries are closure cells of the factory. The state and
+    every stage are tuples, unpacked into one name per component. The ``nargs``
+    extra arguments are passed to ``fun`` by name, so the code is built once
+    per (n, nargs): a call through ``*args`` misses the interpreter's fast path.
     """
     consts = {}
+    comps = range(n)
     extra = "".join(f", a{i}" for i in range(nargs))
+
+    def unpack(names):
+        return ", ".join(names) + ","
+
     lines = [f"{extra[2:]}, = args"] if nargs else []
+    lines.append(f"{unpack(f'y{i}' for i in comps)} = y")
+    lines.append(f"{unpack(f'k0_{i}' for i in comps)} = k0")
     for s, (c, row) in enumerate(STAGES, 1):
         consts[f"c{s}"] = c
-        terms = ""
-        for j, a in row:
-            consts[f"a{s}_{j}"] = a
-            terms += f" + k{j} * a{s}_{j}"
-        lines.append(f"k{s} = fun(t + c{s} * h, y + (0.0{terms}) * h{extra})")
-    sums = {"b": "", "e3": "", "e5": ""}
+        stage_y = []
+        for i in comps:
+            terms = "".join(f" + k{j}_{i} * a{s}_{j}" for j, _ in row)
+            stage_y.append(f"y{i} + (0.0{terms}) * h")
+        consts.update((f"a{s}_{j}", a) for j, a in row)
+        lines.append(f"{unpack(f'k{s}_{i}' for i in comps)} = fun(t + c{s} * h, ({', '.join(stage_y)},){extra})")
+    sums = {"b": [""] * n, "e3": [""] * n, "e5": [""] * n}
     for j, *weights in TAIL:
         for name, w in zip(sums, weights):
             consts[f"{name}_{j}"] = w
-            sums[name] += f" + k{j} * {name}_{j}"
-    lines.append(f"y_new = y + h * (0.0{sums['b']})")
+            for i in comps:
+                sums[name][i] += f" + k{j}_{i} * {name}_{j}"
+    for i in comps:
+        lines.append(f"n{i} = y{i} + h * (0.0{sums['b'][i]})")
+    lines.append(f"y_new = ({unpack(f'n{i}' for i in comps)})")
     lines.append(f"f_new = fun(t + h, y_new{extra})")
-    lines.append(f"s3 = 0.0{sums['e3']}")
-    lines.append(f"s5 = 0.0{sums['e5']}")
+    lines.append(f"{unpack(f'k12_{i}' for i in comps)} = f_new")
     # scipy's sums also run over the zero weights and its maximum propagates nan, so a
     # non-finite stage or end state gives a nan error norm: 0 * v is nan unless v is finite
-    zero = [f"k{j}" for j in range(1, len(STAGES) + 1) if j not in OUT] + ["f_new"]
-    lines.append("s5 += " + " + ".join(f"0.0 * {k}" for k in zero))
+    zero = [j for j in range(1, len(STAGES) + 2) if j not in OUT]
+    for i in comps:
+        lines.append(f"ay{i} = abs(y{i})")
+        lines.append(f"an{i} = abs(n{i})")
+        lines.append(f"sc{i} = atol + (ay{i} if ay{i} >= an{i} else an{i}) * rtol")
+        lines.append(f"r3_{i} = (0.0{sums['e3'][i]}) / sc{i}")
+        nan_terms = "".join(f" + 0.0 * k{j}_{i}" for j in zero)
+        lines.append(f"r5_{i} = (0.0{sums['e5'][i]}{nan_terms}) / sc{i}")
+    lines.append("s3 = " + " + ".join(f"r3_{i} * r3_{i}" for i in comps))
+    lines.append("s5 = " + " + ".join(f"r5_{i} * r5_{i}" for i in comps))
     lines.append("return y_new, f_new, s3, s5")
-    src = f"def make({', '.join(consts)}):\n    def step(fun, args, t, y, h, k0):\n"
+    src = f"def make({', '.join(consts)}):\n    def step(fun, args, t, y, h, k0, rtol, atol):\n"
     src += "".join(f"        {line}\n" for line in lines)
     src += "    return step\n"
     namespace = {}
-    exec(compile(src, f"<mmopam.dop853 step, {nargs} extra arguments>", "exec"), namespace)
+    exec(compile(src, f"<mmopam.dop853 step, {n} equations, {nargs} extra arguments>", "exec"), namespace)
     return namespace["make"](*consts.values())
 
 
-def _norm(v):
-    """scipy's RMS norm of a one-element array."""
-    return sqrt(v * v)
+def _rms(v) -> float:
+    """scipy's RMS norm, ``np.linalg.norm(v) / v.size ** 0.5``."""
+    return sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
 def _initial_step(fun, args, t0, y0, t_bound, f0, direction, rtol, atol):
     """scipy's ``select_initial_step`` for an error estimator of order 7 (costs one evaluation of fun)."""
     interval_length = abs(t_bound - t0)
-    scale = atol + abs(y0) * rtol
-    d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0, *args)
-    d2 = _norm((f1 - f0) / scale) / h0 if h0 else inf  # h0 = 0 when d1 overflows
+    f1 = fun(t0 + h0 * direction, tuple(v + h0 * direction * f for v, f in zip(y0, f0)), *args)
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0 if h0 else inf  # h0 = 0 when d1 overflows
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -167,11 +188,15 @@ def _initial_step(fun, args, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats]:
-    """The state at ``t_bound`` and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
+def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, ...]], SolverStats]:
+    """The states at the accepted step ends and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
 
-    ``t_bound`` may lie on either side of ``t0``. A step below ten spacings
-    of t, which a nan error norm reaches by rejecting, raises StepSizeUnderflow.
+    ``y0`` is a tuple of n floats and ``fun(t, y, *args)`` returns the n
+    derivatives at the tuple ``y`` as a tuple. The returned list holds one
+    state per accepted step, the last at ``t_bound``, as the columns of
+    scipy's ``sol.y`` after the first. ``t_bound`` may lie on either side of
+    ``t0``. A step below ten spacings of t, which a nan error norm reaches by
+    rejecting, raises StepSizeUnderflow.
     """
     if t_bound == t0:
         raise DomainError(f"t_bound must differ from t0, got [{t0}, {t_bound}]")
@@ -179,11 +204,13 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
         raise DomainError("rtol and atol must be positive")
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
     direction = 1.0 if t_bound > t0 else -1.0
-    t, y = float(t0), float(y0)
+    t, y = float(t0), tuple(map(float, y0))
+    n = len(y)
     f = fun(t, y, *args)
     h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, rtol, atol)
     st = SolverStats(nfev=2)
-    step = _stepper(len(args))
+    step = _stepper(n, len(args))
+    ys = []
 
     while True:
         min_step = 10 * abs(nextafter(t, direction * inf) - t)
@@ -201,19 +228,16 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
             h = t_new - t
             h_abs = abs(h)
 
-            y_new, f_new, s3, s5 = step(fun, args, t, y, h, f)
+            y_new, f_new, ss3, ss5 = step(fun, args, t, y, h, f, rtol, atol)
             st.nfev += 12
 
-            scale = atol + (abs(y) if abs(y) >= abs(y_new) else abs(y_new)) * rtol
-            err5 = s5 / scale
-            err3 = s3 / scale
-            # scipy's squared norm of one element, sqrt(e * e) ** 2, is e * e
-            err5_norm_2 = err5 * err5
-            err3_norm_2 = err3 * err3
+            # scipy's np.linalg.norm(err) ** 2, the norm being the root of the squared sum
+            err5_norm_2 = sqrt(ss5) ** 2
+            err3_norm_2 = sqrt(ss3) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5_norm_2 / sqrt(err5_norm_2 + 0.01 * err3_norm_2)
+                error_norm = h_abs * err5_norm_2 / sqrt((err5_norm_2 + 0.01 * err3_norm_2) * n)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -230,5 +254,6 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[float, SolverStats
 
         st.steps += 1
         t, y, f = t_new, y_new, f_new
+        ys.append(y)
         if direction * (t - t_bound) >= 0:
-            return y, st
+            return ys, st

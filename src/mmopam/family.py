@@ -22,11 +22,11 @@ the fold heights taken from exact rational F.
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
 Jacobian, and the integrators' kernels. Loops start from 0.0, so they take
 scalars and, element-wise, arrays; the ``eval_*`` functions use it. The Radau
-right-hand side ``Field.rhs`` and the hybrid slow flow ``Field.dZdx`` are
-straight-line functions: the same loops unrolled, with the same operations in
-the same order, compiled once per rho shape and bound to a parameter set's
-constants on first use, so the map level, which builds a Field per parameter
-set, never pays for them.
+right-hand side ``Field.rhs`` and the derivative ``Field.dPhidx`` of the
+fundamental matrix of the hybrid slow flow are straight-line functions: the
+same loops unrolled, with the same operations in the same order, compiled
+once per rho shape and bound to a parameter set's constants on first use, so
+the map level, which builds a Field per parameter set, never pays for them.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 # --- straight-line integrator kernels ------------------------------------------
 #
-# The Radau rhs and the hybrid dZdx run thousands of times per solve, so each is one
+# The Radau rhs and the hybrid dPhidx run thousands of times per solve, so each is one
 # function whose Horner loops are unrolled into expressions. The operations and their
 # order are those of the loops above, the leading 0.0 * x + and 0.0 + terms included,
 # so every input, +-inf and nan too, gives the same bits. Constants are closure cells
@@ -267,12 +267,19 @@ def rhs(t, s, eps, delta):
     J = 0.5 - x
     return (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
 """,
-    "dZdx": """\
-def dZdx(x, Z, delta):
+    "dPhidx": """\
+def dPhidx(x, Phi, delta):
+    A, B, C, D = Phi
     Q = {Q}
     u = alpha * Q + beta
     P = alpha * Q * Q / 2.0 + beta * Q
-    return u * (kappa + lam * P + Z) * ({W} + delta * Z * {rho} * ({Fxz} * x))
+    g = kappa + lam * P
+    W = {W}
+    ct = delta * {rho} * ({Fxz} * x)
+    a = u * g * W
+    b = u * (W + g * ct)
+    c = u * ct
+    return b * A + a * C, b * B + a * D, -c * A, -c * B
 """,
 }
 
@@ -336,7 +343,7 @@ class Field:
     Holding the F kernels here keeps the integrators off rebound module names.
     """
 
-    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w", "_spec", "_rhs", "_dZdx")
+    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w", "_spec", "_rhs", "_dPhidx")
 
     F = staticmethod(eval_F)
     Fx = staticmethod(eval_Fx)
@@ -350,7 +357,7 @@ class Field:
         self.rho, self.drho = params.rho.rho, params.rho.drho
         self._q, self._w = _q_tables(params.rho)
         self._spec = params.rho
-        self._rhs = self._dZdx = None  # the integrator kernels, bound on first use
+        self._rhs = self._dPhidx = None  # the integrator kernels, bound on first use
 
     def Q(self, x):
         return _horner(self._q, x)
@@ -397,14 +404,18 @@ class Field:
         return self._rhs
 
     @property
-    def dZdx(self):
-        """Hybrid slow flow dZ/dx = (alpha Q + beta)(kappa + lambda P + Z)(W + delta Z rho F_xz).
+    def dPhidx(self):
+        """Derivative of the fundamental matrix Phi = (A, B, C, D) of the hybrid slow flow.
 
-        Called ``dZdx(x, Z, delta)`` by the DOP853 legs.
+        The flow dZ/dx = u (g + Z)(W + ct Z), with u = alpha Q + beta, g = kappa + lambda P
+        and ct = delta rho F_xz, is the Riccati equation a + b Z + c Z^2 with a = u g W,
+        b = u (W + g ct) and c = u ct. So Z = p/q for the linear system
+        (p, q)' = (b p + a q, -c p), whose fundamental matrix obeys Phi' = ((b, a), (-c, 0)) Phi.
+        Called ``dPhidx(x, Phi, delta)`` by the DOP853 legs, with Phi a 4-tuple in row order.
         """
-        if self._dZdx is None:
-            self._dZdx = self._bind("dZdx")
-        return self._dZdx
+        if self._dPhidx is None:
+            self._dPhidx = self._bind("dPhidx")
+        return self._dPhidx
 
     def _bind(self, name):
         """The straight-line kernel ``name`` with this parameter set's constants in its closure."""

@@ -7,9 +7,10 @@ Three ways of producing the same combinatorics are implemented here:
   with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
   analytic Jacobian, locating Poincare-section crossings as solver event roots.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
-  sheets with instantaneous fold-to-sheet jumps; at delta = 0 it reproduces
-  the piecewise affine map to integrator tolerance. Its legs use the
-  package's own scalar DOP853 (:mod:`mmopam.dop853`).
+  sheets with instantaneous fold-to-sheet jumps. Each leg is a Moebius map in
+  Z, solved once per call as a fundamental matrix with the package's own
+  DOP853 (:mod:`mmopam.dop853`); at delta = 0 the maps are the piecewise
+  affine map to integrator tolerance.
 * :func:`classify_series` turns a simulated time series into a signature by
   thresholding the minimum x of each inter-crossing cycle.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import dop853, radau
-from .errors import DiscontinuityHit, DomainError, NotPeriodic
+from .errors import DiscontinuityHit, DomainError, NonFiniteState, NotPeriodic
 from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
@@ -225,7 +226,7 @@ def canard_hole_radius(eps: float, delta: float) -> float:
 
 @dataclass
 class HybridResult:
-    """Returns Z at the last fold, the tail signature and period, and the DOP853 counters summed over all legs."""
+    """Returns Z at the last fold, the tail signature and period, and the DOP853 counters summed over the four legs."""
 
     returns: list[float]
     signature: Signature | None
@@ -238,8 +239,8 @@ def hybrid_simulate(
     delta: float,
     Z0: float,
     n_returns: int,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-11,
+    abs_tol: float = 1e-13,
 ) -> HybridResult:
     """Reduced-flow legs on attracting sheets alternating with fold jumps.
 
@@ -248,9 +249,18 @@ def hybrid_simulate(
 
         dZ/dx = (alpha Q + beta) (kappa + lambda P + Z) (W + delta Z rho F_xz)
 
-    along each leg, with W = rho * F_x(., 0). At delta = 0 each leg reduces
-    to the exact affine segment map. Each leg is one :func:`mmopam.dop853.solve`;
-    the result carries their counters, summed, as ``solver_stats``.
+    along each leg, with W = rho * F_x(., 0). This Riccati equation's flow over
+    a leg is the Moebius map Z -> (A Z + B) / (C Z + D) whose coefficients are
+    the fundamental matrix of its linearisation (:attr:`Field.dPhidx`). Each
+    call solves that matrix once per leg with :func:`mmopam.dop853.solve`, at
+    ``rel_tol`` and ``abs_tol``, over S_a1 (xhat4 -> x1), S_a2 (x2 -> x3) and
+    S_a3 split at xhat3 (xhat1 -> xhat3 -> x4), so both S_a3 passages share
+    their tail; every return then evaluates the maps. At delta = 0, C = 0 and
+    D = 1, and each leg is the exact affine segment map. A denominator
+    C Z + D that is not positive at a step end of a leg, or a non-finite
+    result, means the solution passes through infinity and raises
+    NonFiniteState. The result carries the four solves' counters, summed, as
+    ``solver_stats``.
     """
     if not (0.0 <= delta < math.inf):
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
@@ -259,14 +269,7 @@ def hybrid_simulate(
     if n_returns < 1:
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
-    dZdx = params.field.dZdx
-    stats = radau.SolverStats()
-
-    def leg(x_from, x_to, Z):
-        nonlocal stats
-        Z, st = dop853.solve(dZdx, x_from, Z, x_to, rel_tol, abs_tol, args=(delta,))
-        stats += st
-        return Z
+    (sa1, sa2, sa3_head, sa3), stats = _hybrid_legs(params, delta, geom, rel_tol, abs_tol)
 
     Z = float(Z0)
     returns: list[float] = []
@@ -274,11 +277,9 @@ def hybrid_simulate(
         if abs(Z) <= DISCONTINUITY_GUARD:
             raise DiscontinuityHit(f"hybrid state hit the jump (Z = {Z!r})")
         if Z < 0.0:
-            Z = leg(geom.xhat4, geom.x1, Z)   # S_a1 passage, jump to S_a3
-            Z = leg(geom.xhat1, geom.x4, Z)   # S_a3 passage to the last fold
+            Z = _carry(sa3, _carry(sa3_head, _carry(sa1, Z)))  # S_a1, jump, S_a3 to the last fold
         else:
-            Z = leg(geom.x2, geom.x3, Z)      # S_a2 passage, jump to S_a3
-            Z = leg(geom.xhat3, geom.x4, Z)   # S_a3 passage to the last fold
+            Z = _carry(sa3, _carry(sa2, Z))  # S_a2, jump, S_a3 from xhat3 to the last fold
         returns.append(Z)
 
     period = _detect_tail_period(returns, tol=max(1e-6, 100.0 * rel_tol), max_period=max(1, len(returns) // 4))
@@ -286,6 +287,34 @@ def hybrid_simulate(
     if period is not None:
         sig = signature_from_signs([Z < 0.0 for Z in returns[-period:]])
     return HybridResult(returns, sig, period, stats)
+
+
+def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry, rel_tol: float, abs_tol: float):
+    """The legs S_a1, S_a2, S_a3 from xhat1 to xhat3 and S_a3 from xhat3 to x4, and their summed counters.
+
+    Each leg is its end matrix (A, B, C, D), solved from the identity, and
+    the (C, D) of every accepted step end.
+    """
+    dPhidx = params.field.dPhidx
+    stats = radau.SolverStats()
+    legs = []
+    for x_from, x_to in ((geom.xhat4, geom.x1), (geom.x2, geom.x3), (geom.xhat1, geom.xhat3), (geom.xhat3, geom.x4)):
+        ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, rel_tol, abs_tol, args=(delta,))
+        stats += st
+        legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
+    return legs, stats
+
+
+def _carry(leg, Z: float) -> float:
+    """Z carried over one leg, (A Z + B) / (C Z + D), with the denominator positive at every step end."""
+    (A, B, C, D), denominators = leg
+    for c, d in denominators:
+        if not c * Z + d > 0.0:
+            raise NonFiniteState(f"the reduced flow from Z = {Z!r} passes through infinity")
+    Z_end = (A * Z + B) / (C * Z + D)
+    if not math.isfinite(Z_end):
+        raise NonFiniteState(f"the reduced flow from Z = {Z!r} leaves the finite range")
+    return Z_end
 
 
 # The classifier skips this many leading crossings as transient, and two crossing states

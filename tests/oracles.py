@@ -1,17 +1,21 @@
-"""Adaptive-quadrature oracles for the package's closed forms.
+"""Scipy oracles for the package's closed forms and its hybrid legs.
 
 ``Q_quadrature`` integrates Q(x) = int_0^x rho(s) F_x(s, 0) ds, and
 ``segment_quadrature`` solves a segment's dZ/dx = p(x) Z + q(x) by variation
 of constants, both with scipy's ``quad``. The first does not use the Q
 polynomial, and the second does not use the substitution v = P(u) that the
 segment closed form rests on, so agreement checks each of those steps.
+
+``hybrid_reference`` runs the hybrid's returns with every leg a scalar
+``solve_ivp`` of dZ/dx itself at a tight tolerance, without the Moebius
+form of the legs.
 """
 
 from math import exp
 
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from mmopam.family import eval_Fx
+from mmopam.family import compute_geometry, eval_Fx, eval_Fxz
 from mmopam.segments import AffineMap
 
 _ABS_TOL = 1e-12
@@ -67,3 +71,37 @@ def segment_quadrature(params, seg) -> AffineMap:
 
     offset = integrate(offset_integrand, xs, xe)
     return AffineMap(slope, offset)
+
+
+# the tight reference's tolerances, two to three orders below hybrid_simulate's defaults
+REF_RTOL, REF_ATOL = 1e-13, 1e-15
+
+
+def dZdx(params, x: float, Z: float, delta: float) -> float:
+    """The hybrid slow flow (alpha Q + beta)(kappa + lambda P + Z)(rho F_x(., 0) + delta Z rho F_xz)."""
+    fld = params.field
+    _, u, P = fld.QuP(x)
+    r = fld.rho(x)
+    return u * (fld.kappa + fld.lam * P + Z) * (r * eval_Fx(x, 0.0) + delta * Z * r * eval_Fxz(x, 0.0))
+
+
+def _legs(geom, Z: float) -> tuple[tuple[float, float], ...]:
+    """The two legs of one hybrid return from Z, as (x_from, x_to) pairs: S_a1 or S_a2, then S_a3."""
+    if Z < 0.0:
+        return (geom.xhat4, geom.x1), (geom.xhat1, geom.x4)
+    return (geom.x2, geom.x3), (geom.xhat3, geom.x4)
+
+
+def hybrid_reference(params, delta: float, Z: float, n_returns: int) -> list[float]:
+    """hybrid_simulate's returns with each leg a scalar DOP853 solve_ivp of dZ/dx at REF_RTOL, REF_ATOL."""
+    geom = compute_geometry(params)
+    returns = []
+    for _ in range(n_returns):
+        for x_from, x_to in _legs(geom, Z):
+            sol = solve_ivp(lambda x, y: [dZdx(params, x, y[0], delta)], (x_from, x_to), [Z],
+                            method="DOP853", rtol=REF_RTOL, atol=REF_ATOL)
+            if sol.status != 0:
+                raise RuntimeError(f"reference leg failed: {sol.message}")
+            Z = float(sol.y[0, -1])
+        returns.append(Z)
+    return returns

@@ -390,6 +390,35 @@ def test_simulate_hybrid_reads_delta_from_config(capsys, tmp_path):
     assert from_config[1] != default[1]
 
 
+@pytest.mark.parametrize(
+    "argv, sim, unused",
+    [
+        ([], {"eps": 5.0, "initial_state": [1e9, 0, 0], "max_slow_time": -1}, "eps, max_slow_time, initial_state"),
+        (["--rel-tol", "1e-3", "--eps", "7"], None, "eps, rel_tol"),
+        (["--abs-tol", "1e-12", "--max-slow-time", "3"], {"delta": 0.05}, "abs_tol, max_slow_time"),
+        (["--x-section", "0.5"], None, "x_section"),
+    ],
+    ids=["config", "flags", "flags-and-config", "x-section"],
+)
+def test_simulate_hybrid_rejects_full_mode_settings(capsys, tmp_path, argv, sim, unused):
+    # the hybrid reads only delta from the sim section; the rest would be silently ignored
+    if sim is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sim": sim}))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, *HYBRID_1_1, *argv, "--returns", "5")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --mode hybrid takes no {unused}: only --mode full reads them\n"
+
+
+def test_simulate_hybrid_pole_exits_3(capsys):
+    code, out, err = run(capsys, *HYBRID_1_1, "--delta", "10", "--returns", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the reduced flow from Z = ") and err.endswith(" passes through infinity\n")
+
+
 PAM_1_3 = {"a11": 0.3, "a12": 7, "a21": 0.9, "a22": -2}
 VF_1_3 = {"alpha": 0.87, "beta": 0.02, "kappa": 30.0, "lambda": -90.0}
 SIGNATURE, SYNTH, FULL = ["pam", "signature"], ["synth"], ["simulate", "--mode", "full", "--max-slow-time", "0.1"]

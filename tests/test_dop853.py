@@ -1,11 +1,16 @@
-"""The scalar DOP853 solver and the hybrid simulator against scipy, their oracle.
+"""The DOP853 solver and the hybrid simulator against scipy, their oracle.
 
 ``mmopam.dop853`` ports scipy's ``RungeKutta._step_impl`` and
-``DOP853._estimate_error_norm`` step for step for one equation, so on the
-same leg ``solve_ivp(method="DOP853")`` accepts and rejects the same steps.
-The two are not bit-identical: numpy's dot products may round their sums
-differently from the plain sums here, so end states agree to about 1e-12
-relative, not to the last bit.
+``DOP853._estimate_error_norm`` step for step for n equations, so on the
+same system ``solve_ivp(method="DOP853")`` accepts and rejects the same
+steps. The two are not bit-identical: numpy's dot products and norms may
+round their sums differently from the plain sums here, so end states agree
+to about 1e-12 relative, not to the last bit.
+
+The hybrid's legs are the fundamental matrix Phi = (A, B, C, D) of the
+linearised reduced flow over four spans, solved once per call; a return
+applies the Moebius maps Z -> (A Z + B) / (C Z + D). ``oracles.hybrid_reference``
+solves every leg of every return as a scalar dZ/dx at rtol 1e-13 instead.
 """
 
 import json
@@ -15,15 +20,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import hybrid_reference
 
 import mmopam
 from mmopam import dop853, radau
-from mmopam.errors import DomainError, StepSizeUnderflow
+from mmopam.errors import DomainError, NonFiniteState, StepSizeUnderflow
 from mmopam.pam import DISCONTINUITY_GUARD
 
 HYBRID_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "fingerprints" / "hybrid.json"
 ROWS = {"1^1": (0.3, 1.0, 0.9, -2.0), "1^3": (0.3, 7.0, 0.9, -2.0), "3^1": (0.9, 1.0, 0.4, -3.0)}
-RTOL, ATOL = 1e-10, 1e-12  # hybrid_simulate's defaults
+RTOL, ATOL = 1e-11, 1e-13  # hybrid_simulate's defaults
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+# The largest relative error of the scalar DOP853 legs that the Moebius legs replaced (rtol 1e-10,
+# atol 1e-12, one solve per leg per return) against hybrid_reference, over every third pool item: 1.133e-9.
+SCALAR_LEGS_WORST_REL_ERR = 1.14e-9
 
 _POOL = json.loads(HYBRID_POOL.read_text())
 
@@ -32,88 +42,119 @@ def _scipy_dop853(fun, t0, y0, t_bound, rtol, atol, args=()):
     from scipy.integrate import solve_ivp
 
     def vector_fun(t, y, *a):
-        return [fun(float(t), float(y[0]), *a)]
+        return list(fun(float(t), tuple(map(float, y)), *a))
 
-    return solve_ivp(vector_fun, (t0, t_bound), [y0], method="DOP853", args=args or None, rtol=rtol, atol=atol)
+    return solve_ivp(vector_fun, (t0, t_bound), list(y0), method="DOP853", args=args or None, rtol=rtol, atol=atol)
 
 
 def _row_params(row: str):
     return mmopam.synthesize(mmopam.PamCoefficients(*ROWS[row]), mmopam.RhoSpec("fixed_rational"))
 
 
-def _legs(geom, Z):
-    """The two legs of one hybrid return from Z, as (x_from, x_to) pairs."""
-    if Z < 0.0:
-        return (geom.xhat4, geom.x1), (geom.xhat1, geom.x4)
-    return (geom.x2, geom.x3), (geom.xhat3, geom.x4)
+def _spans(geom):
+    """The hybrid's four legs as (x_from, x_to): S_a1, S_a2, S_a3 to xhat3, S_a3 from xhat3 to x4."""
+    return (geom.xhat4, geom.x1), (geom.x2, geom.x3), (geom.xhat1, geom.xhat3), (geom.xhat3, geom.x4)
 
 
-def _scipy_hybrid(params, delta, Z, n_returns):
-    """hybrid_simulate's returns with every leg solved by scipy, and the summed nfev."""
-    geom = mmopam.compute_geometry(params)
-    dZdx = params.field.dZdx
-    returns, nfev = [], 0
+def _moebius_returns(ends, Z, n_returns):
+    """The hybrid's returns from the four legs' end matrices, applied in the order of one return."""
+    sa1, sa2, sa3_head, sa3 = ends
+
+    def carry(phi, Z):
+        A, B, C, D = phi
+        return (A * Z + B) / (C * Z + D)
+
+    returns = []
     for _ in range(n_returns):
-        assert abs(Z) > DISCONTINUITY_GUARD
-        for x_from, x_to in _legs(geom, Z):
-            sol = _scipy_dop853(dZdx, x_from, Z, x_to, RTOL, ATOL, (delta,))
-            assert sol.status == 0, sol.message
-            Z, nfev = float(sol.y[0, -1]), nfev + sol.nfev
+        Z = carry(sa3, carry(sa3_head, carry(sa1, Z)) if Z < 0.0 else carry(sa2, Z))
         returns.append(Z)
-    return returns, nfev
+    return returns
 
 
-def _loop_step(fun, args, t, y, h, f):
-    """One step's stages and tail sums as loops over the tableau: the reference for the straight-line step."""
-    K = [0.0] * 12
-    K[0] = f
+def _scipy_legs(params, delta):
+    """scipy's end matrices of the four legs and their summed nfev."""
+    ends, nfev = [], 0
+    for x_from, x_to in _spans(mmopam.compute_geometry(params)):
+        sol = _scipy_dop853(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, (delta,))
+        assert sol.status == 0, sol.message
+        ends.append(tuple(sol.y[:, -1]))
+        nfev += sol.nfev
+    return ends, nfev
+
+
+def _loop_step(fun, args, t, y, h, f, rtol, atol):
+    """One step as loops over the tableau and the components: the reference for the straight-line step."""
+    n = len(y)
+    K = [f] + [None] * 12
     for s, (c, row) in enumerate(dop853.STAGES, 1):
-        dy = 0.0
-        for j, a in row:
-            dy += K[j] * a
-        K[s] = fun(t + c * h, y + dy * h, *args)
-    sb = s3 = s5 = 0.0
-    for j, b, e3, e5 in dop853.TAIL:
-        k = K[j]
-        sb += k * b
-        s3 += k * e3
-        s5 += k * e5
-    y_new = y + h * sb
-    f_new = fun(t + h, y_new, *args)
-    s5 += 0.0 * K[1] + 0.0 * K[2] + 0.0 * K[3] + 0.0 * K[4] + 0.0 * f_new
-    return y_new, f_new, s3, s5
+        ys = []
+        for i in range(n):
+            dy = 0.0
+            for j, a in row:
+                dy += K[j][i] * a
+            ys.append(y[i] + dy * h)
+        K[s] = fun(t + c * h, tuple(ys), *args)
+    y_new, r3, r5 = [], [], []
+    for i in range(n):
+        sb = s3 = s5 = 0.0
+        for j, b, e3, e5 in dop853.TAIL:
+            k = K[j][i]
+            sb += k * b
+            s3 += k * e3
+            s5 += k * e5
+        y_new.append(y[i] + h * sb)
+        r3.append(s3)
+        r5.append(s5)
+    y_new = tuple(y_new)
+    K[12] = f_new = fun(t + h, y_new, *args)
+    ss3 = ss5 = 0.0
+    for i in range(n):
+        scale = atol + max(abs(y[i]), abs(y_new[i])) * rtol
+        s5 = r5[i]
+        for j in (1, 2, 3, 4, 12):
+            s5 += 0.0 * K[j][i]
+        e3, e5 = r3[i] / scale, s5 / scale
+        ss3 += e3 * e3
+        ss5 += e5 * e5
+    return y_new, f_new, ss3, ss5
 
 
 def _solve_with_both_steps(fun, t0, y0, t_bound, args=()):
     """``dop853.solve`` with the straight-line step and with the loop step. The points where fun is
-    evaluated and the end states must agree to the bit, the counters exactly. Returns the end state."""
+    evaluated and the step ends must agree to the bit, the counters exactly. Returns the end state."""
     runs = []
     for step in (None, _loop_step):
         calls = []
 
         def traced(t, y, *a):
-            calls.append((t.hex(), y.hex()))
+            calls.append((t.hex(), *(v.hex() for v in y)))
             return fun(t, y, *a)
 
         with pytest.MonkeyPatch.context() as mp:
             if step is not None:
-                mp.setattr(dop853, "_stepper", lambda nargs: step)
-            y, st = dop853.solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
-        runs.append((y.hex(), st, calls))
+                mp.setattr(dop853, "_stepper", lambda n, nargs: step)
+            ys, st = dop853.solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
+        runs.append(([[v.hex() for v in y] for y in ys], st, calls))
     assert runs[0] == runs[1]
-    return float.fromhex(runs[0][0])
+    return tuple(float.fromhex(v) for v in runs[0][0][-1])
 
 
-def _check_legs_against_loop_step(item, n_returns):
-    """Both steps on the legs of ``n_returns`` hybrid returns from a pool item; returns the leg directions."""
+def _check_hybrid_against_loop_step(item, n_returns):
+    """Both steps on the four legs at a pool item's row and delta, and on its returns; returns the leg directions."""
     params = _row_params(item["input"]["row"])
-    geom = mmopam.compute_geometry(params)
     delta, Z = item["input"]["delta"], item["input"]["z0"]
     directions = set()
-    for _ in range(n_returns):
-        for x_from, x_to in _legs(geom, Z):
-            Z = _solve_with_both_steps(params.field.dZdx, x_from, Z, x_to, (delta,))
-            directions.add(x_to > x_from)
+    for x_from, x_to in _spans(mmopam.compute_geometry(params)):
+        _solve_with_both_steps(params.field.dPhidx, x_from, IDENTITY, x_to, (delta,))
+        directions.add(x_to > x_from)
+    results = []
+    for step in (None, _loop_step):
+        with pytest.MonkeyPatch.context() as mp:
+            if step is not None:
+                mp.setattr(dop853, "_stepper", lambda n, nargs: step)
+            res = mmopam.hybrid_simulate(params, delta, Z, n_returns)
+        results.append(([v.hex() for v in res.returns], res.solver_stats))
+    assert results[0] == results[1]
     return directions
 
 
@@ -123,81 +164,120 @@ def _check_legs_against_loop_step(item, n_returns):
 def test_straight_line_step_matches_loop_step_bitwise():
     directions = set()
     for item in _POOL["pool"][::9]:
-        directions |= _check_legs_against_loop_step(item, 2)
+        directions |= _check_hybrid_against_loop_step(item, 2)
     assert directions == {True, False}
-    # the step is generated per number of extra arguments; none here
-    dZdx = _row_params("3^1").field.dZdx
-    _solve_with_both_steps(lambda x, Z: dZdx(x, Z, 5e-3), -2.5, -0.4, -2.0)
+    # the step is generated per number of equations and of extra arguments
+    dPhidx = _row_params("3^1").field.dPhidx
+    _solve_with_both_steps(lambda x, phi: dPhidx(x, phi, 5e-3), -2.5, IDENTITY, -2.0)
+    _solve_with_both_steps(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), 3.0)
     # y' = y from -0.0: each sum's leading 0.0 + decides the sign of zero, as in the loops
-    assert _solve_with_both_steps(lambda t, y: y, 0.0, -0.0, 1.0).hex() == "0x0.0p+0"
-
+    assert _solve_with_both_steps(lambda t, y: y, 0.0, (-0.0,), 1.0)[0].hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("delta", [1e-3, 5e-3, 1e-2])
 def test_legs_match_scipy(delta):
-    """Forward (S_a1, S_a2) and backward (S_a3) legs from pool returns: same nfev, same end state."""
+    """Forward (S_a1, S_a2) and backward (S_a3) legs of the fundamental matrix: same steps and nfev, same ends."""
     directions = set()
-    for item in [it for it in _POOL["pool"] if it["input"]["delta"] == delta][::2]:
-        params = _row_params(item["input"]["row"])
-        geom = mmopam.compute_geometry(params)
-        Z = item["input"]["z0"]
-        for _ in range(2):
-            for x_from, x_to in _legs(geom, Z):
-                ref = _scipy_dop853(params.field.dZdx, x_from, Z, x_to, RTOL, ATOL, (delta,))
-                Z, st = dop853.solve(params.field.dZdx, x_from, Z, x_to, RTOL, ATOL, args=(delta,))
-                assert type(Z) is float
-                assert st.nfev == ref.nfev
-                assert st.steps == len(ref.t) - 1
-                assert math.isclose(Z, ref.y[0, -1], rel_tol=1e-10)
-                directions.add(x_to > x_from)
+    for row in ROWS:
+        params = _row_params(row)
+        for x_from, x_to in _spans(mmopam.compute_geometry(params)):
+            ref = _scipy_dop853(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, (delta,))
+            ys, st = dop853.solve(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, args=(delta,))
+            assert all(type(v) is float for v in ys[-1])
+            assert st.nfev == ref.nfev
+            assert st.steps == len(ys) == len(ref.t) - 1
+            assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-10, atol=0.0)
+            directions.add(x_to > x_from)
     assert directions == {True, False}
 
 
 def test_exponential_both_ways():
+    def fun(t, y):
+        return (-y[0], y[1] + y[0])
+
     for t_bound in (2.0, -2.0):
-        ref = _scipy_dop853(lambda t, y: -y, 0.0, 1.0, t_bound, 1e-10, 1e-12)
-        y, st = dop853.solve(lambda t, y: -y, 0.0, 1.0, t_bound, 1e-10, 1e-12)
+        ref = _scipy_dop853(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
+        ys, st = dop853.solve(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
         assert st.nfev == ref.nfev and st.steps == len(ref.t) - 1
-        assert math.isclose(y, ref.y[0, -1], rel_tol=1e-13)
-        assert math.isclose(y, math.exp(-t_bound), rel_tol=1e-9)
+        assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-13, atol=0.0)
+        # y1 = sinh(t) solves y1' = y1 + exp(-t) from 0
+        assert math.isclose(ys[-1][0], math.exp(-t_bound), rel_tol=1e-9)
+        assert math.isclose(ys[-1][1], math.sinh(t_bound), rel_tol=1e-9)
 
 
 def test_nan_rhs_raises_step_size_underflow():
     def nan_beyond_half(t, y):
-        return y if t < 0.5 else math.nan
+        return (y[0], y[1] if t < 0.5 else math.nan)
 
     # scipy rejects the steps whose stages see nan until the step underflows
-    assert _scipy_dop853(nan_beyond_half, 0.0, 1.0, 1.0, 1e-10, 1e-12).status == -1
+    assert _scipy_dop853(nan_beyond_half, 0.0, (1.0, 1.0), 1.0, 1e-10, 1e-12).status == -1
     with pytest.raises(StepSizeUnderflow, match="t = 0.5:"):
-        dop853.solve(nan_beyond_half, 0.0, 1.0, 1.0, 1e-10, 1e-12)
+        dop853.solve(nan_beyond_half, 0.0, (1.0, 1.0), 1.0, 1e-10, 1e-12)
     # a nan from the start makes the first step nan, on which scipy's loop never ends
     with pytest.raises(StepSizeUnderflow, match="t = 0:"):
-        dop853.solve(lambda t, y: math.nan, 0.0, 1.0, 1.0, 1e-10, 1e-12)
+        dop853.solve(lambda t, y: (math.nan,), 0.0, (1.0,), 1.0, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 4, 12], ids=["k1", "k2", "k3", "k4", "f_new"])
+def test_nan_in_a_zero_weight_stage_reaches_the_error_norm(bad_call):
+    # scipy's error sums also run over the stages whose weights are 0, so one nan there rejects the step
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return (math.nan if len(calls) == bad_call else 1.0, 2.0)
+
+    for step in (dop853._stepper(2, 0), _loop_step):
+        calls.clear()
+        y_new, _, _, ss5 = step(fun, (), 0.0, (1.0, 1.0), 0.1, (1.0, 2.0), 1e-10, 1e-12)
+        assert all(math.isfinite(v) for v in y_new) and math.isnan(ss5)
 
 
 def test_rtol_floor_matches_scipy():
-    fun = lambda t, y: math.cos(t) * y  # noqa: E731
+    def fun(t, y):
+        return (math.cos(t) * y[0], -y[0] * y[1])
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns that it raised rtol
-        ref = _scipy_dop853(fun, 0.0, 1.0, 3.0, 1e-18, 1e-20)
-    y, st = dop853.solve(fun, 0.0, 1.0, 3.0, 1e-18, 1e-20)
-    assert (y, st) == dop853.solve(fun, 0.0, 1.0, 3.0, 100 * dop853.EPS, 1e-20)
+        ref = _scipy_dop853(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
+    ys, st = dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
+    assert (ys, st) == dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 100 * dop853.EPS, 1e-20)
     assert st.nfev == ref.nfev
-    assert math.isclose(y, ref.y[0, -1], rel_tol=1e-12)
+    assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-12, atol=0.0)
 
 
 def test_empty_interval_rejected():
     with pytest.raises(DomainError):
-        dop853.solve(lambda t, y: y, 1.0, 1.0, 1.0, 1e-10, 1e-12)
+        dop853.solve(lambda t, y: y, 1.0, (1.0,), 1.0, 1e-10, 1e-12)
 
 
 def test_hybrid_stats_sum_scipy_legs():
     params = _row_params("1^3")
     res = mmopam.hybrid_simulate(params, 5e-3, -0.5, 3)
-    returns, nfev = _scipy_hybrid(params, 5e-3, -0.5, 3)
+    ends, nfev = _scipy_legs(params, 5e-3)
     assert isinstance(res.solver_stats, radau.SolverStats)
     assert res.solver_stats.nfev == nfev
-    assert np.allclose(res.returns, returns, rtol=1e-10, atol=0.0)
+    assert np.allclose(res.returns, _moebius_returns(ends, -0.5, 3), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.5])
+@pytest.mark.parametrize("Z0", [2 * DISCONTINUITY_GUARD, -2 * DISCONTINUITY_GUARD, 1e3, -1e3])
+def test_hybrid_edges_match_tight_reference(delta, Z0):
+    """Starts just outside the jump guard and far out on both sides, up to delta = 0.5, on the 1^3 row."""
+    params = _row_params("1^3")
+    got = mmopam.hybrid_simulate(params, delta, Z0, 5).returns
+    ref = hybrid_reference(params, delta, Z0, 5)
+    assert max(abs(g - r) / abs(r) for g, r in zip(got, ref)) <= 1e-9
+
+
+def test_hybrid_pole_raises_non_finite_state():
+    """At delta = 10 the Riccati solution from Z = -0.5 passes through infinity on S_a3 on the 1^3 row."""
+    params = _row_params("1^3")
+    with pytest.raises(NonFiniteState, match="passes through infinity"):
+        mmopam.hybrid_simulate(params, 10.0, -0.5, 5)
+    # the scalar reference cannot pass the pole either: its step size underflows
+    with pytest.raises(RuntimeError, match="Required step size is less than spacing between numbers"):
+        hybrid_reference(params, 10.0, -0.5, 1)
 
 
 # --- the hybrid benchmark pool ------------------------------------------------------------
@@ -205,13 +285,19 @@ def test_hybrid_stats_sum_scipy_legs():
 
 @pytest.fixture(scope="module")
 def pool_runs():
-    """(hybrid_simulate's result, scipy's returns and nfev) for every hybrid pool item, computed once."""
+    """Per hybrid pool item: hybrid_simulate's result, the returns and nfev from scipy's four legs,
+    and, on every third item, hybrid_reference's returns."""
     params = {row: _row_params(row) for row in ROWS}
+    legs = {}
     runs = []
-    for item in _POOL["pool"]:
-        p = params[item["input"]["row"]]
-        args = (p, item["input"]["delta"], item["input"]["z0"], _POOL["n_returns"])
-        runs.append((mmopam.hybrid_simulate(*args), _scipy_hybrid(*args)))
+    for i, item in enumerate(_POOL["pool"]):
+        row, delta, z0 = item["input"]["row"], item["input"]["delta"], item["input"]["z0"]
+        p, n = params[row], _POOL["n_returns"]
+        if (row, delta) not in legs:
+            legs[row, delta] = _scipy_legs(p, delta)
+        ends, nfev = legs[row, delta]
+        tight = hybrid_reference(p, delta, z0, n) if i % 3 == 0 else None
+        runs.append((mmopam.hybrid_simulate(p, delta, z0, n), _moebius_returns(ends, z0, n), nfev, tight))
     return runs
 
 
@@ -224,26 +310,29 @@ def _deviation(got, want):
 @pytest.mark.slow
 @pytest.mark.parametrize("i", range(len(_POOL["pool"])), ids=lambda i: f"{_POOL['pool'][i]['input']['row']}-{i}")
 def test_hybrid_pool_matches_fingerprint_and_scipy(i, pool_runs):
-    res, (ref_returns, ref_nfev) = pool_runs[i]
+    res, scipy_returns, scipy_nfev, _ = pool_runs[i]
     want = _POOL["pool"][i]["expect"]
     assert str(res.signature) == want["signature"]
-    assert len(res.returns) == len(want["returns"]) == len(ref_returns)
+    assert len(res.returns) == len(want["returns"]) == len(scipy_returns)
     assert _deviation(res.returns, want["returns"]) <= 1.0
-    assert _deviation(res.returns, ref_returns) <= 1.0
-    assert res.solver_stats.nfev == ref_nfev
+    assert _deviation(res.returns, scipy_returns) <= 1.0
+    assert res.solver_stats.nfev == scipy_nfev
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("i", range(len(_POOL["pool"])), ids=lambda i: f"{_POOL['pool'][i]['input']['row']}-{i}")
 def test_hybrid_pool_legs_match_loop_step_bitwise(i):
-    assert _check_legs_against_loop_step(_POOL["pool"][i], _POOL["n_returns"]) == {True, False}
+    assert _check_hybrid_against_loop_step(_POOL["pool"][i], _POOL["n_returns"]) == {True, False}
 
 
 @pytest.mark.slow
 def test_hybrid_pool_worst_deviation(pool_runs):
-    """The worst deviation over the pool stays three orders of magnitude inside the tolerance."""
-    worst_fp = max(_deviation(res.returns, it["expect"]["returns"]) for (res, _), it in zip(pool_runs, _POOL["pool"]))
-    worst_scipy = max(_deviation(res.returns, ref) for res, (ref, _) in pool_runs)
+    """Over the pool, the returns are no further from the tight reference than the scalar legs were."""
+    worst_fp = max(_deviation(res.returns, it["expect"]["returns"]) for (res, *_), it in zip(pool_runs, _POOL["pool"]))
+    worst_rel = max(
+        abs(g - r) / abs(r) for res, _, _, tight in pool_runs if tight is not None for g, r in zip(res.returns, tight)
+    )
     print(f"\nhybrid pool: worst deviation {worst_fp:.2e} of the tolerance from the fingerprints, "
-          f"{worst_scipy:.2e} from scipy")
-    assert worst_fp < 1e-3 and worst_scipy < 1e-3
+          f"worst relative error {worst_rel:.2e} from the rtol-1e-13 reference")
+    assert worst_fp <= 1.0
+    assert worst_rel <= SCALAR_LEGS_WORST_REL_ERR

@@ -134,13 +134,18 @@ def ref_jac(params, s, eps, delta):
     )
 
 
-def ref_dZdx(params, x, Z, delta):
+def ref_dPhidx(params, x, Phi, delta):
+    A, B, C, D = Phi
     Qx = ref_Q(params, x)
     u = params.alpha * Qx + params.beta
     P = params.alpha * Qx * Qx / 2.0 + params.beta * Qx
+    g = params.kappa + params.lam * P
     w = np.polyval(np.polyder(q_polynomial(params.rho)), x)
-    corr = delta * Z * ref_rho(params.rho, x) * ref_Fxz(x, 0.0)
-    return u * (params.kappa + params.lam * P + Z) * (w + corr)
+    ct = delta * ref_rho(params.rho, x) * ref_Fxz(x, 0.0)
+    a = u * g * w
+    b = u * (w + g * ct)
+    c = u * ct
+    return b * A + a * C, b * B + a * D, -c * A, -c * B
 
 
 def same(got, want) -> bool:
@@ -205,9 +210,10 @@ def test_integrator_kernels_exact(rho):
                 jac = fld.jac(0.0, s, eps, delta)
                 assert all(type(v) is float for row in jac for v in row)
                 assert [bits(v) for row in jac for v in row] == list(map(bits, ref_jac(params, s, eps, delta).ravel()))
-                dZ = fld.dZdx(x, z, delta)
-                assert type(dZ) is float
-                assert bits(dZ) == bits(ref_dZdx(params, np.float64(x), z, delta))
+                phi = (1.0 + z, z, -0.25 * z, 1.0)
+                dphi = fld.dPhidx(x, phi, delta)
+                assert all(type(v) is float for v in dphi)
+                assert list(map(bits, dphi)) == list(map(bits, ref_dPhidx(params, np.float64(x), phi, delta)))
 
 
 def test_map_level_path_compiles_no_kernel(monkeypatch):
@@ -220,8 +226,8 @@ def test_map_level_path_compiles_no_kernel(monkeypatch):
     family.eval_P(params, 0.3), family.eval_Q(params, 0.3)
     assert requested == []
     fld = params.field
-    assert fld.dZdx is fld.dZdx
-    assert requested == [("dZdx", "fixed_rational", 6)]
+    assert fld.dPhidx is fld.dPhidx
+    assert requested == [("dPhidx", "fixed_rational", 6)]
 
 
 def test_kernels_compiled_once_per_rho_shape(monkeypatch):
@@ -230,11 +236,11 @@ def test_kernels_compiled_once_per_rho_shape(monkeypatch):
     family._kernel_factory.cache_clear()
     fields = [CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho).field for rho in RHOS + RHOS]
     for fld in fields:
-        fld.rhs, fld.dZdx
-    assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in ("rhs", "dZdx")
+        fld.rhs, fld.dPhidx
+    assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in ("rhs", "dPhidx")
                                       for v in ("fixed_rational", "quadratic"))
     # each parameter set keeps its own constants: the two quadratic rho differ
-    assert fields[1].dZdx(0.3, -0.5, 5e-3) != fields[2].dZdx(0.3, -0.5, 5e-3)
+    assert fields[1].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3) != fields[2].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3)
 
 
 def _sheet_states(geom):

@@ -7,8 +7,9 @@ import pytest
 import mmopam.simulate
 from mmopam import radau
 from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
-from mmopam.family import CanonicalParams, eval_F
+from mmopam.family import CanonicalParams, compute_geometry, eval_F
 from mmopam.pam import PamCoefficients, iterate_orbit
+from mmopam.segments import lao_branch, sao_branch
 from mmopam.simulate import (
     SimConfig,
     TimeSeries,
@@ -120,6 +121,21 @@ class TestHybrid:
         res = hybrid_simulate(params_1_1, 0.0, -0.5, 15)
         for got, want in zip(res.returns, orbit.iterates[1:16]):
             assert math.isclose(got, want, abs_tol=1e-8)
+
+    @pytest.mark.parametrize("pam", [ROW_1_1, PamCoefficients(0.3, 7.0, 0.9, -2.0), PamCoefficients(0.9, 1.0, 0.4, -3.0)],
+                             ids=["1^1", "1^3", "3^1"])
+    def test_delta_zero_branch_maps_are_the_pam(self, fixed_rho, pam):
+        """At delta = 0 the legs composed along each branch are its closed-form affine map: C = 0 and D = 1 exactly."""
+        params = synthesize(pam, fixed_rho)
+        geom = compute_geometry(params)
+        (sa1, sa2, sa3_head, sa3), _ = mmopam.simulate._hybrid_legs(params, 0.0, geom, 1e-11, 1e-13)
+        for legs, closed in (((sa1, sa3_head, sa3), lao_branch(params, geom)), ((sa2, sa3), sao_branch(params, geom))):
+            A, B, C, D = 1.0, 0.0, 0.0, 1.0
+            for (a, b, c, d), _ in legs:
+                A, B, C, D = a * A + b * C, a * B + b * D, c * A + d * C, c * B + d * D
+            assert C == 0.0 and D == 1.0
+            assert math.isclose(A, closed.slope, rel_tol=1e-10)
+            assert math.isclose(B, closed.offset, rel_tol=1e-10)
 
     def test_signature_detected(self, params_1_1):
         res = hybrid_simulate(params_1_1, 0.0, -0.5, 40)
