@@ -235,17 +235,27 @@ def cmd_simulate(args) -> int:
     sim = _sim_values(args, config)
     if args.mode == "hybrid":
         # the hybrid reads only delta, on its own domain delta >= 0; a full-system setting would go unused
-        unused = [k for k in sim if k != "delta"] + (["x_section"] if args.x_section is not None else [])
+        unused = [k for k in sim if k != "delta"] + _given(args, "x_section", "crossings")
         if unused:
             raise DomainError(f"--mode hybrid takes no {', '.join(unused)}: only --mode full reads them")
         return _simulate_hybrid(args, params, sim.get("delta", SimConfig.delta))
+    unused = _given(args, "z_init", "returns")
+    if unused:
+        raise DomainError(f"--mode full takes no {', '.join(unused)}: only --mode hybrid reads them")
     return _simulate_full(args, params, SimConfig(**sim))
+
+
+def _given(args, *names: str) -> list[str]:
+    """The names among ``names`` whose flag was given on the command line (their default is None)."""
+    return [name for name in names if getattr(args, name) is not None]
 
 
 def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
     from .simulate import hybrid_simulate
 
-    result = hybrid_simulate(params, delta, args.z_init, args.returns)
+    z_init = -0.5 if args.z_init is None else args.z_init
+    n_returns = 40 if args.returns is None else args.returns
+    result = hybrid_simulate(params, delta, z_init, n_returns)
     if args.out_prefix:
         _write_z_csv(args.out_prefix + "_returns.csv", result.returns)
     for z in result.returns:
@@ -263,8 +273,9 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     from .simulate import canard_hole_radius, classify_series, integrate_full
 
     geom = compute_geometry(params)
+    n_crossings = 25 if args.crossings is None else args.crossings
     try:
-        series = integrate_full(params, cfg, x_section=args.x_section, n_crossings=args.crossings)
+        series = integrate_full(params, cfg, x_section=args.x_section, n_crossings=n_crossings)
     except NotPeriodic as exc:
         if args.out_prefix and exc.series is not None:
             _write_full_outputs(args.out_prefix, exc.series, cfg.delta)
@@ -293,8 +304,9 @@ def _write_full_outputs(prefix: str, series, delta: float) -> None:
 
     series.to_csv(prefix + "_series.csv")
     rescaled = visual_rescale(series, delta=delta)
-    plotting.time_series_plot(rescaled, prefix + "_timeseries.svg")
-    plotting.projection_plot(rescaled, prefix + "_xz.svg", coords="xz")
+    t, x, y, z = rescaled.t, rescaled.x, rescaled.y, rescaled.z
+    plotting.line_plot([(t, x), (t, y), (t, z)], prefix + "_timeseries.svg", x_label="t", y_label="x, y, z")
+    plotting.line_plot([(x, z)], prefix + "_xz.svg", x_label="x", y_label="z")
     crossings = [{"t": t, "x": x, "y": y, "z": z, "Z": z / delta} for t, x, y, z in series.crossing_states]
     with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
         json.dump(crossings, fh, indent=2)
@@ -448,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, dest="abs_tol")
     p.add_argument("--max-slow-time", type=float, dest="max_slow_time")
     p.add_argument("--x-section", type=float, dest="x_section")
-    p.add_argument("--crossings", type=int, default=25)
-    p.add_argument("--z-init", type=float, default=-0.5, help="hybrid mode: initial Z")
-    p.add_argument("--returns", type=int, default=40, help="hybrid mode: number of returns")
+    p.add_argument("--crossings", type=int, help="full mode: section crossings to integrate (default 25)")
+    p.add_argument("--z-init", type=float, dest="z_init", help="hybrid mode: initial Z (default -0.5)")
+    p.add_argument("--returns", type=int, help="hybrid mode: number of returns (default 40)")
     p.add_argument("--compare-pam", action="store_true")
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_simulate)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import inf, nextafter, sqrt
 
 from .errors import DomainError, StepSizeUnderflow
-from .radau import SolverStats
+from .radau import SolverStats, _initial_step
 
 EPS = sys.float_info.epsilon
 
@@ -166,28 +166,6 @@ def _stepper(n: int, nargs: int):
     return namespace["make"](*consts.values())
 
 
-def _rms(v) -> float:
-    """scipy's RMS norm, ``np.linalg.norm(v) / v.size ** 0.5``."""
-    return sqrt(sum(x * x for x in v)) / len(v) ** 0.5
-
-
-def _initial_step(fun, args, t0, y0, t_bound, f0, direction, rtol, atol):
-    """scipy's ``select_initial_step`` for an error estimator of order 7 (costs one evaluation of fun)."""
-    interval_length = abs(t_bound - t0)
-    scale = [atol + abs(v) * rtol for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, tuple(v + h0 * direction * f for v, f in zip(y0, f0)), *args)
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0 if h0 else inf  # h0 = 0 when d1 overflows
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
-
-
 def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, ...]], SolverStats]:
     """The states at the accepted step ends and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
 
@@ -207,7 +185,7 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, 
     t, y = float(t0), tuple(map(float, y0))
     n = len(y)
     f = fun(t, y, *args)
-    h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, rtol, atol)
+    h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol)
     st = SolverStats(nfev=2)
     step = _stepper(n, len(args))
     ys = []

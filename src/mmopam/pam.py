@@ -12,13 +12,16 @@ computes the mu-intervals that bound the number of consecutive LAOs/SAOs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import inf, isfinite
+from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DiscontinuityHit, DomainError, NotPeriodic
 
 # Iterates closer to the jump than this are treated as hitting it.
 DISCONTINUITY_GUARD = 1e-12
+# iterate_orbit accepts a period p <= MAX_PERIOD once iterates p apart agree within ORBIT_TOL.
+ORBIT_TOL = 1e-10
+MAX_PERIOD = 1000
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,6 @@ class OrbitResult:
     transient_length: int
     period: int | None
     converged: bool
-    tol: float = field(default=1e-10, repr=False)
 
 
 def pam_eval(pam: PamCoefficients, Z: float) -> float:
@@ -136,32 +138,25 @@ def pam_eval(pam: PamCoefficients, Z: float) -> float:
     return pam.a21 * Z + pam.a22
 
 
-def iterate_orbit(
-    pam: PamCoefficients,
-    Z0: float,
-    max_iters: int = 100_000,
-    tol: float = 1e-10,
-    max_period: int = 1000,
-) -> OrbitResult:
+def iterate_orbit(pam: PamCoefficients, Z0: float, max_iters: int = 100_000) -> OrbitResult:
     """Iterate from Z0, detecting the smallest period sustained over 3 extra periods.
 
-    A period p is accepted once |Z_{n+p} - Z_n| <= tol holds over a trailing
-    window of 3p iterations. The period check runs after every iterate while
-    the history holds fewer than 256 points, then on every 32nd; the first
-    check that finds a period ends the iteration, so this schedule decides
-    the length of ``iterates``. Non-convergence is reported, not raised;
-    hitting the discontinuity guard raises DiscontinuityHit.
+    A period p <= MAX_PERIOD is accepted once |Z_{n+p} - Z_n| <= ORBIT_TOL
+    holds over a trailing window of 3p iterations. The period check runs
+    after every iterate while the history holds fewer than 256 points, then
+    on every 32nd; the first check that finds a period ends the iteration, so
+    this schedule decides the length of ``iterates``. Non-convergence is
+    reported, not raised; hitting the discontinuity guard raises
+    DiscontinuityHit.
     """
-    if max_iters < 1 or not 0.0 < tol < inf or max_period < 1:
-        raise DomainError(
-            f"max_iters and max_period must be positive and 0 < tol < inf, "
-            f"got max_iters={max_iters}, tol={tol}, max_period={max_period}"
-        )
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be positive, got {max_iters}")
     if not isfinite(Z0):
         raise DomainError(f"Z0 must be finite, got {Z0}")
     Z = float(Z0)
     if abs(Z) <= DISCONTINUITY_GUARD:
         raise DiscontinuityHit("initial condition on the jump")
+    tol, max_period = ORBIT_TOL, MAX_PERIOD
     hist = [Z]
     for _ in range(max_iters):
         Z = pam_eval(pam, Z)
@@ -172,8 +167,8 @@ def iterate_orbit(
             p = _detect_tail_period(hist, tol, max_period)
             if p is not None:
                 transient = _transient_length(hist, p, tol)
-                return OrbitResult(hist, transient, p, True, tol)
-    return OrbitResult(hist, len(hist), None, False, tol)
+                return OrbitResult(hist, transient, p, True)
+    return OrbitResult(hist, len(hist), None, False)
 
 
 def _detect_tail_period(hist: list[float], tol: float, max_period: int) -> int | None:

@@ -1,9 +1,9 @@
 """Dependency-light SVG 1.1 line plots.
 
 Only what the command-line front end needs: a generic polyline plot with
-axes and tick labels, a time-series convenience wrapper, and a cobweb
-diagram for the piecewise affine map. Output is deterministic: fixed
-canvas size, fixed formatting, no timestamps.
+axes and tick labels, and a cobweb diagram for the piecewise affine map.
+Output is deterministic: fixed canvas size, fixed formatting, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _polyline(ax: Axes, xs, ys, color: str, width: float = 1.2) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
 
 
-def _frame(ax: Axes, x_label: str, y_label: str, title: str) -> list[str]:
+def _frame(ax: Axes, x_label: str, y_label: str) -> list[str]:
     parts = [
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333" stroke-width="1"/>'
@@ -76,49 +76,19 @@ def _frame(ax: Axes, x_label: str, y_label: str, title: str) -> list[str]:
         f'<text x="16" y="{HEIGHT / 2}" font-size="12" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 16 {HEIGHT / 2})">{y_label}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="24" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
     return parts
 
 
-def line_plot(
-    curves: list[tuple],
-    path: str,
-    x_label: str = "",
-    y_label: str = "",
-    title: str = "",
-) -> None:
+def line_plot(curves: list[tuple], path: str, x_label: str = "", y_label: str = "") -> None:
     """Write an SVG with one polyline per (xs, ys) pair in ``curves``."""
     ax = _axes_for(curves)
-    body = _frame(ax, x_label, y_label, title)
+    body = _frame(ax, x_label, y_label)
     for i, (xs, ys) in enumerate(curves):
         body.append(_polyline(ax, xs, ys, PALETTE[i % len(PALETTE)]))
     _write_svg(path, body)
 
 
-def time_series_plot(series, path: str, title: str = "") -> None:
-    """x, y, z against slow time, as three stacked-scale polylines."""
-    line_plot(
-        [(series.t, series.x), (series.t, series.y), (series.t, series.z)],
-        path,
-        x_label="t",
-        y_label="x, y, z",
-        title=title,
-    )
-
-
-def projection_plot(series, path: str, coords: str = "xz", title: str = "") -> None:
-    axes = {"x": series.x, "y": series.y, "z": series.z, "t": series.t}
-    if len(coords) != 2 or any(c not in axes for c in coords):
-        raise DomainError(f"coords must be two of t/x/y/z, got {coords!r}")
-    a, b = coords
-    line_plot([(axes[a], axes[b])], path, x_label=a, y_label=b, title=title)
-
-
-def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str, title: str = "") -> None:
+def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str) -> None:
     """Cobweb diagram: both affine branches, the diagonal, and the orbit staircase."""
     if not iterates:
         raise DomainError("need at least one iterate for a cobweb")
@@ -127,7 +97,7 @@ def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str, title: s
     pad = 0.1 * (hi - lo) or 1.0
     lo, hi = lo - pad, hi + pad
     ax = Axes(lo, hi, lo, hi)
-    body = _frame(ax, "Z", "M(Z)", title)
+    body = _frame(ax, "Z", "M(Z)")
     # diagonal
     body.append(_polyline(ax, [lo, hi], [lo, hi], "#999", 0.8))
     # branches (left of and right of the jump)

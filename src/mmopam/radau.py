@@ -176,20 +176,32 @@ def _norm3(a, b, c):
     return sqrt(a * a + b * b + c * c) / 3 ** 0.5
 
 
-def _initial_step(fun, args, t0, y, t_bound, f, rtol, atol):
-    """scipy's ``select_initial_step`` for an error estimator of order 3 (costs one evaluation of fun)."""
+def _rms(v) -> float:
+    """scipy's RMS norm, ``np.linalg.norm(v) / v.size ** 0.5``, summed in index order as ``_norm3``."""
+    ss = 0.0
+    for x in v:  # not sum(): from Python 3.12 it sums floats with compensation, and the bits could differ
+        ss += x * x
+    return sqrt(ss) / len(v) ** 0.5
+
+
+def _initial_step(fun, args, t0, y, t_bound, f, direction, order, rtol, atol):
+    """scipy's ``select_initial_step`` for an error estimator of ``order`` (costs one evaluation of fun).
+
+    Shared by both solvers: Radau passes direction 1.0 and order 3, DOP853 its
+    direction and order 7.
+    """
     interval_length = abs(t_bound - t0)
     s = [atol + abs(v) * rtol for v in y]
-    d0 = _norm3(*(v / sc for v, sc in zip(y, s)))
-    d1 = _norm3(*(v / sc for v, sc in zip(f, s)))
+    d0 = _rms([v / sc for v, sc in zip(y, s)])
+    d1 = _rms([v / sc for v, sc in zip(f, s)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, tuple(v + h0 * fv for v, fv in zip(y, f)), *args)
-    d2 = _norm3(*((a - b) / sc for a, b, sc in zip(f1, f, s))) / h0 if h0 else inf  # h0 = 0 when d1 overflows
+    f1 = fun(t0 + h0 * direction, tuple(v + h0 * direction * fv for v, fv in zip(y, f)), *args)
+    d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f, s)]) / h0 if h0 else inf  # h0 = 0 when d1 overflows
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 4)
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, interval_length)
 
 
@@ -333,7 +345,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     t = float(t0)
     u0, u1, u2 = (float(v) for v in y0)
     f0, f1, f2 = fun(t, (u0, u1, u2), *args)
-    h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), rtol, atol)
+    h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), 1.0, 3, rtol, atol)
     J = jac(t, (u0, u1, u2), *args)
     st.nfev, st.njev = 2, 1
     newton_tol = max(10 * EPS / rtol, min(0.03, rtol**0.5))

@@ -224,6 +224,13 @@ def canard_hole_radius(eps: float, delta: float) -> float:
     return 2.0 * eps ** (1.0 / 3.0) / delta
 
 
+# The hybrid legs are solved to these tolerances, and a period of the returns is
+# accepted once returns p apart agree within HYBRID_PERIOD_TOL.
+HYBRID_RTOL = 1e-11
+HYBRID_ATOL = 1e-13
+HYBRID_PERIOD_TOL = 1e-6
+
+
 @dataclass
 class HybridResult:
     """Returns Z at the last fold, the tail signature and period, and the DOP853 counters summed over the four legs."""
@@ -234,14 +241,7 @@ class HybridResult:
     solver_stats: radau.SolverStats | None = None
 
 
-def hybrid_simulate(
-    params: CanonicalParams,
-    delta: float,
-    Z0: float,
-    n_returns: int,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-13,
-) -> HybridResult:
+def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns: int) -> HybridResult:
     """Reduced-flow legs on attracting sheets alternating with fold jumps.
 
     One return is a passage ending at the rightmost fold, where the sign of Z
@@ -253,7 +253,7 @@ def hybrid_simulate(
     a leg is the Moebius map Z -> (A Z + B) / (C Z + D) whose coefficients are
     the fundamental matrix of its linearisation (:attr:`Field.dPhidx`). Each
     call solves that matrix once per leg with :func:`mmopam.dop853.solve`, at
-    ``rel_tol`` and ``abs_tol``, over S_a1 (xhat4 -> x1), S_a2 (x2 -> x3) and
+    HYBRID_RTOL and HYBRID_ATOL, over S_a1 (xhat4 -> x1), S_a2 (x2 -> x3) and
     S_a3 split at xhat3 (xhat1 -> xhat3 -> x4), so both S_a3 passages share
     their tail; every return then evaluates the maps. At delta = 0, C = 0 and
     D = 1, and each leg is the exact affine segment map. A denominator
@@ -269,7 +269,7 @@ def hybrid_simulate(
     if n_returns < 1:
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
-    (sa1, sa2, sa3_head, sa3), stats = _hybrid_legs(params, delta, geom, rel_tol, abs_tol)
+    (sa1, sa2, sa3_head, sa3), stats = _hybrid_legs(params, delta, geom)
 
     Z = float(Z0)
     returns: list[float] = []
@@ -282,14 +282,14 @@ def hybrid_simulate(
             Z = _carry(sa3, _carry(sa2, Z))  # S_a2, jump, S_a3 from xhat3 to the last fold
         returns.append(Z)
 
-    period = _detect_tail_period(returns, tol=max(1e-6, 100.0 * rel_tol), max_period=max(1, len(returns) // 4))
+    period = _detect_tail_period(returns, HYBRID_PERIOD_TOL, max_period=max(1, len(returns) // 4))
     sig = None
     if period is not None:
         sig = signature_from_signs([Z < 0.0 for Z in returns[-period:]])
     return HybridResult(returns, sig, period, stats)
 
 
-def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry, rel_tol: float, abs_tol: float):
+def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry):
     """The legs S_a1, S_a2, S_a3 from xhat1 to xhat3 and S_a3 from xhat3 to x4, and their summed counters.
 
     Each leg is its end matrix (A, B, C, D), solved from the identity, and
@@ -299,7 +299,7 @@ def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry, 
     stats = radau.SolverStats()
     legs = []
     for x_from, x_to in ((geom.xhat4, geom.x1), (geom.x2, geom.x3), (geom.xhat1, geom.xhat3), (geom.xhat3, geom.x4)):
-        ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, rel_tol, abs_tol, args=(delta,))
+        ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
         stats += st
         legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
     return legs, stats

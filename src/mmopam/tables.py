@@ -165,13 +165,17 @@ def verify_synthesis_benchmarks(tol: float = 1e-3) -> TableReport:
     return TableReport("synthesis parameter match", [check(row) for row in SYNTHESIS_BENCHMARKS])
 
 
-def verify_signature_benchmarks(z0s: tuple[float, ...] = (-0.5, 0.5)) -> TableReport:
-    """Iterate each benchmark map and compare the detected signature."""
+# verify_signature_benchmarks iterates each map from both sides of the jump.
+SIGNATURE_Z0S = (-0.5, 0.5)
+
+
+def verify_signature_benchmarks() -> TableReport:
+    """Iterate each benchmark map from every SIGNATURE_Z0S start and compare the detected signature."""
 
     def check(row: SynthesisBenchmarkRow) -> RowReport:
         expected = Signature.from_string(row.signature.rstrip("b"))
         got = []
-        for z0 in z0s:
+        for z0 in SIGNATURE_Z0S:
             try:
                 got.append(detect_signature(iterate_orbit(row.pam, z0)))
             except MmopamError as exc:

@@ -65,7 +65,7 @@ def test_criterion_1_synthesis_reproduction(capsys):
 def test_criterion_2_signature_reproduction(capsys):
     """All 16 rows iterate to the printed signature from Z0 = -0.5 and +0.5."""
     t0 = time.time()
-    rep = verify_signature_benchmarks(z0s=(-0.5, 0.5))
+    rep = verify_signature_benchmarks()
     elapsed = time.time() - t0
     ok = rep.all_passed and elapsed < 1.0
     _report(capsys, 2, ok, f"signature match {rep.n_passed}/16", elapsed)

@@ -177,8 +177,10 @@ def test_simulate_full_too_few_crossings(capsys, tmp_path):
     code, _, err = run(capsys, *argv, "--max-slow-time", "0.5", "--crossings", "10", "--out-prefix", prefix)
     assert code == 4
     assert "only 4 of 10 section crossings within 3.5 slow-time units" in err
-    for suffix in ("_timeseries.svg", "_xz.svg"):
-        assert "<svg" in (tmp_path / f"run{suffix}").read_text()
+    for suffix, n_curves, labels in (("_timeseries.svg", 3, ("t", "x, y, z")), ("_xz.svg", 1, ("x", "z"))):
+        svg = (tmp_path / f"run{suffix}").read_text()
+        assert svg.count("<polyline") == n_curves
+        assert all(f">{label}</text>" in svg for label in labels)
     assert len(json.loads((tmp_path / "run_crossings.json").read_text())) == 4
     assert (tmp_path / "run_series.csv").read_text().splitlines()[-1].split(",")[0] == "3.5"
     code, _, err = run(capsys, *argv, "--max-slow-time", "3")
@@ -397,8 +399,9 @@ def test_simulate_hybrid_reads_delta_from_config(capsys, tmp_path):
         (["--rel-tol", "1e-3", "--eps", "7"], None, "eps, rel_tol"),
         (["--abs-tol", "1e-12", "--max-slow-time", "3"], {"delta": 0.05}, "abs_tol, max_slow_time"),
         (["--x-section", "0.5"], None, "x_section"),
+        (["--crossings", "5"], None, "crossings"),
     ],
-    ids=["config", "flags", "flags-and-config", "x-section"],
+    ids=["config", "flags", "flags-and-config", "x-section", "crossings"],
 )
 def test_simulate_hybrid_rejects_full_mode_settings(capsys, tmp_path, argv, sim, unused):
     # the hybrid reads only delta from the sim section; the rest would be silently ignored
@@ -410,6 +413,24 @@ def test_simulate_hybrid_rejects_full_mode_settings(capsys, tmp_path, argv, sim,
     assert code == 3
     assert out == ""
     assert err == f"error: --mode hybrid takes no {unused}: only --mode full reads them\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [(["--z-init", "3"], "z_init"), (["--returns", "2"], "returns"), (["--z-init", "3", "--returns", "2"], "z_init, returns")],
+    ids=["z-init", "returns", "both"],
+)
+def test_simulate_full_rejects_hybrid_mode_settings(capsys, monkeypatch, argv, unused):
+    # the full run reads neither; the rejection comes before any integration
+    def integrate_full(*args, **kwargs):
+        raise AssertionError("integrated before rejecting")
+
+    monkeypatch.setattr("mmopam.simulate.integrate_full", integrate_full)
+    full = ["simulate", "--mode", "full", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--from-pam"]
+    code, out, err = run(capsys, *full, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --mode full takes no {unused}: only --mode hybrid reads them\n"
 
 
 def test_simulate_hybrid_pole_exits_3(capsys):

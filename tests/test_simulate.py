@@ -128,7 +128,7 @@ class TestHybrid:
         """At delta = 0 the legs composed along each branch are its closed-form affine map: C = 0 and D = 1 exactly."""
         params = synthesize(pam, fixed_rho)
         geom = compute_geometry(params)
-        (sa1, sa2, sa3_head, sa3), _ = mmopam.simulate._hybrid_legs(params, 0.0, geom, 1e-11, 1e-13)
+        (sa1, sa2, sa3_head, sa3), _ = mmopam.simulate._hybrid_legs(params, 0.0, geom)
         for legs, closed in (((sa1, sa3_head, sa3), lao_branch(params, geom)), ((sa2, sa3), sao_branch(params, geom))):
             A, B, C, D = 1.0, 0.0, 0.0, 1.0
             for (a, b, c, d), _ in legs:
