@@ -5,7 +5,7 @@ Subcommands cover the whole toolkit: map iteration and classification
 (`simulate`), benchmark verification (`verify-tables`), and the crossover
 scan (`crossover`). A single JSON config document with sections
 {"pam", "canonical", "sim"} can seed any command; explicit flags override
-file values.
+file values, and a section or key that no command reads is refused.
 
 Exit codes: 0 success, 2 usage error, 3 domain/singularity error,
 4 inconclusive (no classifiable pattern, e.g. inside the canard hole).
@@ -44,7 +44,13 @@ EXIT_INCONCLUSIVE = 4
 
 PAM_KEYS = ("a11", "a12", "a21", "a22")
 CANONICAL_KEYS = ("alpha", "beta", "kappa", "lam")
-SIM_KEYS = ("eps", "delta", "rel_tol", "abs_tol", "max_slow_time")
+SIM_KEYS = ("eps", "delta", "max_slow_time")
+# the keys each config section may hold: the ones some command reads
+CONFIG_KEYS = {
+    "pam": PAM_KEYS,
+    "canonical": (*CANONICAL_KEYS, "lambda", "rho", "z0"),
+    "sim": (*SIM_KEYS, "initial_state"),
+}
 
 
 # --------------------------------------------------------------------------
@@ -64,8 +70,12 @@ def _load_config(path: str | None) -> dict:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise _usage(f"cannot read config {path!r}: {exc}") from exc
-    if not (isinstance(config, dict) and all(isinstance(config.get(k, {}), dict) for k in ("pam", "canonical", "sim"))):
+    if not (isinstance(config, dict) and all(isinstance(config.get(k, {}), dict) for k in CONFIG_KEYS)):
         raise DomainError("a config must be a JSON object, and so must its pam, canonical and sim sections")
+    unknown = [name for name in config if name not in CONFIG_KEYS]
+    unknown += [f"{name}.{key}" for name, keys in CONFIG_KEYS.items() for key in config.get(name, {}) if key not in keys]
+    if unknown:
+        raise DomainError(f"unknown config keys: {', '.join(unknown)}")
     return config
 
 
@@ -235,7 +245,7 @@ def cmd_simulate(args) -> int:
     sim = _sim_values(args, config)
     if args.mode == "hybrid":
         # the hybrid reads only delta, on its own domain delta >= 0; a full-system setting would go unused
-        unused = [k for k in sim if k != "delta"] + _given(args, "x_section", "crossings")
+        unused = [k for k in sim if k != "delta"] + _given(args, "crossings")
         if unused:
             raise DomainError(f"--mode hybrid takes no {', '.join(unused)}: only --mode full reads them")
         return _simulate_hybrid(args, params, sim.get("delta", SimConfig.delta))
@@ -275,7 +285,7 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     geom = compute_geometry(params)
     n_crossings = 25 if args.crossings is None else args.crossings
     try:
-        series = integrate_full(params, cfg, x_section=args.x_section, n_crossings=n_crossings)
+        series = integrate_full(params, cfg, n_crossings=n_crossings)
     except NotPeriodic as exc:
         if args.out_prefix and exc.series is not None:
             _write_full_outputs(args.out_prefix, exc.series, cfg.delta)
@@ -331,7 +341,7 @@ def _report_match(params: CanonicalParams, observed: str) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    reports = verify_all(synthesis_tol=args.synthesis_tol, window_tol=args.window_tol)
+    reports = verify_all()
     for rep in reports:
         print(rep.summary())
         print()
@@ -456,10 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, dest="abs_tol")
     p.add_argument("--max-slow-time", type=float, dest="max_slow_time")
-    p.add_argument("--x-section", type=float, dest="x_section")
     p.add_argument("--crossings", type=int, help="full mode: section crossings to integrate (default 25)")
     p.add_argument("--z-init", type=float, dest="z_init", help="hybrid mode: initial Z (default -0.5)")
     p.add_argument("--returns", type=int, help="hybrid mode: number of returns (default 40)")
@@ -468,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify-tables", help="re-derive all bundled benchmark rows")
-    p.add_argument("--synthesis-tol", type=float, default=1e-3)
-    p.add_argument("--window-tol", type=float, default=1e-4)
     p.add_argument("--json", help="write the machine-readable report here")
     p.set_defaults(func=cmd_verify_tables)
 

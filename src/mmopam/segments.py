@@ -15,18 +15,13 @@ from .errors import DomainError
 from .family import CanonicalParams, ManifoldGeometry, eval_P
 from .pam import PamCoefficients
 
-SHEET_LABELS = ("S_a1", "S_a2", "S_a3")
-
 
 @dataclass(frozen=True)
 class SegmentSpec:
     x_start: float
     x_end: float
-    sheet_label: str
 
     def __post_init__(self):
-        if self.sheet_label not in SHEET_LABELS:
-            raise DomainError(f"unknown sheet label {self.sheet_label!r}")
         if self.x_start == self.x_end:
             raise DomainError("segment endpoints must differ")
 
@@ -81,11 +76,11 @@ def _segment_offset_basis(params: CanonicalParams, seg: SegmentSpec) -> tuple[fl
 
 
 def _lao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
-    return SegmentSpec(geom.xhat4, geom.x1, "S_a1"), SegmentSpec(geom.xhat1, geom.x4, "S_a3")
+    return SegmentSpec(geom.xhat4, geom.x1), SegmentSpec(geom.xhat1, geom.x4)  # S_a1, S_a3
 
 
 def _sao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
-    return SegmentSpec(geom.x2, geom.x3, "S_a2"), SegmentSpec(geom.xhat3, geom.x4, "S_a3")
+    return SegmentSpec(geom.x2, geom.x3), SegmentSpec(geom.xhat3, geom.x4)  # S_a2, S_a3
 
 
 def lao_branch(params: CanonicalParams, geom: ManifoldGeometry) -> AffineMap:

@@ -47,10 +47,18 @@ def solve_ivp(*args, **kwargs):
 # x values differ by less than this during slow segments.
 DENSIFY_DX = 0.05
 
+# The full system and the hybrid legs are solved to these tolerances, and a period
+# of the hybrid returns is accepted once returns p apart agree within HYBRID_PERIOD_TOL.
+FULL_RTOL = 1e-8
+FULL_ATOL = 1e-10
+HYBRID_RTOL = 1e-11
+HYBRID_ATOL = 1e-13
+HYBRID_PERIOD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration configuration for the full system.
+    """Integration configuration for the full system, solved to FULL_RTOL and FULL_ATOL.
 
     ``initial_state`` of None picks the default start on the rightmost
     attracting sheet: x = 1.3, y = F(1.3, 0), z = -delta/2.
@@ -58,8 +66,6 @@ class SimConfig:
 
     eps: float = 1e-7
     delta: float = 5e-3
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     max_slow_time: float = 40.0
     initial_state: tuple[float, float, float] | None = None
 
@@ -68,16 +74,13 @@ class SimConfig:
             raise DomainError(f"eps must lie in (0, 1e-3], got {self.eps}")
         if not (0.0 < self.delta <= 1e-1):
             raise DomainError(f"delta must lie in (0, 1e-1], got {self.delta}")
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not (1e-14 <= tol <= 1e-6):
-                raise DomainError(f"{name} must lie in [1e-14, 1e-6], got {tol}")
         if not (0.0 < self.max_slow_time < math.inf):
             raise DomainError(f"max_slow_time must be positive and finite, got {self.max_slow_time}")
         state = self.initial_state
         if state is not None and not (len(state) == 3 and all(math.isfinite(v) for v in state)):
             raise DomainError(f"initial_state must be None or three finite numbers, got {state!r}")
 
-    def resolve_initial_state(self, params: CanonicalParams) -> tuple[float, float, float]:
+    def resolve_initial_state(self) -> tuple[float, float, float]:
         if self.initial_state is not None:
             return self.initial_state
         x0 = 1.3
@@ -114,34 +117,27 @@ class TimeSeries:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def integrate_full(
-    params: CanonicalParams,
-    cfg: SimConfig,
-    x_section: float | None = None,
-    n_crossings: int | None = None,
-) -> TimeSeries:
+def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | None = None) -> TimeSeries:
     """Integrate the slow-time system with the Radau IIA(5) solver of :mod:`mmopam.radau`.
 
-    The section is the plane {x = x_section}, crossed in decreasing x; None picks the
-    midpoint of the two rightmost folds, which the fast fall after an SAO jump crosses
-    once per oscillation. Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1)
-    is given, extends the time span (a bounded number of times) until that many section
-    crossings have been collected. The returned series carries the solver counters, summed
-    over the extensions, as ``solver_stats``. Too few crossings raise NotPeriodic, whose
+    The section is the plane x = (x3 + x4) / 2 between the two rightmost folds, crossed
+    in decreasing x: the fast fall after an SAO jump crosses it once per oscillation.
+    Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1) is given, extends
+    the time span (a bounded number of times) until that many section crossings have
+    been collected. The returned series carries the solver counters, summed over the
+    extensions, as ``solver_stats``. Too few crossings raise NotPeriodic, whose
     ``series`` is what was integrated.
     """
     if n_crossings is not None and n_crossings < 1:
         raise DomainError(f"n_crossings must be positive, got {n_crossings}")
     geom = compute_geometry(params)
-    x_sec = 0.5 * (geom.x3 + geom.x4) if x_section is None else x_section
-    if not math.isfinite(x_sec):  # a plane at nan is never crossed: every extension would run for nothing
-        raise DomainError(f"x_section must be finite, got {x_section}")
+    x_sec = 0.5 * (geom.x3 + geom.x4)
     fld = params.field
 
     def cross(t, s):
         return s[0] - x_sec
 
-    state = cfg.resolve_initial_state(params)
+    state = cfg.resolve_initial_state()
     t0 = 0.0
     span = cfg.max_slow_time
     cols = (array("d"), array("d"), array("d"), array("d"))
@@ -156,8 +152,8 @@ def integrate_full(
             t0,
             state,
             t0 + span,
-            cfg.rel_tol,
-            cfg.abs_tol,
+            FULL_RTOL,
+            FULL_ATOL,
             args=(cfg.eps, cfg.delta),
             event=cross,
             direction=-1,
@@ -222,13 +218,6 @@ def _push(cols, t: float, s: tuple[float, float, float]) -> None:
 def canard_hole_radius(eps: float, delta: float) -> float:
     """Half-width in Z of the region around the jump excluded from statistics."""
     return 2.0 * eps ** (1.0 / 3.0) / delta
-
-
-# The hybrid legs are solved to these tolerances, and a period of the returns is
-# accepted once returns p apart agree within HYBRID_PERIOD_TOL.
-HYBRID_RTOL = 1e-11
-HYBRID_ATOL = 1e-13
-HYBRID_PERIOD_TOL = 1e-6
 
 
 @dataclass

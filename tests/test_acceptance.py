@@ -52,7 +52,7 @@ def _report(capsys, num: int, ok: bool, detail: str, elapsed: float) -> None:
 def test_criterion_1_synthesis_reproduction(capsys):
     """All 16 benchmark rows: synthesized (alpha, beta, kappa, lambda) match print to 1e-3."""
     t0 = time.time()
-    rep = verify_synthesis_benchmarks(tol=1e-3)
+    rep = verify_synthesis_benchmarks()
     elapsed = time.time() - t0
     bad = [r.label for r in rep.rows if not r.passed]
     detail = f"synthesis parameter match {rep.n_passed}/16"
@@ -74,7 +74,7 @@ def test_criterion_2_signature_reproduction(capsys):
 def test_criterion_3_mu_window_reproduction(capsys):
     """All 11 window rows: endpoints match print to 1e-4 and the actual mu is inside."""
     t0 = time.time()
-    rep = verify_mu_window_benchmarks(tol=1e-4)
+    rep = verify_mu_window_benchmarks()
     elapsed = time.time() - t0
     bad = [r.label for r in rep.rows if not r.passed]
     detail = f"mu-window match {rep.n_passed}/11"
@@ -130,10 +130,10 @@ def test_criterion_5_closed_form_vs_quadrature(capsys):
             rho=rho,
         )
         segs = [
-            SegmentSpec(geom.xhat4, geom.x1, "S_a1"),
-            SegmentSpec(geom.x2, geom.x3, "S_a2"),
-            SegmentSpec(geom.xhat1, geom.x4, "S_a3"),
-            SegmentSpec(geom.xhat3, geom.x4, "S_a3"),
+            SegmentSpec(geom.xhat4, geom.x1),  # S_a1
+            SegmentSpec(geom.x2, geom.x3),  # S_a2
+            SegmentSpec(geom.xhat1, geom.x4),  # S_a3
+            SegmentSpec(geom.xhat3, geom.x4),  # S_a3
         ]
         dev = 0.0
         for seg in segs:

@@ -210,8 +210,8 @@ def test_non_finite_map_coefficients_exit_3(capsys, argv):
 
 @pytest.mark.parametrize(
     "extra, name",
-    [(["--crossings", "0"], "n_crossings"), (["--crossings", "-3"], "n_crossings"), (["--x-section", "nan"], "x_section")],
-    ids=["crossings-0", "crossings-negative", "x-section-nan"],
+    [(["--crossings", "0"], "n_crossings"), (["--crossings", "-3"], "n_crossings")],
+    ids=["crossings-0", "crossings-negative"],
 )
 def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
     argv = ["simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2",
@@ -228,8 +228,6 @@ def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
         (["pam", "signature", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "nan"], "Z0 must be finite", None),
         (["pam", "iterate", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--z0", "inf"], "Z0 must be finite", None),
         (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--z-init", "nan"], "--z-init must be finite", None),
-        (["verify-tables", "--synthesis-tol", "nan"], "synthesis_tol must be positive and finite", None),
-        (["verify-tables", "--window-tol", "-1"], "window_tol must be positive and finite", None),
         (["simulate", "--mode", "hybrid", "--alpha", "0.1", "--beta", "0.2", "--kappa", "1", "--lam", "nan", "--returns", "5"],
          "vector-field parameters must be finite", None),
         (["simulate", "--mode", "full", "--alpha", "inf", "--beta", "0.2", "--kappa", "1", "--lam", "1"],
@@ -238,11 +236,11 @@ def test_simulate_full_invalid_section_inputs_exit_3(capsys, extra, name):
          {"canonical": {"alpha": 0.87, "beta": 0.02, "kappa": 30.0, "lambda": -90.0},
           "sim": {"initial_state": [float("nan"), 0.0, 0.0]}}),
     ],
-    ids=["signature-z0-nan", "iterate-z0-inf", "crossover-z-init-nan", "verify-synthesis-tol-nan", "verify-window-tol-negative",
-         "hybrid-lam-nan", "full-alpha-inf", "config-initial-state-nan"],
+    ids=["signature-z0-nan", "iterate-z0-inf", "crossover-z-init-nan", "hybrid-lam-nan", "full-alpha-inf",
+         "config-initial-state-nan"],
 )
 def test_non_finite_start_and_tolerances_exit_3(capsys, tmp_path, argv, message, config):
-    # a nan start never recurs and every comparison with a nan tolerance fails: both are refused before any work
+    # a nan start never recurs and a nan parameter gives nan everywhere: both are refused before any work
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
@@ -396,12 +394,11 @@ def test_simulate_hybrid_reads_delta_from_config(capsys, tmp_path):
     "argv, sim, unused",
     [
         ([], {"eps": 5.0, "initial_state": [1e9, 0, 0], "max_slow_time": -1}, "eps, max_slow_time, initial_state"),
-        (["--rel-tol", "1e-3", "--eps", "7"], None, "eps, rel_tol"),
-        (["--abs-tol", "1e-12", "--max-slow-time", "3"], {"delta": 0.05}, "abs_tol, max_slow_time"),
-        (["--x-section", "0.5"], None, "x_section"),
+        (["--max-slow-time", "3", "--eps", "7"], None, "eps, max_slow_time"),
+        (["--max-slow-time", "3"], {"delta": 0.05}, "max_slow_time"),
         (["--crossings", "5"], None, "crossings"),
     ],
-    ids=["config", "flags", "flags-and-config", "x-section", "crossings"],
+    ids=["config", "flags", "flags-and-config", "crossings"],
 )
 def test_simulate_hybrid_rejects_full_mode_settings(capsys, tmp_path, argv, sim, unused):
     # the hybrid reads only delta from the sim section; the rest would be silently ignored
@@ -470,3 +467,29 @@ def test_malformed_config_values_exit_3(capsys, tmp_path, argv, config):
     code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 3, err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, config, unknown",
+    [
+        (HYBRID_1_1, {"sim": {"epsilon": 5.0, "max-slow-time": -1}}, "sim.epsilon, sim.max-slow-time"),
+        (FULL, {"canonical": VF_1_3, "sim": {"rel_tol": 1e-9}}, "sim.rel_tol"),
+        (SIGNATURE, {"pam": {**PAM_1_3, "a33": 1.0}}, "pam.a33"),
+        (FULL, {"canonical": {**VF_1_3, "lamda": -90.0}}, "canonical.lamda"),
+        (FULL, {"canonical": VF_1_3, "simulation": {"eps": 1e-6}}, "simulation"),
+    ],
+    ids=["hybrid-sim-epsilon", "full-sim-rel-tol", "signature-pam-a33", "canonical-lamda", "top-level-simulation"],
+)
+def test_config_rejects_unknown_keys(capsys, monkeypatch, tmp_path, argv, config, unknown):
+    # a misspelt key would otherwise fall back to the default unnoticed; the rejection comes before any integration
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before rejecting")
+
+    monkeypatch.setattr("mmopam.simulate.integrate_full", integrate)
+    monkeypatch.setattr("mmopam.simulate.hybrid_simulate", integrate)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: unknown config keys: {unknown}\n"

@@ -22,7 +22,7 @@ from mmopam import radau
 from mmopam.errors import NonFiniteState, RootFindingFailure, StepSizeUnderflow
 from mmopam.family import CanonicalParams, Field, eval_F, eval_Fx
 from mmopam.radau import _brentq
-from mmopam.simulate import SimConfig, integrate_full
+from mmopam.simulate import FULL_ATOL, FULL_RTOL, SimConfig, integrate_full
 
 STIFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "fingerprints" / "stiff.json"
 ROWS = {"1^1": (0.3, 1.0, 0.9, -2.0), "1^3": (0.3, 7.0, 0.9, -2.0), "3^1": (0.9, 1.0, 0.4, -3.0)}
@@ -50,10 +50,10 @@ def test_short_model_run_matches_scipy():
     params = _row_params("1^1")
     fld = params.field
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=0.4)
-    y0 = cfg.resolve_initial_state(params)
+    y0 = cfg.resolve_initial_state()
     args = (cfg.eps, cfg.delta)
-    ref = _scipy_radau(fld.rhs, fld.jac, (0.0, 0.4), y0, cfg.rel_tol, cfg.abs_tol, args)
-    sol = radau.solve(fld.rhs, fld.jac, 0.0, y0, 0.4, cfg.rel_tol, cfg.abs_tol, args=args)
+    ref = _scipy_radau(fld.rhs, fld.jac, (0.0, 0.4), y0, FULL_RTOL, FULL_ATOL, args)
+    sol = radau.solve(fld.rhs, fld.jac, 0.0, y0, 0.4, FULL_RTOL, FULL_ATOL, args=args)
     assert sol.t[-1] == 0.4
     for got, want in zip(sol.y[-1], ref.y[:, -1]):
         assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-8)
@@ -330,8 +330,8 @@ def pool_runs():
 
         cross.direction = -1.0
         cross.terminal = _POOL["n_crossings"]
-        ref = _scipy_radau(fld.rhs, fld.jac, (0.0, cfg.max_slow_time), cfg.initial_state, cfg.rel_tol,
-                           cfg.abs_tol, (cfg.eps, cfg.delta), cross)
+        ref = _scipy_radau(fld.rhs, fld.jac, (0.0, cfg.max_slow_time), cfg.initial_state, FULL_RTOL, FULL_ATOL,
+                           (cfg.eps, cfg.delta), cross)
         runs.append((integrate_full(p, cfg, n_crossings=_POOL["n_crossings"]), ref))
     return runs
 

@@ -46,9 +46,7 @@ def test_compose_associative():
 
 def test_segment_spec_validation():
     with pytest.raises(DomainError):
-        SegmentSpec(0.0, 1.0, "S_b1")
-    with pytest.raises(DomainError):
-        SegmentSpec(1.0, 1.0, "S_a1")
+        SegmentSpec(1.0, 1.0)
 
 
 @pytest.mark.parametrize("rho_name", ["fixed_rho", "quad_rho"])
@@ -56,10 +54,10 @@ def test_closed_form_matches_quadrature(rho_name, request, geometry):
     rho = request.getfixturevalue(rho_name)
     params = CanonicalParams(*PARAMS_1_3, rho)
     segs = [
-        SegmentSpec(geometry.xhat4, geometry.x1, "S_a1"),
-        SegmentSpec(geometry.x2, geometry.x3, "S_a2"),
-        SegmentSpec(geometry.xhat1, geometry.x4, "S_a3"),
-        SegmentSpec(geometry.xhat3, geometry.x4, "S_a3"),
+        SegmentSpec(geometry.xhat4, geometry.x1),  # S_a1
+        SegmentSpec(geometry.x2, geometry.x3),  # S_a2
+        SegmentSpec(geometry.xhat1, geometry.x4),  # S_a3
+        SegmentSpec(geometry.xhat3, geometry.x4),  # S_a3
     ]
     for seg in segs:
         cf = segment_affine(params, seg)
