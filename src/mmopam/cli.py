@@ -118,6 +118,8 @@ def _canonical_section(config: dict) -> dict:
 def _canonical_from(args, config: dict) -> CanonicalParams:
     section = _canonical_section(config)
     if "lambda" in section:
+        if "lam" in section:
+            raise DomainError("the canonical section gives lambda twice, as lam and as lambda")
         section["lam"] = section.pop("lambda")
     vals = _merged(section, args, CANONICAL_KEYS)
     rho = _rho_from(args, section)
@@ -156,7 +158,7 @@ def _write_z_csv(path: str, values: list[float]) -> None:
 def cmd_pam_iterate(args) -> int:
     config = _load_config(args.config)
     pam = _pam_from(args, config)
-    orbit = iterate_orbit(pam, args.z0, max_iters=args.max_iters)
+    orbit = iterate_orbit(pam, args.z0)
     if args.out_csv:
         _write_z_csv(args.out_csv, orbit.iterates)
     if args.out_svg:
@@ -174,7 +176,7 @@ def cmd_pam_iterate(args) -> int:
 def cmd_pam_signature(args) -> int:
     config = _load_config(args.config)
     pam = _pam_from(args, config)
-    orbit = iterate_orbit(pam, args.z0, max_iters=args.max_iters)
+    orbit = iterate_orbit(pam, args.z0)
     print(detect_signature(orbit))
     return EXIT_OK
 
@@ -419,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = pam_sub.add_parser("iterate", help="iterate an orbit; optional CSV and cobweb SVG")
     add_pam_flags(p)
     p.add_argument("--z0", type=float, default=-0.5)
-    p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--out-csv")
     p.add_argument("--out-svg")
     p.set_defaults(func=cmd_pam_iterate)
@@ -427,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = pam_sub.add_parser("signature", help="print the detected signature")
     add_pam_flags(p)
     p.add_argument("--z0", type=float, default=-0.5)
-    p.add_argument("--max-iters", type=int, default=100_000)
     p.set_defaults(func=cmd_pam_signature)
 
     p = pam_sub.add_parser("bounds", help="mu-windows for pure patterns, as JSON")
@@ -466,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--max-slow-time", type=float, dest="max_slow_time")
+    p.add_argument(
+        "--max-slow-time", type=float, dest="max_slow_time", help="full mode: slow-time budget of the run (default 40)"
+    )
     p.add_argument("--crossings", type=int, help="full mode: section crossings to integrate (default 25)")
     p.add_argument("--z-init", type=float, dest="z_init", help="hybrid mode: initial Z (default -0.5)")
     p.add_argument("--returns", type=int, help="hybrid mode: number of returns (default 40)")

@@ -345,11 +345,8 @@ class Field:
 
     __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w", "_spec", "_rhs", "_dPhidx")
 
-    F = staticmethod(eval_F)
     Fx = staticmethod(eval_Fx)
-    Fxx = staticmethod(eval_Fxx)
     Fz = staticmethod(eval_Fz)
-    Fxz = staticmethod(eval_Fxz)
 
     def __init__(self, params: CanonicalParams):
         self.alpha, self.beta = float(params.alpha), float(params.beta)

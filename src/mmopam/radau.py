@@ -87,15 +87,14 @@ class SolverStats:
 
 @dataclass
 class RadauSolution:
-    """Step ends ``t`` and states ``y`` (from t0; the last is the terminal root when an event
-    stopped the solve), one dense-output cubic per step, the event roots and states, and counters.
+    """Step ends ``t`` (from t0; the last is the terminal root when an event stopped the solve),
+    one dense-output cubic per step, the event roots and states, and counters.
 
     A cubic is ``(t_old, h, y_old (3), Q (3 x 3, row-major by component))``; :func:`dense_eval`
     evaluates it.
     """
 
     t: list[float]
-    y: list[tuple[float, float, float]]
     cubics: list[tuple[float, ...]]
     t_events: list[float] = field(default_factory=list)
     y_events: list[tuple[float, float, float]] = field(default_factory=list)
@@ -356,7 +355,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     e0_, e1_, e2_ = E
     c_0, c_1, _ = C
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
-    sol = RadauSolution([t], [(u0, u1, u2)], [], stats=st)
+    sol = RadauSolution([t], [], stats=st)
     if event is not None:
         g = event(t, (u0, u1, u2))
         count = 0
@@ -478,16 +477,13 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
             if direction >= 0 and g <= 0 <= g_new or direction <= 0 and g >= 0 >= g_new:
                 count += 1
                 root = _brentq(lambda tt: event(tt, dense_eval(cubic, tt)), t_old, t, 4 * EPS, 4 * EPS)
-                state = dense_eval(cubic, root)
                 sol.t_events.append(root)
-                sol.y_events.append(state)
+                sol.y_events.append(dense_eval(cubic, root))
                 if terminal and count >= terminal:
                     sol.t.append(root)
-                    sol.y.append(state)
                     return sol
             g = g_new
         sol.t.append(t)
-        sol.y.append((u0, u1, u2))
         if t >= t_bound:
             return sol
 

@@ -60,8 +60,9 @@ HYBRID_PERIOD_TOL = 1e-6
 class SimConfig:
     """Integration configuration for the full system, solved to FULL_RTOL and FULL_ATOL.
 
-    ``initial_state`` of None picks the default start on the rightmost
-    attracting sheet: x = 1.3, y = F(1.3, 0), z = -delta/2.
+    ``max_slow_time`` is the run's slow-time budget: :func:`integrate_full`
+    never integrates past it. ``initial_state`` of None picks the default
+    start on the rightmost attracting sheet: x = 1.3, y = F(1.3, 0), z = -delta/2.
     """
 
     eps: float = 1e-7
@@ -122,11 +123,10 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
 
     The section is the plane x = (x3 + x4) / 2 between the two rightmost folds, crossed
     in decreasing x: the fast fall after an SAO jump crosses it once per oscillation.
-    Stops at ``cfg.max_slow_time`` or, if ``n_crossings`` (at least 1) is given, extends
-    the time span (a bounded number of times) until that many section crossings have
-    been collected. The returned series carries the solver counters, summed over the
-    extensions, as ``solver_stats``. Too few crossings raise NotPeriodic, whose
-    ``series`` is what was integrated.
+    One solve runs from t = 0 to ``cfg.max_slow_time``, stopping at the last crossing
+    if ``n_crossings`` (at least 1) is given and that many fall within the budget. The
+    returned series carries the solver counters as ``solver_stats``. Too few crossings
+    raise NotPeriodic, whose ``series`` is what was integrated.
     """
     if n_crossings is not None and n_crossings < 1:
         raise DomainError(f"n_crossings must be positive, got {n_crossings}")
@@ -137,52 +137,39 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     def cross(t, s):
         return s[0] - x_sec
 
-    state = cfg.resolve_initial_state()
-    t0 = 0.0
-    span = cfg.max_slow_time
-    cols = (array("d"), array("d"), array("d"), array("d"))
-    crossings: list[tuple[float, float, float, float]] = []
-    stats = radau.SolverStats()
-    max_extensions = 6 if n_crossings is not None else 0
-
-    for attempt in range(max_extensions + 1):
-        sol = radau.solve(
-            fld.rhs,
-            fld.jac,
-            t0,
-            state,
-            t0 + span,
-            FULL_RTOL,
-            FULL_ATOL,
-            args=(cfg.eps, cfg.delta),
-            event=cross,
-            direction=-1,
-            terminal=None if n_crossings is None else n_crossings - len(crossings),
-        )
-        stats += sol.stats
-        _densify(sol, cols)
-        crossings.extend((te, *se) for te, se in zip(sol.t_events, sol.y_events))
-        if n_crossings is None or len(crossings) >= n_crossings:
-            break
-        t0 = sol.t[-1]
-        state = sol.y[-1]
-    series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats)
+    sol = radau.solve(
+        fld.rhs,
+        fld.jac,
+        0.0,
+        cfg.resolve_initial_state(),
+        cfg.max_slow_time,
+        FULL_RTOL,
+        FULL_ATOL,
+        args=(cfg.eps, cfg.delta),
+        event=cross,
+        direction=-1,
+        terminal=n_crossings,
+    )
+    crossings = [(te, *se) for te, se in zip(sol.t_events, sol.y_events)]
+    series = TimeSeries(*_densify(sol), crossing_states=crossings, solver_stats=sol.stats)
     if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
-            f"only {len(crossings)} of {n_crossings} section crossings within {t0:.3g} slow-time units",
+            f"only {len(crossings)} of {n_crossings} section crossings within {sol.t[-1]:.3g} slow-time units",
             series=series,
         )
     return series
 
 
-def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) -> None:
-    """Append one solve's samples to the columns (t, x, y, z).
+def _densify(sol: radau.RadauSolution) -> tuple[array, array, array, array]:
+    """A solve's samples as the columns (t, x, y, z).
 
     The samples are the step ends, each from the step that ends there as ``OdeSolution``
     does, and the bisection points of each step's cubic while adjacent x values differ by
     more than DENSIFY_DX, at most 24 levels deep. A sample whose t does not exceed the last
-    one is skipped, so the junction of two extension chunks appears once.
+    one (a terminal root at the start of its step, or a bisection point that rounds onto an
+    end) is skipped, so the times stay strictly increasing as TimeSeries requires.
     """
+    cols = (array("d"), array("d"), array("d"), array("d"))
     a = sol.t[0]
     sa = radau.dense_eval(sol.cubics[0], a)
     _push(cols, a, sa)
@@ -191,6 +178,7 @@ def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) 
         _refine(cols, cubic, a, sa, b, sb, 24)
         _push(cols, b, sb)
         a, sa = b, sb
+    return cols
 
 
 # Module-level, not a closure in _densify: a closure that calls itself is a reference

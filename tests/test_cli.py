@@ -118,6 +118,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out.strip() == "1^3"
 
 
+@pytest.mark.parametrize("command", ["iterate", "signature"])
+def test_max_iters_flag_is_gone(capsys, command):
+    # both commands iterate up to iterate_orbit's default of 100,000
+    with pytest.raises(SystemExit) as exc:
+        main(["pam", command, "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2", "--max-iters", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-iters 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, content",
     [("missing.json", None), ("a-directory", "dir"), ("truncated.json", b'{"pam": {'), ("utf16.json", b"\xff\xfe")],
@@ -170,11 +179,11 @@ def test_simulate_hybrid_delta_zero(capsys, tmp_path):
 
 
 def test_simulate_full_too_few_crossings(capsys, tmp_path):
-    """Exit 4 names the span actually integrated, and --out-prefix still gets the partial run."""
+    """Exit 4 names the span integrated, the budget, and --out-prefix still gets the partial run."""
     prefix = str(tmp_path / "run")
     argv = ["simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2",
             "--eps", "1e-5", "--delta", "1e-2"]
-    code, _, err = run(capsys, *argv, "--max-slow-time", "0.5", "--crossings", "10", "--out-prefix", prefix)
+    code, _, err = run(capsys, *argv, "--max-slow-time", "3.5", "--crossings", "10", "--out-prefix", prefix)
     assert code == 4
     assert "only 4 of 10 section crossings within 3.5 slow-time units" in err
     for suffix, n_curves, labels in (("_timeseries.svg", 3, ("t", "x, y, z")), ("_xz.svg", 1, ("x", "z"))):
@@ -183,7 +192,7 @@ def test_simulate_full_too_few_crossings(capsys, tmp_path):
         assert all(f">{label}</text>" in svg for label in labels)
     assert len(json.loads((tmp_path / "run_crossings.json").read_text())) == 4
     assert (tmp_path / "run_series.csv").read_text().splitlines()[-1].split(",")[0] == "3.5"
-    code, _, err = run(capsys, *argv, "--max-slow-time", "3")
+    code, _, err = run(capsys, *argv, "--max-slow-time", "21")
     assert code == 4
     assert "section crossings within 21 slow-time units" in err
 
@@ -358,7 +367,7 @@ def test_map_level_commands_never_import_scipy(tmp_path):
     ]
     full = [
         "simulate", "--mode", "full", "--from-pam", *ROW_1_3,
-        "--eps", "1e-5", "--delta", "1e-2", "--max-slow-time", "1", "--crossings", "3",
+        "--eps", "1e-5", "--delta", "1e-2", "--max-slow-time", "3", "--crossings", "3",
     ]
     hybrid = ["simulate", "--mode", "hybrid", "--from-pam", *ROW_1_3, "--z-init", "-0.5", "--returns", "3"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
@@ -493,3 +502,29 @@ def test_config_rejects_unknown_keys(capsys, monkeypatch, tmp_path, argv, config
     assert code == 3
     assert out == ""
     assert err == f"error: unknown config keys: {unknown}\n"
+
+
+@pytest.mark.parametrize("argv", [HYBRID_1_1, [*HYBRID_1_1, "--lam", "-90"]], ids=["config", "lam-flag"])
+def test_config_rejects_both_lambda_spellings(capsys, monkeypatch, tmp_path, argv):
+    # two values for one parameter: neither wins silently, and nothing is synthesized or integrated
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before rejecting")
+
+    monkeypatch.setattr("mmopam.cli.synthesize", fail)
+    monkeypatch.setattr("mmopam.simulate.hybrid_simulate", fail)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"canonical": {**VF_1_3, "lam": 1.0}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--returns", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the canonical section gives lambda twice, as lam and as lambda\n"
+
+
+def test_lam_flag_overrides_either_spelling(capsys, tmp_path):
+    outs = []
+    for key in ("lam", "lambda"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"canonical": {**{k: v for k, v in VF_1_3.items() if k != "lambda"}, key: 1.0}}))
+        outs.append(run(capsys, "simulate", "--mode", "hybrid", "--config", str(cfg), "--lam", "-90", "--returns", "5"))
+    direct = ["--alpha", "0.87", "--beta", "0.02", "--kappa", "30", "--lam", "-90"]
+    assert outs[0] == outs[1] == run(capsys, "simulate", "--mode", "hybrid", *direct, "--returns", "5")

@@ -159,8 +159,8 @@ def same(got, want) -> bool:
     [("F", ref_F), ("Fx", ref_Fx), ("Fxx", ref_Fxx), ("Fz", ref_Fz), ("Fxz", ref_Fxz)],
 )
 def test_F_kernels_exact(kernel, ref, z):
-    fn = getattr(family.Field, kernel)
     public = getattr(family, "eval_" + kernel)
+    fn = getattr(family.Field, kernel) if kernel in ("Fx", "Fz") else public  # the Field holds the two that jac reads
     assert same(fn(XS, z), ref(XS, z))
     assert same(public(XS, z), ref(XS, z))
     for x in XS:

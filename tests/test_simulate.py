@@ -279,8 +279,8 @@ def _numpy_densify(sol):
     return t, at(t)
 
 
-@pytest.mark.parametrize("n_crossings, n_solves", [(None, 1), (4, 4)], ids=["one-solve", "extension-chunks"])
-def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings, n_solves):
+@pytest.mark.parametrize("n_crossings", [None, 1], ids=["one-solve", "terminal-stop"])
+def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings):
     solves = []
     solve = radau.solve
 
@@ -291,13 +291,30 @@ def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings, n
     monkeypatch.setattr(mmopam.simulate.radau, "solve", recording)
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
     series = integrate_full(params_1_1, cfg, n_crossings=n_crossings)
-    assert len(solves) == n_solves
-    parts = [_numpy_densify(sol) for sol in solves]
-    t = np.concatenate([tt for tt, _ in parts])
-    y = np.concatenate([yy for _, yy in parts], axis=1)
-    keep = np.concatenate([[True], np.diff(t) > 0.0])  # one sample where two chunks meet
-    want = [t[keep].tolist(), *(row.tolist() for row in y[:, keep])]
-    assert [list(c) for c in (series.t, series.x, series.y, series.z)] == want
+    assert len(solves) == 1
+    assert (series.t[-1] < cfg.max_slow_time) == (n_crossings is not None)
+    t, y = _numpy_densify(solves[0])
+    assert [list(c) for c in (series.t, series.x, series.y, series.z)] == [t.tolist(), *(row.tolist() for row in y)]
+
+
+def test_integrate_full_stops_at_its_budget(params_1_1, monkeypatch):
+    # more crossings than the budget holds: one solve to max_slow_time, then NotPeriodic with the partial series
+    solves = []
+    solve = radau.solve
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(mmopam.simulate.radau, "solve", recording)
+    cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
+    with pytest.raises(NotPeriodic, match=r"of 50 section crossings within 1 slow-time units") as exc:
+        integrate_full(params_1_1, cfg, n_crossings=50)
+    assert len(solves) == 1
+    series = exc.value.series
+    assert series.t[-1] == cfg.max_slow_time
+    assert series.solver_stats == solves[0].stats
+    assert len(series.crossing_states) == len(solves[0].t_events) < 50
 
 
 def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
