@@ -58,9 +58,6 @@ from .segments import (
     AffineMap,
     SegmentSpec,
     associated_pam,
-    compose,
-    lao_branch,
-    sao_branch,
     segment_affine,
 )
 from .synthesis import solve_alpha_beta, solve_kappa_lambda, synthesize

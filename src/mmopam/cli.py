@@ -97,13 +97,13 @@ def _pam_from(args, config: dict) -> PamCoefficients:
 
 
 def _rho_from(args, section: dict) -> RhoSpec:
-    if getattr(args, "rho", None) is not None:
-        if args.rho == "quadratic":
-            if args.p is None or args.q is None:
-                raise _usage("--rho quadratic requires --p and --q")
-            return RhoSpec("quadratic", p=args.p, q=args.q)
-        return RhoSpec("fixed_rational")
-    if "rho" in section:
+    if args.rho == "quadratic":
+        if args.p is None or args.q is None:
+            raise _usage("--rho quadratic requires --p and --q")
+        return RhoSpec("quadratic", p=args.p, q=args.q)
+    if _given(args, "p", "q"):
+        raise _usage("--p and --q require --rho quadratic")
+    if args.rho is None and "rho" in section:
         return RhoSpec.from_json_obj(section["rho"])
     return RhoSpec("fixed_rational")
 
@@ -200,6 +200,11 @@ def _interval_obj(key: str, count: int, lower: float, upper: float, lower_closed
 
 
 def cmd_pam_transform(args) -> int:
+    unused = _given(args, "config", *PAM_KEYS) if args.inverse else _given(args, "a", "b", "mu", "l")
+    if unused:
+        flags = ", ".join(f"--{name}" for name in unused)
+        direction = "pam transform --inverse" if args.inverse else "pam transform"
+        raise DomainError(f"{direction} takes no {flags}: only the other direction reads them")
     if args.inverse:
         for name in ("a", "b", "mu", "l"):
             if getattr(args, name) is None:

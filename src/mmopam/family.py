@@ -189,11 +189,17 @@ class RhoSpec:
 
     @classmethod
     def from_json_obj(cls, obj) -> "RhoSpec":
+        """``"fixed_rational"`` or ``{"quadratic": {"p": p, "q": q}}``; any other key raises DomainError."""
         if obj == "fixed_rational":
             return cls("fixed_rational")
         if isinstance(obj, dict) and "quadratic" in obj:
             coeffs = obj["quadratic"]
-            return cls("quadratic", p=json_float(coeffs, "p"), q=json_float(coeffs, "q"))
+            p, q = json_float(coeffs, "p"), json_float(coeffs, "q")  # so coeffs is a mapping below
+            unknown = [key for key in obj if key != "quadratic"]
+            unknown += [f"quadratic.{key}" for key in coeffs if key not in ("p", "q")]
+            if unknown:
+                raise DomainError(f"unknown rho keys: {', '.join(unknown)}")
+            return cls("quadratic", p=p, q=q)
         raise DomainError(f"unrecognized rho specification {obj!r}")
 
 
@@ -466,6 +472,11 @@ class CanonicalParams:
     @classmethod
     def from_json(cls, text: str) -> "CanonicalParams":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise DomainError(f"canonical parameters must be a JSON object, got {obj!r}")
+        unknown = [key for key in obj if key not in ("alpha", "beta", "kappa", "lambda", "rho", "z0")]
+        if unknown:
+            raise DomainError(f"unknown canonical parameter keys: {', '.join(unknown)}")
         check_z0(obj)
         values = (json_float(obj, key) for key in ("alpha", "beta", "kappa", "lambda"))
         return cls(*values, RhoSpec.from_json_obj(obj.get("rho")))
@@ -537,6 +548,11 @@ class ManifoldGeometry:
     @property
     def folds(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
+
+    @property
+    def branches(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """Slow passages (x_start, x_end): the Z < 0 branch, S_a1 then S_a3, and the Z > 0 branch, S_a2 then S_a3."""
+        return ((self.xhat4, self.x1), (self.xhat1, self.x4)), ((self.x2, self.x3), (self.xhat3, self.x4))
 
     @property
     def lao_threshold(self) -> float:

@@ -2,8 +2,11 @@
 
 Along a normally hyperbolic segment the rescaled slow variable obeys the
 linear equation dZ/dx = p(x) Z + q(x), whose exact solution from x_start to
-x_end is an affine map in Z. Branch composition of these segment maps yields
-the piecewise affine map associated with the vector field.
+x_end is an affine map in Z, in closed form. Each branch of the piecewise
+affine map associated with the vector field is two such passages joined by a
+jump, as :attr:`~mmopam.family.ManifoldGeometry.branches` lists them; one
+builder composes them, for the map itself (:func:`associated_pam`) and for
+the basis of its offsets that synthesis solves in (:func:`offset_coefficients`).
 """
 
 from __future__ import annotations
@@ -35,14 +38,6 @@ class AffineMap:
         return self.slope * Z + self.offset
 
 
-IDENTITY = AffineMap(1.0, 0.0)
-
-
-def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """outer after inner."""
-    return AffineMap(outer.slope * inner.slope, outer.slope * inner.offset + outer.offset)
-
-
 def segment_affine(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     """Affine map of one segment, in closed form.
 
@@ -56,43 +51,26 @@ def segment_affine(params: CanonicalParams, seg: SegmentSpec) -> AffineMap:
     with va = P(x_start), vb = P(x_end). The second form is the one evaluated:
     near-unit slopes need |lambda| ~ 1e7, where the first form cancels.
     """
-    va = eval_P(params, seg.x_start)
-    d = eval_P(params, seg.x_end) - va
-    ka, la = params.kappa, params.lam
-    return AffineMap(exp(d), (ka + la * (va + 1.0)) * expm1(d) - la * d)
+    slope, (offset,) = _passage(params, seg.x_start, seg.x_end, ((params.kappa, params.lam),))
+    return AffineMap(slope, offset)
 
 
-def _segment_offset_basis(params: CanonicalParams, seg: SegmentSpec) -> tuple[float, float, float]:
-    """Slope and the (kappa, lambda) coefficients of the closed-form offset.
-
-    The offset is kappa expm1(d) + lambda ((va + 1) expm1(d) - d); the two
-    coefficients are the closed form's own operations at (kappa, lambda) = (1, 0)
-    and (0, 1), so they carry the same bits.
-    """
-    va = eval_P(params, seg.x_start)
-    d = eval_P(params, seg.x_end) - va
+def _passage(params: CanonicalParams, x_start: float, x_end: float, units) -> tuple[float, list[float]]:
+    """The slope of :func:`segment_affine`'s closed form and its offset at each (kappa, lambda) of ``units``."""
+    va = eval_P(params, x_start)
+    d = eval_P(params, x_end) - va
     em1 = expm1(d)
-    return exp(d), em1, (va + 1.0) * em1 - d
+    return exp(d), [(ka + la * (va + 1.0)) * em1 - la * d for ka, la in units]
 
 
-def _lao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
-    return SegmentSpec(geom.xhat4, geom.x1), SegmentSpec(geom.xhat1, geom.x4)  # S_a1, S_a3
-
-
-def _sao_segments(geom: ManifoldGeometry) -> tuple[SegmentSpec, SegmentSpec]:
-    return SegmentSpec(geom.x2, geom.x3), SegmentSpec(geom.xhat3, geom.x4)  # S_a2, S_a3
-
-
-def lao_branch(params: CanonicalParams, geom: ManifoldGeometry) -> AffineMap:
-    """Z < 0 branch: S_a1 passage xhat4 -> x1, then S_a3 passage xhat1 -> x4."""
-    first, second = (segment_affine(params, seg) for seg in _lao_segments(geom))
-    return compose(second, first)
-
-
-def sao_branch(params: CanonicalParams, geom: ManifoldGeometry) -> AffineMap:
-    """Z > 0 branch: S_a2 passage x2 -> x3, then S_a3 passage xhat3 -> x4."""
-    first, second = (segment_affine(params, seg) for seg in _sao_segments(geom))
-    return compose(second, first)
+def _branch_maps(params: CanonicalParams, geom: ManifoldGeometry, *units) -> list[tuple[float, list[float]]]:
+    """Each branch of ``geom.branches``, its second passage after its first: slope s2 s1, offsets s2 o1 + o2."""
+    maps = []
+    for first, second in geom.branches:
+        s1, o1 = _passage(params, *first, units)
+        s2, o2 = _passage(params, *second, units)
+        maps.append((s2 * s1, [s2 * a + b for a, b in zip(o1, o2)]))
+    return maps
 
 
 def offset_coefficients(
@@ -103,19 +81,17 @@ def offset_coefficients(
     The branch offsets are linear in (kappa, lambda), a12 = kappa c_kappa +
     lambda c_lambda and likewise a22, and the slopes and coefficients depend on
     (alpha, beta) and rho only; ``params.kappa`` and ``params.lam`` are not read.
-    Each coefficient is the branch offset :func:`compose` gives at
+    Each coefficient is the branch offset :func:`associated_pam` gives at
     (kappa, lambda) = (1, 0) or (0, 1), with the same operations.
     """
-    coeffs = []
-    for first, second in (_lao_segments(geom), _sao_segments(geom)):
-        _, k1, l1 = _segment_offset_basis(params, first)
-        s2, k2, l2 = _segment_offset_basis(params, second)
-        coeffs.append((s2 * k1 + k2, s2 * l1 + l2))
-    return tuple(coeffs)
+    (_, lao), (_, sao) = _branch_maps(params, geom, (1.0, 0.0), (0.0, 1.0))
+    return tuple(lao), tuple(sao)
 
 
 def associated_pam(params: CanonicalParams, geom: ManifoldGeometry) -> PamCoefficients:
-    """The piecewise affine map associated with the canonical vector field."""
-    m1 = lao_branch(params, geom)
-    m2 = sao_branch(params, geom)
-    return PamCoefficients(a11=m1.slope, a12=m1.offset, a21=m2.slope, a22=m2.offset)
+    """The piecewise affine map associated with the canonical vector field.
+
+    (a11, a12) is the Z < 0 branch and (a21, a22) the Z > 0 branch.
+    """
+    (a11, (a12,)), (a21, (a22,)) = _branch_maps(params, geom, (params.kappa, params.lam))
+    return PamCoefficients(a11=a11, a12=a12, a21=a21, a22=a22)

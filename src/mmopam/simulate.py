@@ -230,10 +230,10 @@ def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns:
     a leg is the Moebius map Z -> (A Z + B) / (C Z + D) whose coefficients are
     the fundamental matrix of its linearisation (:attr:`Field.dPhidx`). Each
     call solves that matrix once per leg with :func:`mmopam.dop853.solve`, at
-    HYBRID_RTOL and HYBRID_ATOL, over S_a1 (xhat4 -> x1), S_a2 (x2 -> x3) and
-    S_a3 split at xhat3 (xhat1 -> xhat3 -> x4), so both S_a3 passages share
-    their tail; every return then evaluates the maps. At delta = 0, C = 0 and
-    D = 1, and each leg is the exact affine segment map. A denominator
+    HYBRID_RTOL and HYBRID_ATOL, over the passages of ``geom.branches``, the
+    Z < 0 branch's S_a3 split at xhat3 so both branches share its tail; every
+    return then carries Z along the branch its sign picks. At delta = 0, C = 0
+    and D = 1, and each leg is the exact affine segment map. A denominator
     C Z + D that is not positive at a step end of a leg, or a non-finite
     result, means the solution passes through infinity and raises
     NonFiniteState. The result carries the four solves' counters, summed, as
@@ -246,17 +246,15 @@ def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns:
     if n_returns < 1:
         raise DomainError("n_returns must be positive")
     geom = compute_geometry(params)
-    (sa1, sa2, sa3_head, sa3), stats = _hybrid_legs(params, delta, geom)
+    branches, stats = _hybrid_legs(params, delta, geom)
 
     Z = float(Z0)
     returns: list[float] = []
     for _ in range(n_returns):
         if abs(Z) <= DISCONTINUITY_GUARD:
             raise DiscontinuityHit(f"hybrid state hit the jump (Z = {Z!r})")
-        if Z < 0.0:
-            Z = _carry(sa3, _carry(sa3_head, _carry(sa1, Z)))  # S_a1, jump, S_a3 to the last fold
-        else:
-            Z = _carry(sa3, _carry(sa2, Z))  # S_a2, jump, S_a3 from xhat3 to the last fold
+        for leg in branches[Z > 0.0]:
+            Z = _carry(leg, Z)
         returns.append(Z)
 
     period = _detect_tail_period(returns, HYBRID_PERIOD_TOL, max_period=max(1, len(returns) // 4))
@@ -267,19 +265,21 @@ def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns:
 
 
 def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry):
-    """The legs S_a1, S_a2, S_a3 from xhat1 to xhat3 and S_a3 from xhat3 to x4, and their summed counters.
+    """The legs of each branch of ``geom.branches``, with S_a3 split at xhat3 so both share its tail, and their counters.
 
     Each leg is its end matrix (A, B, C, D), solved from the identity, and
     the (C, D) of every accepted step end.
     """
+    (sa1, (xhat1, _)), (sa2, sa3) = geom.branches
     dPhidx = params.field.dPhidx
     stats = radau.SolverStats()
     legs = []
-    for x_from, x_to in ((geom.xhat4, geom.x1), (geom.x2, geom.x3), (geom.xhat1, geom.xhat3), (geom.xhat3, geom.x4)):
+    for x_from, x_to in (sa1, sa2, (xhat1, sa3[0]), sa3):
         ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
         stats += st
         legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
-    return legs, stats
+    leg1, leg2, head, tail = legs
+    return ((leg1, head, tail), (leg2, tail)), stats
 
 
 def _carry(leg, Z: float) -> float:

@@ -40,12 +40,16 @@ def _solve_2x2(a: float, b: float, c: float, d: float, r1: float, r2: float, wha
 def slope_matrix(rho: RhoSpec, geom: ManifoldGeometry) -> tuple[tuple[float, float], tuple[float, float]]:
     """Rows of the 2x2 matrix A with (log a11, log a21) = A @ (alpha, beta)."""
     probe = CanonicalParams(0.0, 0.0, 0.0, 0.0, rho)
-    abscissas = (geom.xhat4, geom.x1, geom.x2, geom.x3, geom.x4, geom.xhat3, geom.xhat1)
-    q_h4, q_1, q_2, q_3, q_4, q_h3, q_h1 = (eval_Q(probe, x) for x in abscissas)
-    return (
-        (0.5 * (q_1**2 - q_h4**2 + q_4**2 - q_h1**2), q_1 - q_h4 + q_4 - q_h1),
-        (0.5 * (q_3**2 - q_2**2 + q_4**2 - q_h3**2), q_3 - q_2 + q_4 - q_h3),
-    )
+    rows = []
+    for passages in geom.branches:
+        quad = lin = 0.0
+        for x_start, x_end in passages:
+            q_start, q_end = eval_Q(probe, x_start), eval_Q(probe, x_end)
+            # quad + a - b, not quad += a - b: one left-to-right sum fixes the rows' rounding
+            quad = quad + q_end**2 - q_start**2
+            lin = lin + q_end - q_start
+        rows.append((0.5 * quad, lin))
+    return tuple(rows)
 
 
 def solve_alpha_beta(a11: float, a21: float, rho: RhoSpec, geom: ManifoldGeometry) -> tuple[float, float]:

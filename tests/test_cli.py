@@ -528,3 +528,67 @@ def test_lam_flag_overrides_either_spelling(capsys, tmp_path):
         outs.append(run(capsys, "simulate", "--mode", "hybrid", "--config", str(cfg), "--lam", "-90", "--returns", "5"))
     direct = ["--alpha", "0.87", "--beta", "0.02", "--kappa", "30", "--lam", "-90"]
     assert outs[0] == outs[1] == run(capsys, "simulate", "--mode", "hybrid", *direct, "--returns", "5")
+
+
+SYNTH_1_3 = ["synth", "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2"]
+
+
+@pytest.mark.parametrize("command", [SYNTH_1_3, HYBRID_1_1], ids=["synth", "simulate"])
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--p", "2", "--q", "0"], None),
+        (["--q", "0"], None),
+        (["--rho", "fixed_rational", "--p", "2"], None),
+        (["--p", "7", "--q", "0"], {"canonical": {"rho": {"quadratic": {"p": 5, "q": 0}}}}),
+    ],
+    ids=["no-rho", "q-only", "fixed-rational", "config-quadratic"],
+)
+def test_p_q_require_rho_quadratic(capsys, monkeypatch, tmp_path, command, flags, config):
+    # without --rho quadratic nothing reads --p and --q, so they are refused, not ignored
+    monkeypatch.setattr("mmopam.cli.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
+    argv = [*command, *flags]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "usage error: --p and --q require --rho quadratic\n"
+
+
+@pytest.mark.parametrize("command", [SYNTH_1_3, HYBRID_1_1], ids=["synth", "simulate"])
+def test_config_rejects_unknown_rho_keys(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setattr("mmopam.cli.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"canonical": {"rho": {"quadratic": {"p": 5, "q": 0, "r": 9}}}}))
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == "error: unknown rho keys: quadratic.r\n"
+
+
+INVERSE = ["pam", "transform", "--inverse", "--a", "0.3", "--b", "0.9", "--mu", "7", "--l", "-9"]
+FORWARD = ["pam", "transform", "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*INVERSE, "--a11", "5"], "pam transform --inverse takes no --a11"),
+        ([*INVERSE, "--config", "{cfg}", "--a22", "1"], "pam transform --inverse takes no --config, --a22"),
+        ([*FORWARD, "--mu", "3"], "pam transform takes no --mu"),
+        (["pam", "transform", "--config", "{cfg}", "--b", "0.9", "--l", "-9"], "pam transform takes no --b, --l"),
+    ],
+    ids=["inverse-a11", "inverse-config", "forward-mu", "forward-config-b-l"],
+)
+def test_pam_transform_rejects_the_other_directions_inputs(capsys, tmp_path, argv, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pam": {"a11": 0.3, "a12": 7, "a21": 0.9, "a22": -2}}))
+    code, out, err = run(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}: only the other direction reads them\n"

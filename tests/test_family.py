@@ -149,6 +149,18 @@ class TestRhoSpec:
         for rho in (RhoSpec("fixed_rational"), RhoSpec("quadratic", p=1.0, q=2.0)):
             assert RhoSpec.from_json_obj(rho.to_json_obj()) == rho
 
+    @pytest.mark.parametrize(
+        "obj, unknown",
+        [
+            ({"quadratic": {"p": 5, "q": 0, "r": 9}}, "quadratic.r"),
+            ({"quadratic": {"p": 5, "q": 0}, "fixed_rational": 1}, "fixed_rational"),
+            ({"quadratic": {"p": 5, "q": 0, "r": 9, "s": 1}, "cubic": {}}, "cubic, quadratic.r, quadratic.s"),
+        ],
+    )
+    def test_json_rejects_unknown_keys(self, obj, unknown):
+        with pytest.raises(DomainError, match=f"^unknown rho keys: {unknown}$"):
+            RhoSpec.from_json_obj(obj)
+
 
 def test_rho_fx_product_is_polynomial(fixed_rho):
     # the reciprocal quartic divides F_x(., 0) exactly
@@ -217,6 +229,15 @@ def test_params_json_roundtrip(quad_rho):
     assert "lambda" in obj  # external JSON key spelling
 
 
+def test_params_json_rejects_unknown_keys(quad_rho):
+    obj = {**json.loads(CanonicalParams(0.1, -0.2, 3.0, -4.0, quad_rho).to_json()), "mu": 5, "lam": 1.0}
+    with pytest.raises(DomainError, match="^unknown canonical parameter keys: mu, lam$"):
+        CanonicalParams.from_json(json.dumps(obj))
+    for text in ("[1]", "5", '["alpha"]'):
+        with pytest.raises(DomainError, match="must be a JSON object"):
+            CanonicalParams.from_json(text)
+
+
 def test_params_json_z0_is_fixed_at_zero(quad_rho):
     obj = json.loads(CanonicalParams(0.1, -0.2, 3.0, -4.0, quad_rho).to_json())
     assert obj["z0"] == 0.0
@@ -243,6 +264,11 @@ def test_fold_abscissas_are_the_design_values(geometry):
     assert math.isclose(geometry.xhat4, -2.5, abs_tol=1e-9)
     assert math.isclose(geometry.xhat3, 1.5, abs_tol=1e-9)
     assert math.isclose(geometry.xhat1, 1.6, abs_tol=1e-9)
+
+
+def test_branches_are_the_design_passages(geometry):
+    # Z < 0: S_a1 from xhat4 to x1, then S_a3 from xhat1 to x4; Z > 0: S_a2 from x2 to x3, then S_a3 from xhat3 to x4
+    assert geometry.branches == (((-2.5, -2.0), (1.6, 1.0)), ((-1.0, 0.0), (1.5, 1.0)))
 
 
 def test_folds_are_critical_and_nondegenerate(geometry):

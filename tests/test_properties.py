@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmopam.errors import DiscontinuityHit, MmopamError
+from mmopam.family import CanonicalParams, RhoSpec, compute_geometry
 from mmopam.pam import (
     Signature,
     TransformedPam,
@@ -17,7 +18,7 @@ from mmopam.pam import (
     transform,
     untransform,
 )
-from mmopam.segments import AffineMap, compose
+from mmopam.segments import associated_pam, offset_coefficients
 
 slopes = st.floats(min_value=0.05, max_value=0.95)
 jumps = st.floats(min_value=-20.0, max_value=-0.5)
@@ -108,22 +109,25 @@ def test_transform_roundtrip(a, mu, b, l):
     assert math.isclose(back.l, tp.l, rel_tol=0, abs_tol=1e-12)  # (mu + l) - mu rounding
 
 
-affines = st.builds(
-    AffineMap,
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
+@given(
+    rho=st.sampled_from([RhoSpec("fixed_rational"), RhoSpec("quadratic", p=1.0, q=1.0)]),
+    alpha=st.floats(-2, 2),
+    beta=st.floats(-2, 2),
+    kappa=st.floats(-100, 100),
+    lam=st.floats(-100, 100),
 )
-
-
-@given(f=affines, g=affines, h=affines, z=st.floats(-10, 10))
-@settings(max_examples=100, deadline=None)
-def test_compose_matches_pointwise(f, g, h, z):
-    fg = compose(f, g)
-    assert math.isclose(fg(z), f(g(z)), rel_tol=1e-9, abs_tol=1e-9)
-    lhs = compose(compose(f, g), h)
-    rhs = compose(f, compose(g, h))
-    assert math.isclose(lhs.slope, rhs.slope, rel_tol=1e-12, abs_tol=1e-12)
-    assert math.isclose(lhs.offset, rhs.offset, rel_tol=1e-9, abs_tol=1e-9)
+@settings(max_examples=300, deadline=None)
+def test_offsets_are_linear_in_kappa_lambda(rho, alpha, beta, kappa, lam):
+    """a12 and a22 are kappa c_kappa + lambda c_lambda, with the coefficients that synthesis solves with."""
+    params = CanonicalParams(alpha, beta, kappa, lam, rho)
+    geom = compute_geometry(params)
+    pam = associated_pam(params, geom)
+    for got, (c_kappa, c_lambda) in zip((pam.a12, pam.a22), offset_coefficients(params, geom)):
+        # relative to the terms, not to their sum, which can cancel; c_lambda itself cancels
+        # from terms of the size of c_kappa, (P(x_start) + 1) expm1(d) - d with expm1(d) ~ d.
+        # The 1e-300 floor covers results that underflow into the subnormal range.
+        scale = abs(kappa * c_kappa) + abs(lam) * (abs(c_kappa) + abs(c_lambda))
+        assert abs(got - (kappa * c_kappa + lam * c_lambda)) <= 1e-12 * scale + 1e-300
 
 
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=5))

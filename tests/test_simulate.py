@@ -9,7 +9,7 @@ from mmopam import radau
 from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
 from mmopam.family import CanonicalParams, compute_geometry, eval_F
 from mmopam.pam import PamCoefficients, iterate_orbit
-from mmopam.segments import lao_branch, sao_branch
+from mmopam.segments import associated_pam
 from mmopam.simulate import (
     SimConfig,
     TimeSeries,
@@ -118,14 +118,15 @@ class TestHybrid:
         """At delta = 0 the legs composed along each branch are its closed-form affine map: C = 0 and D = 1 exactly."""
         params = synthesize(pam, fixed_rho)
         geom = compute_geometry(params)
-        (sa1, sa2, sa3_head, sa3), _ = mmopam.simulate._hybrid_legs(params, 0.0, geom)
-        for legs, closed in (((sa1, sa3_head, sa3), lao_branch(params, geom)), ((sa2, sa3), sao_branch(params, geom))):
+        branches, _ = mmopam.simulate._hybrid_legs(params, 0.0, geom)
+        closed = associated_pam(params, geom)
+        for legs, (slope, offset) in zip(branches, ((closed.a11, closed.a12), (closed.a21, closed.a22))):
             A, B, C, D = 1.0, 0.0, 0.0, 1.0
             for (a, b, c, d), _ in legs:
                 A, B, C, D = a * A + b * C, a * B + b * D, c * A + d * C, c * B + d * D
             assert C == 0.0 and D == 1.0
-            assert math.isclose(A, closed.slope, rel_tol=1e-10)
-            assert math.isclose(B, closed.offset, rel_tol=1e-10)
+            assert math.isclose(A, slope, rel_tol=1e-10)
+            assert math.isclose(B, offset, rel_tol=1e-10)
 
     def test_signature_detected(self, params_1_1):
         res = hybrid_simulate(params_1_1, 0.0, -0.5, 40)
