@@ -8,72 +8,51 @@ field from exact segment solutions of the reduced flow; the inverse direction
 solves for vector-field parameters realizing a given target map. Stiff
 full-system integration and a hybrid reduced simulator validate the
 correspondence dynamically.
-"""
 
-from .errors import (
-    DiscontinuityHit,
-    DomainError,
-    MmopamError,
-    NonFiniteState,
-    NotPeriodic,
-    RootFindingFailure,
-    SingularSystem,
-    StepSizeUnderflow,
-    SynthesisVerificationFailure,
-)
-from .family import (
-    CanonicalParams,
-    Field,
-    ManifoldGeometry,
-    RhoSpec,
-    compute_geometry,
-    eval_F,
-    eval_Fx,
-    eval_G,
-    eval_H,
-    eval_J,
-    eval_P,
-    eval_Q,
-    eval_vector_field,
-)
-from .pam import (
-    DISCONTINUITY_GUARD,
-    MuInterval,
-    OrbitResult,
-    PamCoefficients,
-    Signature,
-    TransformedPam,
-    atmost_atleast_bounds,
-    detect_signature,
-    iterate_orbit,
-    lao_bounds,
-    pam_eval,
-    sao_bounds,
-    signature_from_signs,
-    stability_factor,
-    transform,
-    untransform,
-)
-from .segments import (
-    AffineMap,
-    SegmentSpec,
-    associated_pam,
-    segment_affine,
-)
-from .synthesis import solve_alpha_beta, solve_kappa_lambda, synthesize
+Every exported name loads its home module on first use, so ``import mmopam``
+loads no submodule and a program holds only the modules whose names it reads:
+the map level never loads ``simulate`` and its two ODE solvers.
+"""
 
 __version__ = "0.1.0"
 
-# The simulators and their two ODE solvers load on first use, so the map level never holds them.
-_SIMULATE = ("HybridResult", "SimConfig", "TimeSeries", "canard_hole_radius", "classify_series", "hybrid_simulate",
-             "integrate_full", "visual_rescale")
+# each exported name, under the module that defines it
+_EXPORTS = {
+    "errors": (
+        "DiscontinuityHit", "DomainError", "MmopamError", "NonFiniteState", "NotPeriodic", "RootFindingFailure",
+        "SingularSystem", "StepSizeUnderflow", "SynthesisVerificationFailure",
+    ),
+    "family": (
+        "CanonicalParams", "Field", "ManifoldGeometry", "RhoSpec", "compute_geometry", "eval_F", "eval_Fx", "eval_G",
+        "eval_H", "eval_J", "eval_P", "eval_Q", "eval_vector_field",
+    ),
+    "pam": (
+        "DISCONTINUITY_GUARD", "MuInterval", "OrbitResult", "PamCoefficients", "Signature", "TransformedPam",
+        "atmost_atleast_bounds", "detect_signature", "iterate_orbit", "lao_bounds", "pam_eval", "sao_bounds",
+        "signature_from_signs", "stability_factor", "transform", "untransform",
+    ),
+    "segments": ("AffineMap", "SegmentSpec", "associated_pam", "segment_affine"),
+    "synthesis": ("solve_alpha_beta", "solve_kappa_lambda", "synthesize"),
+    "simulate": (
+        "HybridResult", "SimConfig", "TimeSeries", "canard_hole_radius", "classify_series", "hybrid_simulate",
+        "integrate_full", "visual_rescale",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATE)
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _SIMULATE:
-        from . import simulate
+    from importlib import import_module
 
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it here and never reach __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,14 +14,12 @@ Exit codes: 0 success, 2 usage error, 3 domain/singularity error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 
-from . import plotting
-from .errors import DomainError, MmopamError, NotPeriodic
-from .family import CanonicalParams, RhoSpec, check_z0, compute_geometry, json_float
+# the other modules load inside the commands that call them, so a process holds only what its command runs
+from .errors import DomainError, MmopamError, NotPeriodic, check_z0, json_float
 from .pam import (
     PamCoefficients,
     Signature,
@@ -33,9 +31,6 @@ from .pam import (
     transform,
     untransform,
 )
-from .segments import associated_pam
-from .synthesis import synthesize
-from .tables import verify_all
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,6 +92,8 @@ def _pam_from(args, config: dict) -> PamCoefficients:
 
 
 def _rho_from(args, section: dict) -> RhoSpec:
+    from .family import RhoSpec
+
     if args.rho == "quadratic":
         if args.p is None or args.q is None:
             raise _usage("--rho quadratic requires --p and --q")
@@ -116,6 +113,9 @@ def _canonical_section(config: dict) -> dict:
 
 
 def _canonical_from(args, config: dict) -> CanonicalParams:
+    from .family import CanonicalParams
+    from .synthesis import synthesize
+
     section = _canonical_section(config)
     if "lambda" in section:
         if "lam" in section:
@@ -143,12 +143,13 @@ def _sim_values(args, config: dict) -> dict:
     return out
 
 
-def _write_z_csv(path: str, values: list[float]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "Z"])
-        for n, z in enumerate(values):
-            writer.writerow([n, repr(z)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -160,9 +161,11 @@ def cmd_pam_iterate(args) -> int:
     pam = _pam_from(args, config)
     orbit = iterate_orbit(pam, args.z0)
     if args.out_csv:
-        _write_z_csv(args.out_csv, orbit.iterates)
+        _write_csv(args.out_csv, ["n", "Z"], ([n, repr(z)] for n, z in enumerate(orbit.iterates)))
     if args.out_svg:
-        plotting.cobweb_plot(pam, orbit.iterates[-min(len(orbit.iterates), 200):], args.out_svg)
+        from .plotting import cobweb_plot
+
+        cobweb_plot(pam, orbit.iterates[-min(len(orbit.iterates), 200):], args.out_svg)
     if not orbit.converged:
         print("no periodic pattern detected")
         return EXIT_INCONCLUSIVE
@@ -223,6 +226,8 @@ def cmd_pam_transform(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthesis import synthesize
+
     config = _load_config(args.config)
     target = _pam_from(args, config)
     rho = _rho_from(args, _canonical_section(config))
@@ -233,6 +238,9 @@ def cmd_synth(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.verify:
+        from .family import compute_geometry
+        from .segments import associated_pam
+
         geom = compute_geometry(params)
         got = associated_pam(params, geom)
         for name, g, t in zip(("a11", "a12", "a21", "a22"), got.as_tuple(), target.as_tuple()):
@@ -274,7 +282,7 @@ def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
     n_returns = 40 if args.returns is None else args.returns
     result = hybrid_simulate(params, delta, z_init, n_returns)
     if args.out_prefix:
-        _write_z_csv(args.out_prefix + "_returns.csv", result.returns)
+        _write_csv(args.out_prefix + "_returns.csv", ["n", "Z"], ([n, repr(z)] for n, z in enumerate(result.returns)))
     for z in result.returns:
         print(repr(z))
     if result.signature is None:
@@ -287,6 +295,7 @@ def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
 
 
 def _simulate_full(args, params: CanonicalParams, cfg) -> int:
+    from .family import compute_geometry
     from .simulate import canard_hole_radius, classify_series, integrate_full
 
     geom = compute_geometry(params)
@@ -317,19 +326,23 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
 
 def _write_full_outputs(prefix: str, series, delta: float) -> None:
     """The series CSV, the time-series and x-z SVGs and the crossings JSON of one full run."""
+    from .plotting import line_plot
     from .simulate import visual_rescale
 
     series.to_csv(prefix + "_series.csv")
     rescaled = visual_rescale(series, delta=delta)
     t, x, y, z = rescaled.t, rescaled.x, rescaled.y, rescaled.z
-    plotting.line_plot([(t, x), (t, y), (t, z)], prefix + "_timeseries.svg", x_label="t", y_label="x, y, z")
-    plotting.line_plot([(x, z)], prefix + "_xz.svg", x_label="x", y_label="z")
+    line_plot([(t, x), (t, y), (t, z)], prefix + "_timeseries.svg", x_label="t", y_label="x, y, z")
+    line_plot([(x, z)], prefix + "_xz.svg", x_label="x", y_label="z")
     crossings = [{"t": t, "x": x, "y": y, "z": z, "Z": z / delta} for t, x, y, z in series.crossing_states]
     with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
         json.dump(crossings, fh, indent=2)
 
 
 def _report_match(params: CanonicalParams, observed: str) -> int:
+    from .family import compute_geometry
+    from .segments import associated_pam
+
     geom = compute_geometry(params)
     pam = associated_pam(params, geom)
     try:
@@ -348,6 +361,8 @@ def _report_match(params: CanonicalParams, observed: str) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from .tables import verify_all
+
     reports = verify_all()
     for rep in reports:
         print(rep.summary())
@@ -363,6 +378,9 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    from .family import CanonicalParams, RhoSpec, compute_geometry
+    from .segments import associated_pam
+
     rho = RhoSpec("fixed_rational")
     probe = CanonicalParams(0.0, 0.0, 0.0, 0.0, rho)
     geom = compute_geometry(probe)
@@ -395,15 +413,14 @@ def cmd_crossover(args) -> int:
         k_hi = args.kappa1 + hi * (args.kappa2 - args.kappa1)
         print(f"  t in [{lo:.4f}, {hi:.4f}] (kappa {k_lo:.4f}..{k_hi:.4f}): {sig}")
     if args.out_svg:
+        from .plotting import line_plot
+
         ts = [r[0] for r in records]
         periods = [0 if r[3] == "(none)" else Signature.from_string(r[3]).period for r in records]
-        plotting.line_plot([(ts, periods)], args.out_svg, x_label="scan parameter", y_label="pattern period")
+        line_plot([(ts, periods)], args.out_svg, x_label="scan parameter", y_label="pattern period")
     if args.out_csv:
-        with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "kappa", "lambda", "signature", "mu"])
-            for t, kappa, lam, sig, mu in records:
-                writer.writerow([f"{t:.6f}", repr(kappa), repr(lam), sig, repr(mu)])
+        rows = ([f"{t:.6f}", repr(kappa), repr(lam), sig, repr(mu)] for t, kappa, lam, sig, mu in records)
+        _write_csv(args.out_csv, ["t", "kappa", "lambda", "signature", "mu"], rows)
     return EXIT_OK
 
 
@@ -514,6 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     except MmopamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # _load_config reports an unreadable config itself, so this is an output write
+        raise _usage(f"cannot write output: {exc}") from exc
 
 
 if __name__ == "__main__":

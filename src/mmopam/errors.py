@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all mmopam modules."""
+"""Exception hierarchy shared by all mmopam modules, and the two JSON value checks that raise it."""
 
 
 class MmopamError(Exception):
@@ -42,3 +42,17 @@ class NonFiniteState(MmopamError):
 
 class RootFindingFailure(MmopamError):
     """Brent's method was given no sign change, or did not converge."""
+
+
+def json_float(obj, key) -> float:
+    """``float(obj[key])``; a missing key or a value that float() rejects raises DomainError."""
+    try:
+        return float(obj[key])
+    except (LookupError, TypeError, ValueError):
+        raise DomainError(f"{key!r} must be a number in {obj!r}") from None
+
+
+def check_z0(obj: dict) -> None:
+    """Accept a JSON object whose ``"z0"`` is absent or 0; any other value raises DomainError."""
+    if obj.get("z0", 0.0) != 0.0:
+        raise DomainError(f"z0 is fixed at 0, got {obj['z0']!r}")

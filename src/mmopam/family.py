@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite, sqrt
 
-from .errors import DomainError
+from .errors import DomainError, check_z0, json_float
 
 X_MIN, X_MAX = -3.0, 2.0
 
@@ -480,20 +480,6 @@ class CanonicalParams:
         check_z0(obj)
         values = (json_float(obj, key) for key in ("alpha", "beta", "kappa", "lambda"))
         return cls(*values, RhoSpec.from_json_obj(obj.get("rho")))
-
-
-def json_float(obj, key) -> float:
-    """``float(obj[key])``; a missing key or a value that float() rejects raises DomainError."""
-    try:
-        return float(obj[key])
-    except (LookupError, TypeError, ValueError):
-        raise DomainError(f"{key!r} must be a number in {obj!r}") from None
-
-
-def check_z0(obj: dict) -> None:
-    """Accept a JSON object whose ``"z0"`` is absent or 0; any other value raises DomainError."""
-    if obj.get("z0", 0.0) != 0.0:
-        raise DomainError(f"z0 is fixed at 0, got {obj['z0']!r}")
 
 
 def eval_Q(params: CanonicalParams, x):

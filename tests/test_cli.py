@@ -386,6 +386,72 @@ def test_map_level_commands_never_import_scipy(tmp_path):
     assert after_hybrid == none
 
 
+LOAD_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import mmopam
+else:
+    from mmopam.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert not argv or main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+MAP_LEVEL = [
+    ["pam", "signature", *ROW_1_3],
+    ["pam", "bounds", "--a", "0.9", "--b", "0.8", "--l", "-7.2", "--L", "2", "--s", "2"],
+    ["pam", "transform", *ROW_1_3],
+    ["pam", "iterate", *ROW_1_3, "--out-csv", "{tmp}/orbit.csv", "--out-svg", "{tmp}/cobweb.svg"],
+    ["synth", *ROW_1_3, "--verify", "--out", "{tmp}/params.json"],
+    ["verify-tables"],
+    ["crossover", *CROSSOVER_SEGMENT, "--grid", "5", "--out-csv", "{tmp}/scan.csv", "--out-svg", "{tmp}/scan.svg"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [None, [], *MAP_LEVEL], ids=["import-mmopam", "import-cli", *(" ".join(a[:2]) for a in MAP_LEVEL)]
+)
+def test_each_process_loads_only_what_its_command_runs(tmp_path, argv):
+    # one fresh process per row: the package loads a module on the first use of one of its names,
+    # the CLI inside the command that calls it
+    if argv:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    ours = {m for m in loaded if m.split(".")[0] == "mmopam"}
+    if argv is None:
+        assert ours == {"mmopam"}
+    elif not argv:
+        assert ours == {"mmopam", "mmopam.cli", "mmopam.errors", "mmopam.pam"}
+    else:
+        assert not ours & {"mmopam.simulate", "mmopam.radau", "mmopam.dop853"}
+        if argv[0] == "pam":
+            assert not loaded & {"mmopam.family", "fractions"}
+
+
+def test_package_namespace():
+    from importlib import import_module
+
+    assert len(mmopam.__all__) == len(set(mmopam.__all__)) == 53
+    for module, names in mmopam._EXPORTS.items():
+        home = import_module(f"mmopam.{module}")
+        for name in names:
+            obj = getattr(mmopam, name)
+            assert obj is vars(home)[name], name
+            assert getattr(obj, "__module__", home.__name__) == home.__name__, name  # defined there, not re-exported
+    assert set(mmopam.__all__) <= set(dir(mmopam))
+    with pytest.raises(AttributeError, match=r"^module 'mmopam' has no attribute 'no_such_name'$"):
+        mmopam.no_such_name
+    star: dict = {}
+    exec("from mmopam import *", star)
+    assert set(star) - {"__builtins__"} == set(mmopam.__all__)
+
+
 HYBRID_1_1 = ["simulate", "--mode", "hybrid", "--a11", "0.3", "--a12", "1", "--a21", "0.9", "--a22", "-2", "--from-pam"]
 
 
@@ -510,7 +576,7 @@ def test_config_rejects_both_lambda_spellings(capsys, monkeypatch, tmp_path, arg
     def fail(*args, **kwargs):
         raise AssertionError("ran before rejecting")
 
-    monkeypatch.setattr("mmopam.cli.synthesize", fail)
+    monkeypatch.setattr("mmopam.synthesis.synthesize", fail)
     monkeypatch.setattr("mmopam.simulate.hybrid_simulate", fail)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"canonical": {**VF_1_3, "lam": 1.0}}))
@@ -546,7 +612,7 @@ SYNTH_1_3 = ["synth", "--a11", "0.3", "--a12", "7", "--a21", "0.9", "--a22", "-2
 )
 def test_p_q_require_rho_quadratic(capsys, monkeypatch, tmp_path, command, flags, config):
     # without --rho quadratic nothing reads --p and --q, so they are refused, not ignored
-    monkeypatch.setattr("mmopam.cli.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
+    monkeypatch.setattr("mmopam.synthesis.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
     argv = [*command, *flags]
     if config is not None:
         cfg = tmp_path / "run.json"
@@ -562,7 +628,7 @@ def test_p_q_require_rho_quadratic(capsys, monkeypatch, tmp_path, command, flags
 
 @pytest.mark.parametrize("command", [SYNTH_1_3, HYBRID_1_1], ids=["synth", "simulate"])
 def test_config_rejects_unknown_rho_keys(capsys, monkeypatch, tmp_path, command):
-    monkeypatch.setattr("mmopam.cli.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
+    monkeypatch.setattr("mmopam.synthesis.synthesize", lambda *a: pytest.fail("synthesized before rejecting"))
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"canonical": {"rho": {"quadratic": {"p": 5, "q": 0, "r": 9}}}}))
     code, out, err = run(capsys, *command, "--config", str(cfg))
@@ -592,3 +658,26 @@ def test_pam_transform_rejects_the_other_directions_inputs(capsys, tmp_path, arg
     assert code == 3
     assert out == ""
     assert err == f"error: {message}: only the other direction reads them\n"
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        ([*SYNTH_1_3, "--out", "{missing}/params.json"], "params.json"),
+        (["pam", "iterate", *ROW_1_3, "--out-csv", "{missing}/orbit.csv"], "orbit.csv"),
+        (["pam", "iterate", *ROW_1_3, "--out-svg", "{missing}/cobweb.svg"], "cobweb.svg"),
+        (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--out-csv", "{missing}/scan.csv"], "scan.csv"),
+        (["crossover", *CROSSOVER_SEGMENT, "--grid", "3", "--out-svg", "{missing}/scan.svg"], "scan.svg"),
+        (["verify-tables", "--json", "{missing}/report.json"], "report.json"),
+        ([*HYBRID_1_1, "--returns", "5", "--out-prefix", "{missing}/run"], "run_returns.csv"),
+    ],
+    ids=["synth-out", "iterate-out-csv", "iterate-out-svg", "crossover-out-csv", "crossover-out-svg", "json", "out-prefix"],
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, path):
+    # an output path in a directory that does not exist: one line and exit 2, as for an unreadable config
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{missing}", str(missing)) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write output: [Errno 2] No such file or directory: '{missing / path}'\n"
