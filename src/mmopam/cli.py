@@ -283,6 +283,7 @@ def _simulate_hybrid(args, params: CanonicalParams, delta: float) -> int:
     result = hybrid_simulate(params, delta, z_init, n_returns)
     if args.out_prefix:
         _write_csv(args.out_prefix + "_returns.csv", ["n", "Z"], ([n, repr(z)] for n, z in enumerate(result.returns)))
+    print(f"dop853: {result.solver_stats}", file=sys.stderr)
     for z in result.returns:
         print(repr(z))
     if result.signature is None:
@@ -303,11 +304,9 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     try:
         series = integrate_full(params, cfg, n_crossings=n_crossings)
     except NotPeriodic as exc:
-        if args.out_prefix and exc.series is not None:
-            _write_full_outputs(args.out_prefix, exc.series, cfg.delta)
+        _full_outputs(args.out_prefix, exc.series, cfg.delta)
         raise
-    if args.out_prefix:
-        _write_full_outputs(args.out_prefix, series, cfg.delta)
+    _full_outputs(args.out_prefix, series, cfg.delta)
     hole = canard_hole_radius(cfg.eps, cfg.delta)
     Zs = [z / cfg.delta for *_, z in series.crossing_states]
     flagged = sum(abs(Z) < hole for Z in Zs)
@@ -324,19 +323,21 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
     return EXIT_OK
 
 
-def _write_full_outputs(prefix: str, series, delta: float) -> None:
-    """The series CSV, the time-series and x-z SVGs and the crossings JSON of one full run."""
-    from .plotting import line_plot
-    from .simulate import visual_rescale
+def _full_outputs(prefix: str | None, series, delta: float) -> None:
+    """With ``prefix``, a full run's series CSV, two SVGs and crossings JSON; then its Radau counters on stderr."""
+    if prefix:
+        from .plotting import line_plot
+        from .simulate import visual_rescale
 
-    series.to_csv(prefix + "_series.csv")
-    rescaled = visual_rescale(series, delta=delta)
-    t, x, y, z = rescaled.t, rescaled.x, rescaled.y, rescaled.z
-    line_plot([(t, x), (t, y), (t, z)], prefix + "_timeseries.svg", x_label="t", y_label="x, y, z")
-    line_plot([(x, z)], prefix + "_xz.svg", x_label="x", y_label="z")
-    crossings = [{"t": t, "x": x, "y": y, "z": z, "Z": z / delta} for t, x, y, z in series.crossing_states]
-    with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
-        json.dump(crossings, fh, indent=2)
+        series.to_csv(prefix + "_series.csv")
+        rescaled = visual_rescale(series, delta=delta)
+        t, x, y, z = rescaled.t, rescaled.x, rescaled.y, rescaled.z
+        line_plot([(t, x), (t, y), (t, z)], prefix + "_timeseries.svg", x_label="t", y_label="x, y, z")
+        line_plot([(x, z)], prefix + "_xz.svg", x_label="x", y_label="z")
+        crossings = [{"t": t, "x": x, "y": y, "z": z, "Z": z / delta} for t, x, y, z in series.crossing_states]
+        with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
+            json.dump(crossings, fh, indent=2)
+    print(f"radau: {series.solver_stats}", file=sys.stderr)
 
 
 def _report_match(params: CanonicalParams, observed: str) -> int:

@@ -19,10 +19,11 @@ rational arithmetic. :func:`compute_geometry` returns these constants, with
 the fold heights taken from exact rational F.
 
 :class:`Field`, built once per parameter set as ``params.field``, is the one
-evaluator: plain-float Horner kernels for F, Q, rho, G and H, the stiff
-Jacobian, and the integrators' kernels. Loops start from 0.0, so they take
-scalars and, element-wise, arrays; the ``eval_*`` functions use it. The Radau
-right-hand side ``Field.rhs`` and the derivative ``Field.dPhidx`` of the
+evaluator: plain-float Horner kernels for F, Q, rho, G and H, and the
+integrators' kernels. Loops start from 0.0, so they take scalars and,
+element-wise, arrays; the ``eval_*`` functions use it. The Radau right-hand
+side ``Field.rhs``, its Jacobian ``Field.jac``, Radau's Newton iteration with
+that rhs written into each stage, and the derivative ``Field.dPhidx`` of the
 fundamental matrix of the hybrid slow flow are straight-line functions: the
 same loops unrolled, with the same operations in the same order, compiled
 once per rho shape and bound to a parameter set's constants on first use, so
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import isfinite, sqrt
 
 from .errors import DomainError, check_z0, json_float
@@ -256,22 +257,44 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 # --- straight-line integrator kernels ------------------------------------------
 #
-# The Radau rhs and the hybrid dPhidx run thousands of times per solve, so each is one
-# function whose Horner loops are unrolled into expressions. The operations and their
+# The Radau rhs and jac and the hybrid dPhidx run thousands of times per solve, so each is
+# one function whose Horner loops are unrolled into expressions. The operations and their
 # order are those of the loops above, the leading 0.0 * x + and 0.0 + terms included,
 # so every input, +-inf and nan too, gives the same bits. Constants are closure cells
 # bound by a factory compiled once per kernel and rho shape; no value enters the source.
-
-_KERNEL_SRC = {
-    "rhs": """\
-def rhs(t, s, eps, delta):
-    x, y, z = s
+# The rhs stage binds its three values at the state {s} with {out}: "return" in the rhs
+# kernel, an assignment at each stage of Radau's Newton iteration (the collocation kernel).
+_RHS_STAGE = """\
+    x, y, z = {s}
     Q = {Q}
     u = alpha * Q + beta
     P = alpha * Q * Q / 2.0 + beta * Q
     r = {rho}
     J = 0.5 - x
-    return (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
+    {out} (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
+"""
+
+_KERNEL_SRC = {
+    "rhs": "def rhs(t, s, eps, delta):\n{rhs}",
+    "jac": """\
+def jac(t, s, eps, delta):
+    x, y, z = s
+    r = {rho}
+    rp = {drho}
+    Q = {Q}
+    u = alpha * Q + beta
+    P = alpha * Q * Q / 2.0 + beta * Q
+    Qp = r * {Fx0}
+    up = alpha * Qp
+    J = 0.5 - x
+    Pp = u * Qp
+    Hp = rp * u * J + r * up * J - r * u
+    Gp = lam * Pp * u * r * J + (kappa + lam * P) * (up * r * J + u * rp * J - u * r)
+    return (
+        (-{Fx} / eps, 1.0 / eps, -{Fz} / eps),
+        (-1.0, 0.0, 0.0),
+        (delta * Gp + z * Hp, 0.0, r * u * J),
+    )
 """,
     "dPhidx": """\
 def dPhidx(x, Phi, delta):
@@ -305,17 +328,39 @@ def _names(prefix: str, n: int) -> list[str]:
 @lru_cache(maxsize=None)
 def _kernel_factory(name: str, variant: str, nq: int):
     """``make(alpha, beta, kappa, lam, p, q, q_coeffs, w_coeffs)`` returning kernel ``name``, compiled once per shape."""
-    F = "0.0"
-    for k, _, _ in _KCD:  # the loop of eval_F
+    F = Fz = "0.0"
+    for k, _, _ in _KCD:  # the loops of eval_F and eval_Fz
         F = f"({F} + (C{k} + D{k} * z)) * x"
-    rho = "(rho_p + x + rho_q * x * x)" if variant == QUADRATIC else f"(1.0 / {_horner_src(_names('R', 5))})"
-    body = _KERNEL_SRC[name].format(
-        Q=_horner_src(_names("Q", nq)),
-        W=_horner_src(_names("W", nq - 1)),
-        F=f"({F}) * x",
-        Fxz=_horner_src(_names("KD", 8)),
-        rho=rho,
-    )
+        Fz = f"({Fz} + D{k}) * x"
+    if variant == QUADRATIC:
+        rho, drho = "(rho_p + x + rho_q * x * x)", "(1.0 + 2.0 * rho_q * x)"
+    else:
+        den = _horner_src(_names("R", 5))
+        rho, drho = f"(1.0 / {den})", f"(-{_horner_src(_names('RD', 4))} / ({den} * {den}))"
+    parts = {
+        "Q": _horner_src(_names("Q", nq)),
+        "W": _horner_src(_names("W", nq - 1)),
+        "F": f"({F}) * x",
+        "Fx": f"({_horner_src(f'{k} * (C{k} + D{k} * z)' for k, _, _ in _KCD)} * x)",  # the loop of eval_Fx
+        "Fx0": f"({_horner_src(f'{k} * (C{k} + D{k} * 0.0)' for k, _, _ in _KCD)} * x)",
+        "Fz": f"(({Fz}) * x)",
+        "Fxz": _horner_src(_names("KD", 8)),
+        "rho": rho,
+        "drho": drho,
+    }
+    namespace = {
+        "CS": tuple(c for _, c, _ in _KCD),
+        "DS": tuple(d for _, _, d in _KCD),
+        "KDS": _KD,
+        "RS": _RHO_DEN,
+        "RDS": _RHO_DDEN,
+    }
+    if name == "collocation":
+        from . import radau  # the Newton iteration's template, and the constants it reads
+        namespace.update(vars(radau))
+        body = radau.collocation_source(partial(_RHS_STAGE.format, **parts), "    eps, delta = args\n")
+    else:
+        body = _KERNEL_SRC[name].format(rhs=_RHS_STAGE.format(s="s", out="return", **parts), **parts)
     unpack = {
         "q_coeffs": _names("Q", nq),
         "w_coeffs": _names("W", nq - 1),
@@ -323,17 +368,12 @@ def _kernel_factory(name: str, variant: str, nq: int):
         "DS": [f"D{k}" for k, _, _ in _KCD],
         "KDS": _names("KD", 8),
         "RS": _names("R", 5),
+        "RDS": _names("RD", 4),
     }
     src = "def make(alpha, beta, kappa, lam, rho_p, rho_q, q_coeffs, w_coeffs):\n"
     src += "".join(f"    {', '.join(names)}, = {seq}\n" for seq, names in unpack.items())
     src += "".join("    " + line + "\n" for line in body.splitlines())
     src += f"    return {name}\n"
-    namespace = {
-        "CS": tuple(c for _, c, _ in _KCD),
-        "DS": tuple(d for _, _, d in _KCD),
-        "KDS": _KD,
-        "RS": _RHO_DEN,
-    }
     exec(compile(src, f"<mmopam.family {name} kernel, {variant} rho>", "exec"), namespace)
     return namespace["make"]
 
@@ -346,21 +386,17 @@ class Field:
 
     Products keep one order everywhere, G = (((kappa + lambda P) u) rho) J and
     H = (rho u) J with u = alpha Q + beta, so every route gives the same bits.
-    Holding the F kernels here keeps the integrators off rebound module names.
     """
 
-    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "drho", "_q", "_w", "_spec", "_rhs", "_dPhidx")
-
-    Fx = staticmethod(eval_Fx)
-    Fz = staticmethod(eval_Fz)
+    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "_q", "_w", "_spec", "_rhs", "_jac", "_dPhidx")
 
     def __init__(self, params: CanonicalParams):
         self.alpha, self.beta = float(params.alpha), float(params.beta)
         self.kappa, self.lam = float(params.kappa), float(params.lam)
-        self.rho, self.drho = params.rho.rho, params.rho.drho
+        self.rho = params.rho.rho
         self._q, self._w = _q_tables(params.rho)
         self._spec = params.rho
-        self._rhs = self._dPhidx = None  # the integrator kernels, bound on first use
+        self._rhs = self._jac = self._dPhidx = None  # the integrator kernels, bound on first use
 
     def Q(self, x):
         return _horner(self._q, x)
@@ -377,25 +413,6 @@ class Field:
         J = 0.5 - x
         return (self.kappa + self.lam * P) * u * r * J, r * u * J
 
-    def jac(self, t, s, eps, delta):
-        """Analytic Jacobian of :attr:`rhs`, as three rows."""
-        x, y, z = s
-        lam = self.lam
-        r = self.rho(x)
-        rp = self.drho(x)
-        _, u, P = self.QuP(x)
-        Qp = r * self.Fx(x, 0.0)
-        up = self.alpha * Qp
-        J = 0.5 - x
-        Pp = u * Qp
-        Hp = rp * u * J + r * up * J - r * u
-        Gp = lam * Pp * u * r * J + (self.kappa + lam * P) * (up * r * J + u * rp * J - u * r)
-        return (
-            (-self.Fx(x, z) / eps, 1.0 / eps, -self.Fz(x, z) / eps),
-            (-1.0, 0.0, 0.0),
-            (delta * Gp + z * Hp, 0.0, r * u * J),
-        )
-
     @property
     def rhs(self):
         """Slow-time (x', y', z') at s = (x, y, z), called ``rhs(t, s, eps, delta)`` by the Radau solver.
@@ -404,7 +421,15 @@ class Field:
         """
         if self._rhs is None:
             self._rhs = self._bind("rhs")
+            self._rhs.collocation = self._bind("collocation")  # radau.solve's Newton iteration with this rhs inlined
         return self._rhs
+
+    @property
+    def jac(self):
+        """Analytic Jacobian of :attr:`rhs` at s, as three rows, called ``jac(t, s, eps, delta)``."""
+        if self._jac is None:
+            self._jac = self._bind("jac")
+        return self._jac
 
     @property
     def dPhidx(self):

@@ -19,12 +19,19 @@ substitutions inline, and the step predicts the stages from the last step's
 cubic inline; :func:`_solve3` serves only the error estimate.
 ``fun(t, s, *args)`` returns the three derivatives at the state tuple ``s``;
 ``jac(t, s, *args)`` returns the Jacobian as three rows.
+
+The Newton iteration is one source template with a slot for the three stage
+evaluations, compiled on first use. The generic instance calls ``fun`` at
+each stage. ``fun.collocation``, when ``fun`` carries one, is an instance
+with ``fun``'s body written into the slot, the same operations in the same
+order: :mod:`mmopam.family` compiles one per rho shape for ``Field.rhs``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 from math import inf, nextafter, sqrt
 
 from .errors import DomainError, NonFiniteState, RootFindingFailure, StepSizeUnderflow
@@ -216,15 +223,13 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 
 # --- the collocation system ---------------------------------------------------------
+#
+# scipy's ``solve_collocation_system`` for n = 3: (converged, n_iter, Z, rate), Z[3 i + j] the
+# increment of stage i, component j. Both substitutions are :func:`_solve3`'s, written out.
 
-
-def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real, lu_complex):
-    """scipy's ``solve_collocation_system`` for n = 3: (converged, n_iter, Z, rate).
-
-    Z holds the stage increments row by row, Z[3 i + j] for stage i, component j.
-    Both substitutions are :func:`_solve3`'s expressions, written out in the loop.
-    """
-    rp0, rp1, rp2, ru00, ru01, ru02, rl10, ru11, ru12, rl20, rl21, ru22 = lu_real
+_COLLOCATION_SRC = '''\
+def collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real, lu_complex):
+{setup}    rp0, rp1, rp2, ru00, ru01, ru02, rl10, ru11, ru12, rl20, rl21, ru22 = lu_real
     cp0, cp1, cp2, cu00, cu01, cu02, cl10, cu11, cu12, cl20, cl21, cu22 = lu_complex
     m_real = MU_REAL / h
     m_complex = MU_COMPLEX / h
@@ -248,15 +253,12 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
     rate = None
     converged = False
     for k in range(NEWTON_MAXITER):
-        f00, f01, f02 = fun(tc0, (y0 + z00, y1 + z01, y2 + z02), *args)
-        f10, f11, f12 = fun(tc1, (y0 + z10, y1 + z11, y2 + z12), *args)
-        f20, f21, f22 = fun(tc2, (y0 + z20, y1 + z21, y2 + z22), *args)
-        # 0 * v is 0 for every finite v and nan otherwise
+{stages}        # 0 * v is 0 for every finite v and nan otherwise
         if 0.0 * f00 + 0.0 * f01 + 0.0 * f02 + 0.0 * f10 + 0.0 * f11 + 0.0 * f12 + 0.0 * f20 + 0.0 * f21 + 0.0 * f22 != 0.0:
             break
         # with F finite, a non-finite iterate W is what makes scipy's lu_solve raise here
         if 0.0 * w00 + 0.0 * w01 + 0.0 * w02 + 0.0 * w10 + 0.0 * w11 + 0.0 * w12 + 0.0 * w20 + 0.0 * w21 + 0.0 * w22 != 0.0:
-            raise NonFiniteState(f"collocation iterate left the finite range at t = {t:.6g}")
+            raise NonFiniteState(f"collocation iterate left the finite range at t = {{t:.6g}}")
         b = (
             f00 * r0 + f10 * r1 + f20 * r2 - m_real * w00,
             f01 * r0 + f11 * r1 + f21 * r2 - m_real * w01,
@@ -313,6 +315,26 @@ def _solve_collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real
             break
         dw_norm_old = dw_norm
     return converged, k + 1, (z00, z01, z02, z10, z11, z12, z20, z21, z22), rate
+'''
+
+
+def collocation_source(stage, setup: str = "") -> str:
+    """The template with the function-body lines ``setup`` before the loop and ``stage(t=, s=, out=)`` at each stage.
+
+    A stage is function-body lines that bind the rhs at the expressions t and s with ``out``.
+    """
+    stages = "".join(stage(t=tc, s=f"(y0 + z{i}0, y1 + z{i}1, y2 + z{i}2)", out=f"f{i}0, f{i}1, f{i}2 =")
+                     for i, tc in enumerate(("tc0", "tc1", "tc2")))
+    return _COLLOCATION_SRC.format(setup=setup, stages="".join("    " + line + "\n" for line in stages.splitlines()))
+
+
+@cache
+def _generic_collocation():
+    """The instance that calls ``fun(t, s, *args)`` at each stage."""
+    namespace = {}
+    source = collocation_source("    {out} fun({t}, {s}, *args)\n".format)
+    exec(compile(source, "<mmopam.radau collocation, generic stage>", "exec"), globals(), namespace)
+    return namespace["collocation"]
 
 
 def _iteration_matrices(h, J):
@@ -340,6 +362,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     if not (rtol > 0.0 and atol > 0.0):
         raise DomainError("rtol and atol must be positive")
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
+    collocation = getattr(fun, "collocation", None) or _generic_collocation()
     st = SolverStats()
     t = float(t0)
     u0, u1, u2 = (float(v) for v in y0)
@@ -405,7 +428,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
                     lu_real, lu_complex = _iteration_matrices(h, J)
                     st.nlu += 2
                 if lu_real is not None and lu_complex is not None:  # else singular: a failed iteration
-                    converged, n_iter, Z, rate = _solve_collocation(
+                    converged, n_iter, Z, rate = collocation(
                         fun, args, t, u0, u1, u2, h, Z0, s0, s1, s2, newton_tol, lu_real, lu_complex
                     )
                     st.nfev += 3 * n_iter

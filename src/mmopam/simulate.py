@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 from . import dop853, radau
 from .errors import DiscontinuityHit, DomainError, NonFiniteState, NotPeriodic
@@ -42,10 +42,6 @@ def solve_ivp(*args, **kwargs):
 
     return scipy_solve_ivp(*args, **kwargs)
 
-
-# Output-point density control: consecutive samples are refined until adjacent
-# x values differ by less than this during slow segments.
-DENSIFY_DX = 0.05
 
 # The full system and the hybrid legs are solved to these tolerances, and a period
 # of the hybrid returns is accepted once returns p apart agree within HYBRID_PERIOD_TOL.
@@ -161,46 +157,19 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
 
 
 def _densify(sol: radau.RadauSolution) -> tuple[array, array, array, array]:
-    """A solve's samples as the columns (t, x, y, z).
+    """A solve's samples as the columns (t, x, y, z): t0 and each step end, from its step's cubic as OdeSolution does.
 
-    The samples are the step ends, each from the step that ends there as ``OdeSolution``
-    does, and the bisection points of each step's cubic while adjacent x values differ by
-    more than DENSIFY_DX, at most 24 levels deep. A sample whose t does not exceed the last
-    one (a terminal root at the start of its step, or a bisection point that rounds onto an
-    end) is skipped, so the times stay strictly increasing as TimeSeries requires.
+    A terminal root at the start of its step repeats the last time and is skipped: the times stay strictly increasing.
     """
-    cols = (array("d"), array("d"), array("d"), array("d"))
-    a = sol.t[0]
-    sa = radau.dense_eval(sol.cubics[0], a)
-    _push(cols, a, sa)
-    for cubic, b in zip(sol.cubics, islice(sol.t, 1, None)):
-        sb = radau.dense_eval(cubic, b)
-        _refine(cols, cubic, a, sa, b, sb, 24)
-        _push(cols, b, sb)
-        a, sa = b, sb
+    cols = ts, xs, ys, zs = array("d"), array("d"), array("d"), array("d")
+    for cubic, t in zip(chain(sol.cubics[:1], sol.cubics), sol.t):
+        if not ts or t > ts[-1]:
+            x, y, z = radau.dense_eval(cubic, t)
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            zs.append(z)
     return cols
-
-
-# Module-level, not a closure in _densify: a closure that calls itself is a reference
-# cycle, which would keep each run's columns alive until the cyclic collector runs.
-def _refine(cols, cubic, a: float, sa, b: float, sb, depth: int) -> None:
-    """Push the bisection points strictly between samples (a, sa) and (b, sb), in order."""
-    if depth and abs(sb[0] - sa[0]) > DENSIFY_DX:
-        m = 0.5 * (a + b)
-        sm = radau.dense_eval(cubic, m)
-        _refine(cols, cubic, a, sa, m, sm, depth - 1)
-        _push(cols, m, sm)
-        _refine(cols, cubic, m, sm, b, sb, depth - 1)
-
-
-def _push(cols, t: float, s: tuple[float, float, float]) -> None:
-    """Append the sample (t, *s) unless t does not exceed the last sample time."""
-    ts, xs, ys, zs = cols
-    if not ts or t > ts[-1]:
-        ts.append(t)
-        xs.append(s[0])
-        ys.append(s[1])
-        zs.append(s[2])
 
 
 def canard_hole_radius(eps: float, delta: float) -> float:

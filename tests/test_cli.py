@@ -512,6 +512,35 @@ def test_simulate_hybrid_pole_exits_3(capsys):
     assert err.startswith("error: the reduced flow from Z = ") and err.endswith(" passes through infinity\n")
 
 
+def _stats_line(solver: str, st) -> str:
+    return (f"{solver}: SolverStats(steps={st.steps}, rejected={st.rejected}, nfev={st.nfev}, njev={st.njev}, "
+            f"nlu={st.nlu}, newton_failures={st.newton_failures})")
+
+
+def test_simulate_full_prints_radau_stats(capsys):
+    # one stderr line with the run's SolverStats; stdout is what it was without it
+    code, out, err = run(capsys, "simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "1",
+                         "--a21", "0.9", "--a22", "-2", "--eps", "1e-6", "--delta", "1e-2", "--crossings", "12",
+                         "--compare-pam")
+    assert code == 0
+    assert out == "signature: 1^1\nmap-predicted signature: 1^1\nmatch: true\n"
+    params = mmopam.synthesize(mmopam.PamCoefficients(0.3, 1.0, 0.9, -2.0), mmopam.RhoSpec("fixed_rational"))
+    series = mmopam.integrate_full(params, mmopam.SimConfig(eps=1e-6, delta=1e-2), n_crossings=12)
+    assert series.solver_stats.steps > 0
+    assert err.splitlines()[0] == _stats_line("radau", series.solver_stats)
+    assert sum(line.startswith("radau: ") for line in err.splitlines()) == 1
+
+
+def test_simulate_hybrid_prints_dop853_stats(capsys):
+    code, out, err = run(capsys, *HYBRID_1_1, "--returns", "40", "--compare-pam")
+    assert code == 0
+    assert out.endswith("signature: 1^1\nmap-predicted signature: 1^1\nmatch: true\n")
+    params = mmopam.synthesize(mmopam.PamCoefficients(0.3, 1.0, 0.9, -2.0), mmopam.RhoSpec("fixed_rational"))
+    stats = mmopam.hybrid_simulate(params, mmopam.SimConfig.delta, -0.5, 40).solver_stats
+    assert stats.steps > 0
+    assert err == _stats_line("dop853", stats) + "\n"
+
+
 PAM_1_3 = {"a11": 0.3, "a12": 7, "a21": 0.9, "a22": -2}
 VF_1_3 = {"alpha": 0.87, "beta": 0.02, "kappa": 30.0, "lambda": -90.0}
 SIGNATURE, SYNTH, FULL = ["pam", "signature"], ["synth"], ["simulate", "--mode", "full", "--max-slow-time", "0.1"]

@@ -160,11 +160,8 @@ def same(got, want) -> bool:
 )
 def test_F_kernels_exact(kernel, ref, z):
     public = getattr(family, "eval_" + kernel)
-    fn = getattr(family.Field, kernel) if kernel in ("Fx", "Fz") else public  # the Field holds the two that jac reads
-    assert same(fn(XS, z), ref(XS, z))
     assert same(public(XS, z), ref(XS, z))
     for x in XS:
-        assert fn(float(x), z) == ref(np.float64(x), z)
         assert public(float(x), z) == ref(np.float64(x), z)
 
 
@@ -173,7 +170,7 @@ def test_rho_Q_kernels_exact(rho):
     params = CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho)
     fld = params.field
     assert same(fld.rho(XS), ref_rho(rho, XS))
-    assert same(fld.drho(XS), ref_drho(rho, XS))
+    assert same(rho.drho(XS), ref_drho(rho, XS))
     assert same(fld.Q(XS), ref_Q(params, XS))
     assert same(family.eval_Q(params, XS), ref_Q(params, XS))
     G, H = fld.drift(XS)
@@ -181,7 +178,7 @@ def test_rho_Q_kernels_exact(rho):
     for x in XS:
         x = float(x)
         assert fld.rho(x) == ref_rho(rho, np.float64(x))
-        assert fld.drho(x) == ref_drho(rho, np.float64(x))
+        assert rho.drho(x) == ref_drho(rho, np.float64(x))
         assert fld.Q(x) == ref_Q(params, x)
         assert family.eval_P(params, x) == ref_P(params, x)
         assert family.eval_G(params, x) == ref_G(params, x)
@@ -236,9 +233,13 @@ def test_kernels_compiled_once_per_rho_shape(monkeypatch):
     family._kernel_factory.cache_clear()
     fields = [CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho).field for rho in RHOS + RHOS]
     for fld in fields:
-        fld.rhs, fld.dPhidx
-    assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in ("rhs", "dPhidx")
+        fld.rhs, fld.jac, fld.dPhidx
+    kernels = ("rhs", "collocation", "jac", "dPhidx")
+    assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in kernels
                                       for v in ("fixed_rational", "quadratic"))
+    # radau.solve finds the collocation kernel on the rhs kernel, one per parameter set
+    assert all(fld.rhs.collocation.__closure__ for fld in fields)
+    assert fields[1].rhs.collocation is not fields[2].rhs.collocation
     # each parameter set keeps its own constants: the two quadratic rho differ
     assert fields[1].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3) != fields[2].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3)
 

@@ -185,6 +185,29 @@ def test_integrate_full_is_one_solve(fixed_rho, monkeypatch):
     assert solves[0].steps > 0 and solves[0].nlu > 0
 
 
+@pytest.mark.parametrize("rho", [mmopam.RhoSpec("fixed_rational"), mmopam.RhoSpec("quadratic", p=1.0, q=1.0)],
+                         ids=["fixed", "quad"])
+def test_field_collocation_equals_generic(rho, monkeypatch):
+    # Field.rhs carries the Newton iteration with its body written into the stages; a plain lambda around
+    # the same rhs runs the generic instance, which calls it at every stage. Both give the same bits.
+    params = mmopam.synthesize(mmopam.PamCoefficients(*ROWS["1^1"]), rho)
+    cfg = SimConfig(eps=1e-6, delta=1e-2)
+    assert params.field.rhs.collocation is not None
+    runs = [integrate_full(params, cfg, n_crossings=3)]
+    calls = []
+    solve = radau.solve
+
+    def generic(fun, *args, **kwargs):
+        return solve(lambda t, s, *a: calls.append(t) or fun(t, s, *a), *args, **kwargs)
+
+    monkeypatch.setattr(mmopam.simulate.radau, "solve", generic)
+    runs.append(integrate_full(params, cfg, n_crossings=3))
+    field_run, generic_run = ([[v.hex() for v in col] for col in (r.t, r.x, r.y, r.z, *r.crossing_states)] for r in runs)
+    assert field_run == generic_run
+    assert runs[0].solver_stats == runs[1].solver_stats
+    assert len(calls) == runs[1].solver_stats.nfev > 3 * runs[1].solver_stats.steps
+
+
 # --- the unrolled 3x3 LU ------------------------------------------------------------------
 
 

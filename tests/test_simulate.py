@@ -258,7 +258,7 @@ class TestIntegrateFull:
 
 def _numpy_densify(sol):
     """The numpy sampler integrate_full used before its columns became array('d'): a global pass
-    that inserts the midpoints of every gap above DENSIFY_DX, at most 24 times."""
+    that inserts the midpoints of every gap in x above 0.05, at most 24 times."""
     ends = np.array(sol.t)
     cubics = np.array(sol.cubics)
 
@@ -272,7 +272,7 @@ def _numpy_densify(sol):
     t = ends
     for _ in range(24):
         x = at(t, (0,))[0]
-        gaps = np.abs(np.diff(x)) > mmopam.simulate.DENSIFY_DX
+        gaps = np.abs(np.diff(x)) > 0.05
         if not gaps.any():
             break
         mids = 0.5 * (t[:-1][gaps] + t[1:][gaps])
