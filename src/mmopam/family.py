@@ -33,12 +33,11 @@ the map level, which builds a Field per parameter set, never pays for them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import isfinite, sqrt
 
-from .errors import DomainError, check_z0, json_float
+from .errors import DomainError, FrozenValue, check_z0, json_float
 
 X_MIN, X_MAX = -3.0, 2.0
 
@@ -129,27 +128,26 @@ def eval_J(x):
 # --- rho specification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RhoSpec:
+class RhoSpec(FrozenValue):
     """Weight function: either rho = p + x + q x^2 or the fixed rational choice."""
 
-    variant: str  # "quadratic" | "fixed_rational"
-    p: float | None = None
-    q: float | None = None
+    _fields = ("variant", "p", "q")
+    p = q = None
 
-    def __post_init__(self):
-        if self.variant == "quadratic":
-            if self.p is None or self.q is None:
+    def __init__(self, variant: str, p: float | None = None, q: float | None = None):
+        if variant == "quadratic":
+            if p is None or q is None:
                 raise DomainError("quadratic rho needs p and q")
-            self._check_nonzero_on_interval(self.p, self.q)
-        elif self.variant == "fixed_rational":
-            if self.p is not None or self.q is not None:
+            self._check_nonzero_on_interval(p, q)
+        elif variant == "fixed_rational":
+            if p is not None or q is not None:
                 raise DomainError("fixed_rational rho takes no (p, q)")
             # rho is the reciprocal of a quartic, hence never zero; its pole
             # at the quartic's real root left of the folds cancels against a
             # root of F_x in every product this package evaluates.
         else:
-            raise DomainError(f"unknown rho variant {self.variant!r}")
+            raise DomainError(f"unknown rho variant {variant!r}")
+        vars(self).update(variant=variant, p=p, q=q)
 
     @staticmethod
     def _check_nonzero_on_interval(p: float, q: float) -> None:
@@ -455,8 +453,7 @@ class Field:
 # --- canonical parameters ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(FrozenValue):
     """Parameters (alpha, beta, kappa, lambda) plus the rho choice.
 
     The slow variable's reference level z0 is fixed at 0 and is not a field.
@@ -464,18 +461,14 @@ class CanonicalParams:
     and rejects any other value (see :func:`check_z0`).
     """
 
-    alpha: float
-    beta: float
-    kappa: float
-    lam: float
-    rho: RhoSpec
+    _fields = ("alpha", "beta", "kappa", "lam", "rho")
 
-    def __post_init__(self):
-        if not (isfinite(self.alpha) and isfinite(self.beta) and isfinite(self.kappa) and isfinite(self.lam)):
+    def __init__(self, alpha: float, beta: float, kappa: float, lam: float, rho: RhoSpec):
+        if not (isfinite(alpha) and isfinite(beta) and isfinite(kappa) and isfinite(lam)):
             raise DomainError(
-                "vector-field parameters must be finite, got "
-                f"alpha={self.alpha}, beta={self.beta}, kappa={self.kappa}, lambda={self.lam}"
+                f"vector-field parameters must be finite, got alpha={alpha}, beta={beta}, kappa={kappa}, lambda={lam}"
             )
+        vars(self).update(alpha=alpha, beta=beta, kappa=kappa, lam=lam, rho=rho)
 
     @cached_property
     def field(self) -> Field:
@@ -540,21 +533,14 @@ def eval_vector_field(
 # --- critical-manifold geometry ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifoldGeometry:
+class ManifoldGeometry(FrozenValue):
     """Fold abscissas x1 < x2 < x3 < x4, their heights, and projection abscissas."""
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    xhat1: float
-    xhat3: float
-    xhat4: float
-    y1: float
-    y2: float
-    y3: float
-    y4: float
+    _fields = ("x1", "x2", "x3", "x4", "xhat1", "xhat3", "xhat4", "y1", "y2", "y3", "y4")
+
+    def __init__(self, x1: float, x2: float, x3: float, x4: float, xhat1: float, xhat3: float, xhat4: float,
+                 y1: float, y2: float, y3: float, y4: float):
+        vars(self).update(x1=x1, x2=x2, x3=x3, x4=x4, xhat1=xhat1, xhat3=xhat3, xhat4=xhat4, y1=y1, y2=y2, y3=y3, y4=y4)
 
     @property
     def folds(self) -> tuple[float, float, float, float]:

@@ -12,10 +12,9 @@ computes the mu-intervals that bound the number of consecutive LAOs/SAOs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 
-from .errors import DiscontinuityHit, DomainError, NotPeriodic
+from .errors import DiscontinuityHit, DomainError, FrozenValue, NotPeriodic, Value
 
 # Iterates closer to the jump than this are treated as hitting it.
 DISCONTINUITY_GUARD = 1e-12
@@ -24,41 +23,35 @@ ORBIT_TOL = 1e-10
 MAX_PERIOD = 1000
 
 
-@dataclass(frozen=True)
-class PamCoefficients:
+class PamCoefficients(FrozenValue):
     """Branch coefficients (a11, a12) for Z < 0 and (a21, a22) for Z > 0: finite, with positive slopes."""
 
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+    _fields = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self):
-        if not (isfinite(self.a11) and isfinite(self.a12) and isfinite(self.a21) and isfinite(self.a22)):
-            raise DomainError(f"map coefficients must be finite, got {self.as_tuple()}")
-        if not (self.a11 > 0.0 and self.a21 > 0.0):
-            raise DomainError(f"branch slopes must be positive, got a11={self.a11}, a21={self.a21}")
+    def __init__(self, a11: float, a12: float, a21: float, a22: float):
+        if not (isfinite(a11) and isfinite(a12) and isfinite(a21) and isfinite(a22)):
+            raise DomainError(f"map coefficients must be finite, got {(a11, a12, a21, a22)}")
+        if not (a11 > 0.0 and a21 > 0.0):
+            raise DomainError(f"branch slopes must be positive, got a11={a11}, a21={a21}")
+        vars(self).update(a11=a11, a12=a12, a21=a21, a22=a22)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a11, self.a12, self.a21, self.a22)
 
 
-@dataclass(frozen=True)
-class TransformedPam:
+class TransformedPam(FrozenValue):
     """(a, b, mu, l) form used by the At Most & At Least bounds.
 
     a = a11, b = a21, mu = a12, and l = a22 - a12 is the height of the jump.
     All four must be finite.
     """
 
-    a: float
-    b: float
-    mu: float
-    l: float
+    _fields = ("a", "b", "mu", "l")
 
-    def __post_init__(self):
-        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.mu) and isfinite(self.l)):
-            raise DomainError(f"map coefficients must be finite, got a={self.a}, b={self.b}, mu={self.mu}, l={self.l}")
+    def __init__(self, a: float, b: float, mu: float, l: float):
+        if not (isfinite(a) and isfinite(b) and isfinite(mu) and isfinite(l)):
+            raise DomainError(f"map coefficients must be finite, got a={a}, b={b}, mu={mu}, l={l}")
+        vars(self).update(a=a, b=b, mu=mu, l=l)
 
 
 def transform(pam: PamCoefficients) -> TransformedPam:
@@ -70,8 +63,7 @@ def untransform(tp: TransformedPam) -> PamCoefficients:
     return PamCoefficients(a11=tp.a, a12=tp.mu, a21=tp.b, a22=tp.mu + tp.l)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenValue):
     """Cyclic mixed-mode pattern L1^s1 ... Lk^sk.
 
     Stored from its lexicographically smallest rotation so that equal cyclic
@@ -79,27 +71,31 @@ class Signature:
     point 1^0.
     """
 
-    segments: tuple[tuple[int, int], ...]
+    _fields = ("segments",)
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[tuple[int, int], ...]):
+        if not segments:
             raise DomainError("signature needs at least one (L, s) segment")
-        for L, s in self.segments:
+        for L, s in segments:
             if L < 1 or s < 0:
                 raise DomainError(f"invalid signature segment ({L}, {s})")
-            if s == 0 and self.segments != ((1, 0),):
+            if s == 0 and segments != ((1, 0),):
                 raise DomainError("s = 0 only allowed for the pure-LAO pattern 1^0")
-        object.__setattr__(self, "segments", _canonical_rotation(self.segments))
+        vars(self)["segments"] = _canonical_rotation(segments)
 
     def __str__(self) -> str:
         return " ".join(f"{L}^{s}" for L, s in self.segments)
 
     @classmethod
     def from_string(cls, text: str) -> "Signature":
+        """Parse ``"L1^s1 L2^s2 ..."``; a part that is not two integers joined by ``^`` raises DomainError."""
         segs = []
         for part in text.split():
-            L, s = part.split("^")
-            segs.append((int(L), int(s)))
+            try:
+                L, s = part.split("^")
+                segs.append((int(L), int(s)))
+            except ValueError:
+                raise DomainError(f"malformed signature segment {part!r}: expected L^s with integers L and s") from None
         return cls(tuple(segs))
 
     @property
@@ -120,14 +116,14 @@ def _canonical_rotation(segs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, i
     return min(rotations)
 
 
-@dataclass
-class OrbitResult:
+class OrbitResult(Value):
     """Recorded iterates plus transient/period metadata."""
 
-    iterates: list[float]
-    transient_length: int
-    period: int | None
-    converged: bool
+    _fields = ("iterates", "transient_length", "period", "converged")
+
+    def __init__(self, iterates: list[float], transient_length: int, period: int | None, converged: bool):
+        self.iterates, self.transient_length = iterates, transient_length
+        self.period, self.converged = period, converged
 
 
 def pam_eval(pam: PamCoefficients, Z: float) -> float:
@@ -242,14 +238,13 @@ def stability_factor(pam: PamCoefficients, sig: Signature) -> float:
     return pam.a11 ** sig.total_lao * pam.a21 ** sig.total_sao
 
 
-@dataclass(frozen=True)
-class MuInterval:
+class MuInterval(FrozenValue):
     """A mu-window with explicit endpoint closures; lower > upper encodes emptiness."""
 
-    lower: float
-    upper: float
-    lower_closed: bool
-    upper_closed: bool
+    _fields = ("lower", "upper", "lower_closed", "upper_closed")
+
+    def __init__(self, lower: float, upper: float, lower_closed: bool, upper_closed: bool):
+        vars(self).update(lower=lower, upper=upper, lower_closed=lower_closed, upper_closed=upper_closed)
 
     @property
     def is_empty(self) -> bool:

@@ -8,9 +8,7 @@ timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError
+from .errors import DomainError, FrozenValue
 from .pam import PamCoefficients, pam_eval
 
 WIDTH, HEIGHT = 640, 420
@@ -18,12 +16,11 @@ MARGIN = 50
 PALETTE = ("#1f6fb2", "#c24a3a", "#3a8f5a", "#8758a8")
 
 
-@dataclass(frozen=True)
-class Axes:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+class Axes(FrozenValue):
+    _fields = ("x_min", "x_max", "y_min", "y_max")
+
+    def __init__(self, x_min: float, x_max: float, y_min: float, y_max: float):
+        vars(self).update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         sx = MARGIN + (x - self.x_min) / (self.x_max - self.x_min) * (WIDTH - 2 * MARGIN)

@@ -30,11 +30,10 @@ order: :mod:`mmopam.family` compiles one per rho shape for ``Field.rhs``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cache
 from math import inf, nextafter, sqrt
 
-from .errors import DomainError, NonFiniteState, RootFindingFailure, StepSizeUnderflow
+from .errors import DomainError, NonFiniteState, RootFindingFailure, StepSizeUnderflow, Value
 
 EPS = sys.float_info.epsilon
 
@@ -71,41 +70,43 @@ MAX_FACTOR = 10  # maximum allowed increase in a step size
 _BRENT_MAXITER = 100
 
 
-@dataclass
-class SolverStats:
+class SolverStats(Value):
     """Counters of one solve, or summed over several with ``+=``.
 
     ``rejected`` counts steps refused by the error test and
     ``newton_failures`` collocation solves that did not converge.
     """
 
-    steps: int = 0
-    rejected: int = 0
-    nfev: int = 0
-    njev: int = 0
-    nlu: int = 0
-    newton_failures: int = 0
+    _fields = ("steps", "rejected", "nfev", "njev", "nlu", "newton_failures")
+    steps = rejected = nfev = njev = nlu = newton_failures = 0
+
+    def __init__(self, steps: int = 0, rejected: int = 0, nfev: int = 0, njev: int = 0, nlu: int = 0,
+                 newton_failures: int = 0):
+        self.steps, self.rejected, self.nfev = steps, rejected, nfev
+        self.njev, self.nlu, self.newton_failures = njev, nlu, newton_failures
 
     def __iadd__(self, other: SolverStats) -> SolverStats:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self._fields:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
 
-@dataclass
-class RadauSolution:
+class RadauSolution(Value):
     """Step ends ``t`` (from t0; the last is the terminal root when an event stopped the solve),
     one dense-output cubic per step, the event roots and states, and counters.
 
     A cubic is ``(t_old, h, y_old (3), Q (3 x 3, row-major by component))``; :func:`dense_eval`
-    evaluates it.
+    evaluates it. The event lists and the counters default to new empty ones.
     """
 
-    t: list[float]
-    cubics: list[tuple[float, ...]]
-    t_events: list[float] = field(default_factory=list)
-    y_events: list[tuple[float, float, float]] = field(default_factory=list)
-    stats: SolverStats = field(default_factory=SolverStats)
+    _fields = ("t", "cubics", "t_events", "y_events", "stats")
+
+    def __init__(self, t: list[float], cubics: list[tuple[float, ...]], t_events: list[float] | None = None,
+                 y_events: list[tuple[float, float, float]] | None = None, stats: SolverStats | None = None):
+        self.t, self.cubics = t, cubics
+        self.t_events = [] if t_events is None else t_events
+        self.y_events = [] if y_events is None else y_events
+        self.stats = SolverStats() if stats is None else stats
 
 
 def dense_eval(cubic, t: float) -> tuple[float, float, float]:

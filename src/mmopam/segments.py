@@ -11,28 +11,27 @@ the basis of its offsets that synthesis solves in (:func:`offset_coefficients`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, expm1
 
-from .errors import DomainError
+from .errors import DomainError, FrozenValue
 from .family import CanonicalParams, ManifoldGeometry, eval_P
 from .pam import PamCoefficients
 
 
-@dataclass(frozen=True)
-class SegmentSpec:
-    x_start: float
-    x_end: float
+class SegmentSpec(FrozenValue):
+    _fields = ("x_start", "x_end")
 
-    def __post_init__(self):
-        if self.x_start == self.x_end:
+    def __init__(self, x_start: float, x_end: float):
+        if x_start == x_end:
             raise DomainError("segment endpoints must differ")
+        vars(self).update(x_start=x_start, x_end=x_end)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    slope: float
-    offset: float
+class AffineMap(FrozenValue):
+    _fields = ("slope", "offset")
+
+    def __init__(self, slope: float, offset: float):
+        vars(self).update(slope=slope, offset=offset)
 
     def __call__(self, Z: float) -> float:
         return self.slope * Z + self.offset

@@ -22,11 +22,10 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 
 from . import dop853, radau
-from .errors import DiscontinuityHit, DomainError, NonFiniteState, NotPeriodic
+from .errors import DiscontinuityHit, DomainError, FrozenValue, NonFiniteState, NotPeriodic, Value
 from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
@@ -52,8 +51,7 @@ HYBRID_ATOL = 1e-13
 HYBRID_PERIOD_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(FrozenValue):
     """Integration configuration for the full system, solved to FULL_RTOL and FULL_ATOL.
 
     ``max_slow_time`` is the run's slow-time budget: :func:`integrate_full`
@@ -61,21 +59,20 @@ class SimConfig:
     start on the rightmost attracting sheet: x = 1.3, y = F(1.3, 0), z = -delta/2.
     """
 
-    eps: float = 1e-7
-    delta: float = 5e-3
-    max_slow_time: float = 40.0
-    initial_state: tuple[float, float, float] | None = None
+    _fields = ("eps", "delta", "max_slow_time", "initial_state")
+    eps, delta, max_slow_time, initial_state = 1e-7, 5e-3, 40.0, None  # the defaults, also read on the class
 
-    def __post_init__(self):
-        if not (0.0 < self.eps <= 1e-3):
-            raise DomainError(f"eps must lie in (0, 1e-3], got {self.eps}")
-        if not (0.0 < self.delta <= 1e-1):
-            raise DomainError(f"delta must lie in (0, 1e-1], got {self.delta}")
-        if not (0.0 < self.max_slow_time < math.inf):
-            raise DomainError(f"max_slow_time must be positive and finite, got {self.max_slow_time}")
-        state = self.initial_state
-        if state is not None and not (len(state) == 3 and all(math.isfinite(v) for v in state)):
-            raise DomainError(f"initial_state must be None or three finite numbers, got {state!r}")
+    def __init__(self, eps: float = eps, delta: float = delta, max_slow_time: float = max_slow_time,
+                 initial_state: tuple[float, float, float] | None = initial_state):
+        if not (0.0 < eps <= 1e-3):
+            raise DomainError(f"eps must lie in (0, 1e-3], got {eps}")
+        if not (0.0 < delta <= 1e-1):
+            raise DomainError(f"delta must lie in (0, 1e-1], got {delta}")
+        if not (0.0 < max_slow_time < math.inf):
+            raise DomainError(f"max_slow_time must be positive and finite, got {max_slow_time}")
+        if initial_state is not None and not (len(initial_state) == 3 and all(map(math.isfinite, initial_state))):
+            raise DomainError(f"initial_state must be None or three finite numbers, got {initial_state!r}")
+        vars(self).update(eps=eps, delta=delta, max_slow_time=max_slow_time, initial_state=initial_state)
 
     def resolve_initial_state(self) -> tuple[float, float, float]:
         if self.initial_state is not None:
@@ -84,24 +81,25 @@ class SimConfig:
         return (x0, float(eval_F(x0, 0.0)), -self.delta / 2.0)
 
 
-@dataclass
-class TimeSeries:
+class TimeSeries(Value):
     """Sampled trajectory with section-crossing bookkeeping.
 
     The columns are float sequences (``array('d')`` from :func:`integrate_full`);
-    ``crossing_states`` holds the (t, x, y, z) of each crossing, a solver event root.
+    ``crossing_states`` holds the (t, x, y, z) of each crossing, a solver event root,
+    and defaults to a new empty list.
     """
 
-    t: Sequence[float]
-    x: Sequence[float]
-    y: Sequence[float]
-    z: Sequence[float]
-    crossing_states: list[tuple[float, float, float, float]] = field(default_factory=list)
-    solver_stats: radau.SolverStats | None = None
+    _fields = ("t", "x", "y", "z", "crossing_states", "solver_stats")
+    solver_stats = None
 
-    def __post_init__(self):
-        if not all(a < b for a, b in zip(self.t, islice(self.t, 1, None))):
+    def __init__(self, t: Sequence[float], x: Sequence[float], y: Sequence[float], z: Sequence[float],
+                 crossing_states: list[tuple[float, float, float, float]] | None = None,
+                 solver_stats: radau.SolverStats | None = None):
+        if not all(a < b for a, b in zip(t, islice(t, 1, None))):
             raise DomainError("sample times must be strictly increasing")
+        self.t, self.x, self.y, self.z = t, x, y, z
+        self.crossing_states = [] if crossing_states is None else crossing_states
+        self.solver_stats = solver_stats
 
     def __len__(self) -> int:
         return len(self.t)
@@ -177,14 +175,15 @@ def canard_hole_radius(eps: float, delta: float) -> float:
     return 2.0 * eps ** (1.0 / 3.0) / delta
 
 
-@dataclass
-class HybridResult:
+class HybridResult(Value):
     """Returns Z at the last fold, the tail signature and period, and the DOP853 counters summed over the four legs."""
 
-    returns: list[float]
-    signature: Signature | None
-    period: int | None
-    solver_stats: radau.SolverStats | None = None
+    _fields = ("returns", "signature", "period", "solver_stats")
+    solver_stats = None
+
+    def __init__(self, returns: list[float], signature: Signature | None, period: int | None,
+                 solver_stats: radau.SolverStats | None = None):
+        self.returns, self.signature, self.period, self.solver_stats = returns, signature, period, solver_stats
 
 
 def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns: int) -> HybridResult:
@@ -313,13 +312,11 @@ def visual_rescale(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
     """Plotting normalization: x -> (2/7) x, y -> (3/2) y, z -> z/delta."""
     if delta == 0.0:
         raise DomainError("delta must be nonzero for the z rescale")
-    return replace(
-        series,
-        x=array("d", (v * (2.0 / 7.0) for v in series.x)),
-        y=array("d", (v * 1.5 for v in series.y)),
-        z=array("d", (v / delta for v in series.z)),
-        crossing_states=[
-            (t, xv * (2.0 / 7.0), yv * 1.5, zv / delta)
-            for t, xv, yv, zv in series.crossing_states
-        ],
+    return TimeSeries(
+        series.t,
+        array("d", (v * (2.0 / 7.0) for v in series.x)),
+        array("d", (v * 1.5 for v in series.y)),
+        array("d", (v / delta for v in series.z)),
+        [(t, xv * (2.0 / 7.0), yv * 1.5, zv / delta) for t, xv, yv, zv in series.crossing_states],
+        series.solver_stats,
     )

@@ -15,9 +15,7 @@ Two reference data sets are frozen here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MmopamError
+from .errors import FrozenValue, MmopamError, Value
 from .family import FIXED_RATIONAL, RhoSpec
 from .pam import (
     PamCoefficients,
@@ -32,17 +30,13 @@ from .pam import (
 from .synthesis import synthesize
 
 
-@dataclass(frozen=True)
-class SynthesisBenchmarkRow:
-    signature: str
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-    alpha: float
-    beta: float
-    kappa: float
-    lam: float
+class SynthesisBenchmarkRow(FrozenValue):
+    _fields = ("signature", "a11", "a12", "a21", "a22", "alpha", "beta", "kappa", "lam")
+
+    def __init__(self, signature: str, a11: float, a12: float, a21: float, a22: float,
+                 alpha: float, beta: float, kappa: float, lam: float):
+        vars(self).update(signature=signature, a11=a11, a12=a12, a21=a21, a22=a22,
+                          alpha=alpha, beta=beta, kappa=kappa, lam=lam)
 
     @property
     def pam(self) -> PamCoefficients:
@@ -69,15 +63,11 @@ SYNTHESIS_BENCHMARKS: tuple[SynthesisBenchmarkRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MuWindowBenchmarkRow:
-    signature: str
-    a: float
-    b: float
-    l: float
-    mu_lo: float
-    mu_hi: float
-    mu_actual: float
+class MuWindowBenchmarkRow(FrozenValue):
+    _fields = ("signature", "a", "b", "l", "mu_lo", "mu_hi", "mu_actual")
+
+    def __init__(self, signature: str, a: float, b: float, l: float, mu_lo: float, mu_hi: float, mu_actual: float):
+        vars(self).update(signature=signature, a=a, b=b, l=l, mu_lo=mu_lo, mu_hi=mu_hi, mu_actual=mu_actual)
 
     @property
     def pam(self) -> PamCoefficients:
@@ -99,20 +89,21 @@ MU_WINDOW_BENCHMARKS: tuple[MuWindowBenchmarkRow, ...] = (
 )
 
 
-@dataclass
-class RowReport:
-    label: str
-    passed: bool
-    details: dict
+class RowReport(Value):
+    _fields = ("label", "passed", "details")
+
+    def __init__(self, label: str, passed: bool, details: dict):
+        self.label, self.passed, self.details = label, passed, details
 
     def to_json_obj(self) -> dict:
         return {"label": self.label, "passed": self.passed, **self.details}
 
 
-@dataclass
-class TableReport:
-    name: str
-    rows: list[RowReport]
+class TableReport(Value):
+    _fields = ("name", "rows")
+
+    def __init__(self, name: str, rows: list[RowReport]):
+        self.name, self.rows = name, rows
 
     @property
     def n_passed(self) -> int:

@@ -389,7 +389,9 @@ def test_map_level_commands_never_import_scipy(tmp_path):
 LOAD_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
-if argv is None:
+if argv == "bare":
+    pass
+elif argv is None:
     import mmopam
 else:
     from mmopam.cli import main
@@ -409,20 +411,33 @@ MAP_LEVEL = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv", [None, [], *MAP_LEVEL], ids=["import-mmopam", "import-cli", *(" ".join(a[:2]) for a in MAP_LEVEL)]
-)
-def test_each_process_loads_only_what_its_command_runs(tmp_path, argv):
-    # one fresh process per row: the package loads a module on the first use of one of its names,
-    # the CLI inside the command that calls it
-    if argv:
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+def _modules_loaded(argv) -> set[str]:
+    """The modules in sys.modules after a fresh interpreter runs LOAD_PROBE with ``argv``."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mmopam.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", LOAD_PROBE, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout))
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What the probe's interpreter loads before the package, site hooks included."""
+    return _modules_loaded("bare")
+
+
+@pytest.mark.parametrize(
+    "argv", [None, [], *MAP_LEVEL], ids=["import-mmopam", "import-cli", *(" ".join(a[:2]) for a in MAP_LEVEL)]
+)
+def test_each_process_loads_only_what_its_command_runs(tmp_path, argv, bare_modules):
+    # one fresh process per row: the package loads a module on the first use of one of its names,
+    # the CLI inside the command that calls it
+    if argv:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    loaded = _modules_loaded(argv)
+    # the package's value classes are plain classes: no row pays for dataclasses or the inspect it imports
+    assert not (loaded - bare_modules) & {"dataclasses", "inspect"}
     ours = {m for m in loaded if m.split(".")[0] == "mmopam"}
     if argv is None:
         assert ours == {"mmopam"}

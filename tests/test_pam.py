@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,16 @@ class TestSignature:
             Signature(((0, 1),))
         with pytest.raises(DomainError):
             Signature(((2, 0),))
+
+    @pytest.mark.parametrize("text, part", [("1^x", "1^x"), ("1", "1"), ("1^2^3", "1^2^3"), ("1^3 ^2", "^2")])
+    def test_from_string_names_a_malformed_part(self, text, part):
+        with pytest.raises(DomainError, match=f"^malformed signature segment '{re.escape(part)}': expected L"):
+            Signature.from_string(text)
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_from_string_of_blank_text(self, text):
+        with pytest.raises(DomainError, match=r"^signature needs at least one \(L, s\) segment$"):
+            Signature.from_string(text)
 
     def test_totals(self):
         sig = Signature.from_string("2^1 3^1")
