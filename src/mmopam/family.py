@@ -22,12 +22,14 @@ the fold heights taken from exact rational F.
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, and the
 integrators' kernels. Loops start from 0.0, so they take scalars and,
 element-wise, arrays; the ``eval_*`` functions use it. The Radau right-hand
-side ``Field.rhs``, its Jacobian ``Field.jac``, Radau's Newton iteration with
-that rhs written into each stage, and the derivative ``Field.dPhidx`` of the
-fundamental matrix of the hybrid slow flow are straight-line functions: the
-same loops unrolled, with the same operations in the same order, compiled
-once per rho shape and bound to a parameter set's constants on first use, so
-the map level, which builds a Field per parameter set, never pays for them.
+side ``Field.rhs``, its Jacobian ``Field.jac``, the whole Radau solver with
+that rhs written into its three Newton stages and its step end
+(``Field.rhs.solver``, which ``radau.solve`` runs), and the derivative
+``Field.dPhidx`` of the fundamental matrix of the hybrid slow flow are
+straight-line functions: the same loops unrolled, with the same operations
+in the same order, compiled once per rho shape and bound to a parameter
+set's constants on first use, so the map level, which builds a Field per
+parameter set, never pays for them.
 """
 
 from __future__ import annotations
@@ -110,17 +112,6 @@ def eval_Fxx(x, z):
     return acc * x + 2.0 * (_C2 + _D2 * z)
 
 
-def eval_Fz(x, z):
-    acc = 0.0
-    for _, _, d in _KCD:
-        acc = (acc + d) * x
-    return acc * x
-
-
-def eval_Fxz(x, z):
-    return _horner(_KD, x) * x
-
-
 def eval_J(x):
     return 0.5 - x
 
@@ -173,13 +164,6 @@ class RhoSpec(FrozenValue):
         if self.variant == "quadratic":
             return self.p + x + self.q * x * x
         return 1.0 / _horner(_RHO_DEN, x)
-
-    def drho(self, x):
-        """d(rho)/dx, needed for analytic Jacobians of the slow drift."""
-        if self.variant == "quadratic":
-            return 1.0 + 2.0 * self.q * x
-        den = _horner(_RHO_DEN, x)
-        return -_horner(_RHO_DDEN, x) / (den * den)
 
     def to_json_obj(self):
         if self.variant == "quadratic":
@@ -261,7 +245,8 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 # so every input, +-inf and nan too, gives the same bits. Constants are closure cells
 # bound by a factory compiled once per kernel and rho shape; no value enters the source.
 # The rhs stage binds its three values at the state {s} with {out}: "return" in the rhs
-# kernel, an assignment at each stage of Radau's Newton iteration (the collocation kernel).
+# kernel, an assignment in each rhs slot of the Radau solver kernel (its three Newton
+# stages and the step end).
 _RHS_STAGE = """\
     x, y, z = {s}
     Q = {Q}
@@ -327,7 +312,7 @@ def _names(prefix: str, n: int) -> list[str]:
 def _kernel_factory(name: str, variant: str, nq: int):
     """``make(alpha, beta, kappa, lam, p, q, q_coeffs, w_coeffs)`` returning kernel ``name``, compiled once per shape."""
     F = Fz = "0.0"
-    for k, _, _ in _KCD:  # the loops of eval_F and eval_Fz
+    for k, _, _ in _KCD:  # the loops of eval_F and of F_z (tests/oracles.py)
         F = f"({F} + (C{k} + D{k} * z)) * x"
         Fz = f"({Fz} + D{k}) * x"
     if variant == QUADRATIC:
@@ -353,10 +338,10 @@ def _kernel_factory(name: str, variant: str, nq: int):
         "RS": _RHO_DEN,
         "RDS": _RHO_DDEN,
     }
-    if name == "collocation":
-        from . import radau  # the Newton iteration's template, and the constants it reads
+    if name == "solver":
+        from . import radau  # the solver's template, and the constants and helpers it reads
         namespace.update(vars(radau))
-        body = radau.collocation_source(partial(_RHS_STAGE.format, **parts), "    eps, delta = args\n")
+        body = radau.solver_source(partial(_RHS_STAGE.format, **parts), "    eps, delta = args\n")
     else:
         body = _KERNEL_SRC[name].format(rhs=_RHS_STAGE.format(s="s", out="return", **parts), **parts)
     unpack = {
@@ -419,7 +404,7 @@ class Field:
         """
         if self._rhs is None:
             self._rhs = self._bind("rhs")
-            self._rhs.collocation = self._bind("collocation")  # radau.solve's Newton iteration with this rhs inlined
+            self._rhs.solver = self._bind("solver")  # radau.solve with this rhs in its Newton stages and step end
         return self._rhs
 
     @property

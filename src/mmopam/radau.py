@@ -12,19 +12,29 @@ root located by :func:`_brentq` on the step's dense output with
 xtol = rtol = 4 EPS.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
-arithmetic on Python floats and complex numbers, so the step loop needs no
-array library. The hot paths are straight-line code: :func:`_lu3` is the
-pivoted LU unrolled, the Newton iteration writes both forward and back
-substitutions inline, and the step predicts the stages from the last step's
-cubic inline; :func:`_solve3` serves only the error estimate.
+arithmetic on Python floats and complex numbers, so the solver needs no
+array library. :func:`_lu3` is the pivoted LU unrolled; every substitution
+with its factors is written out inline.
 ``fun(t, s, *args)`` returns the three derivatives at the state tuple ``s``;
 ``jac(t, s, *args)`` returns the Jacobian as three rows.
 
-The Newton iteration is one source template with a slot for the three stage
-evaluations, compiled on first use. The generic instance calls ``fun`` at
-each stage. ``fun.collocation``, when ``fun`` carries one, is an instance
-with ``fun``'s body written into the slot, the same operations in the same
-order: :mod:`mmopam.family` compiles one per rho shape for ``Field.rhs``.
+The solver is one source template, compiled on first use: the step loop
+with the stage prediction, the Newton iteration, the error estimate, the
+step-size controller and the step-end rhs, in one function whose counters
+stay locals until it returns. The rhs at the three Newton stages and at the
+step end is a slot. The generic instance calls ``fun`` there.
+``fun.solver``, when ``fun`` carries one, is an instance with ``fun``'s body
+written into the slots, the same operations in the same order:
+:mod:`mmopam.family` compiles one per rho shape for ``Field.rhs``.
+:func:`solve` checks its inputs and runs one of the two.
+
+The Newton iteration tests the stage derivatives F and the iterate W for
+finiteness (a non-finite F fails the iteration, a non-finite W raises) only
+when the norm of its increment is not finite. That gives the same result as
+testing them at every iteration: a non-finite F or W makes the right-hand
+side of a linear solve non-finite, and the solve, the scaling and the sum of
+squares keep a value non-finite (the scales are positive and the pivots
+nonzero, so nothing in between divides by zero, raises or changes state).
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ TI = (
 )
 TI_REAL = TI[0]
 TI_COMPLEX = tuple(complex(re, im) for re, im in zip(TI[1], TI[2]))
-# dense output: y(t_old + x h) = y_old + sum_k Q[:, k] x^(k+1) with Q = Z^T P
-P = (
+# dense output: y(t_old + x h) = y_old + sum_k Q[:, k] x^(k+1) with Q = Z^T P_DENSE
+P_DENSE = (
     (13 / 3 + 7 * S6 / 3, -23 / 3 - 22 * S6 / 3, 10 / 3 + 5 * S6),
     (13 / 3 - 7 * S6 / 3, -23 / 3 + 22 * S6 / 3, 10 / 3 - 5 * S6),
     (1 / 3, -8 / 3, 10 / 3),
@@ -163,28 +173,11 @@ def _lu3(m):
     return pa, pb, pc, a0, a1, a2, b0, b1, b2, c0, c1, c2
 
 
-def _solve3(lu, b0, b1, b2):
-    """Solve with :func:`_lu3` factors, in the order of LAPACK's reference ``getrs``."""
-    p0, p1, p2, u00, u01, u02, l10, u11, u12, l20, l21, u22 = lu
-    b = (b0, b1, b2)
-    c0 = b[p0]
-    c1 = b[p1] - c0 * l10
-    c2 = b[p2] - c0 * l20 - c1 * l21
-    x2 = c2 / u22
-    x1 = (c1 - x2 * u12) / u11
-    return (c0 - x2 * u02 - x1 * u01) / u00, x1, x2
-
-
 # --- scipy's step-size helpers -------------------------------------------------------
 
 
-def _norm3(a, b, c):
-    """RMS norm of three values."""
-    return sqrt(a * a + b * b + c * c) / 3 ** 0.5
-
-
 def _rms(v) -> float:
-    """scipy's RMS norm, ``np.linalg.norm(v) / v.size ** 0.5``, summed in index order as ``_norm3``."""
+    """scipy's RMS norm, ``np.linalg.norm(v) / v.size ** 0.5``, summed in index order."""
     ss = 0.0
     for x in v:  # not sum(): from Python 3.12 it sums floats with compensation, and the bits could differ
         ss += x * x
@@ -212,174 +205,36 @@ def _initial_step(fun, args, t0, y, t_bound, f, direction, order, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
-    """Step-size factor from the error norm (two-step predictive controller when history exists)."""
-    if error_norm == 0:
-        return inf
-    if error_norm_old is None or not h_abs_old:  # after a zero step scipy's multiplier also clips to 1
-        multiplier = 1
-    else:
-        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
-    return min(1, multiplier) * error_norm ** -0.25
-
-
-# --- the collocation system ---------------------------------------------------------
+# --- the solver template ---------------------------------------------------------------
 #
-# scipy's ``solve_collocation_system`` for n = 3: (converged, n_iter, Z, rate), Z[3 i + j] the
-# increment of stage i, component j. Both substitutions are :func:`_solve3`'s, written out.
+# scipy's ``Radau._step_impl`` loop for n = 3 as one function: the stage prediction, the
+# simplified Newton iteration (``solve_collocation_system``), the error estimate, the
+# step-size controller (``predict_factor``) and the step-end rhs and Jacobian. Every
+# substitution with the LU factors is ``getrs``'s order written out. The Newton stages and
+# the step-end rhs are slots; a stage binds x, y, z, Q, u, P, r and J, so the template
+# names the Jacobian's entries j00..j22, the dense-output matrix P_DENSE and TI_REAL's row
+# ti0..ti2. A min or max is written out as the builtin decides it: min(a, b) is
+# ``b if b < a else a`` and max(a, b) is ``b if b > a else a``, nan included.
 
-_COLLOCATION_SRC = '''\
-def collocation(fun, args, t, y0, y1, y2, h, Z0, s0, s1, s2, tol, lu_real, lu_complex):
-{setup}    rp0, rp1, rp2, ru00, ru01, ru02, rl10, ru11, ru12, rl20, rl21, ru22 = lu_real
-    cp0, cp1, cp2, cu00, cu01, cu02, cl10, cu11, cu12, cl20, cl21, cu22 = lu_complex
-    m_real = MU_REAL / h
-    m_complex = MU_COMPLEX / h
-    (t00, t01, t02), (t10, t11, t12), _ = T
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = TI
-    r0, r1, r2 = TI_REAL
-    k0, k1, k2 = TI_COMPLEX
-    z00, z01, z02, z10, z11, z12, z20, z21, z22 = Z0
-    # W = TI Z0
-    w00 = a00 * z00 + a01 * z10 + a02 * z20
-    w01 = a00 * z01 + a01 * z11 + a02 * z21
-    w02 = a00 * z02 + a01 * z12 + a02 * z22
-    w10 = a10 * z00 + a11 * z10 + a12 * z20
-    w11 = a10 * z01 + a11 * z11 + a12 * z21
-    w12 = a10 * z02 + a11 * z12 + a12 * z22
-    w20 = a20 * z00 + a21 * z10 + a22 * z20
-    w21 = a20 * z01 + a21 * z11 + a22 * z21
-    w22 = a20 * z02 + a21 * z12 + a22 * z22
-    tc0, tc1, tc2 = t + h * C[0], t + h * C[1], t + h
-    dw_norm_old = None
-    rate = None
-    converged = False
-    for k in range(NEWTON_MAXITER):
-{stages}        # 0 * v is 0 for every finite v and nan otherwise
-        if 0.0 * f00 + 0.0 * f01 + 0.0 * f02 + 0.0 * f10 + 0.0 * f11 + 0.0 * f12 + 0.0 * f20 + 0.0 * f21 + 0.0 * f22 != 0.0:
-            break
-        # with F finite, a non-finite iterate W is what makes scipy's lu_solve raise here
-        if 0.0 * w00 + 0.0 * w01 + 0.0 * w02 + 0.0 * w10 + 0.0 * w11 + 0.0 * w12 + 0.0 * w20 + 0.0 * w21 + 0.0 * w22 != 0.0:
-            raise NonFiniteState(f"collocation iterate left the finite range at t = {{t:.6g}}")
-        b = (
-            f00 * r0 + f10 * r1 + f20 * r2 - m_real * w00,
-            f01 * r0 + f11 * r1 + f21 * r2 - m_real * w01,
-            f02 * r0 + f12 * r1 + f22 * r2 - m_real * w02,
-        )
-        c0 = b[rp0]
-        c1 = b[rp1] - c0 * rl10
-        c2 = b[rp2] - c0 * rl20 - c1 * rl21
-        d2 = c2 / ru22
-        d1 = (c1 - d2 * ru12) / ru11
-        d0 = (c0 - d2 * ru02 - d1 * ru01) / ru00
-        b = (
-            f00 * k0 + f10 * k1 + f20 * k2 - m_complex * complex(w10, w20),
-            f01 * k0 + f11 * k1 + f21 * k2 - m_complex * complex(w11, w21),
-            f02 * k0 + f12 * k1 + f22 * k2 - m_complex * complex(w12, w22),
-        )
-        c0 = b[cp0]
-        c1 = b[cp1] - c0 * cl10
-        c2 = b[cp2] - c0 * cl20 - c1 * cl21
-        c2 = c2 / cu22
-        c1 = (c1 - c2 * cu12) / cu11
-        c0 = (c0 - c2 * cu02 - c1 * cu01) / cu00
-        e0, e1, e2 = c0.real, c1.real, c2.real
-        i0, i1, i2 = c0.imag, c1.imag, c2.imag
-        q0, q1, q2 = d0 / s0, d1 / s1, d2 / s2
-        q3, q4, q5 = e0 / s0, e1 / s1, e2 / s2
-        q6, q7, q8 = i0 / s0, i1 / s1, i2 / s2
-        dw_norm = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q6 * q6 + q7 * q7 + q8 * q8) / 3.0
-        if dw_norm_old is not None:
-            rate = dw_norm / dw_norm_old
-        if rate is not None and (rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * dw_norm > tol):
-            break
-        w00 += d0
-        w01 += d1
-        w02 += d2
-        w10 += e0
-        w11 += e1
-        w12 += e2
-        w20 += i0
-        w21 += i1
-        w22 += i2
-        # Z = T W; the last row of T is (1, 1, 0)
-        z00 = t00 * w00 + t01 * w10 + t02 * w20
-        z01 = t00 * w01 + t01 * w11 + t02 * w21
-        z02 = t00 * w02 + t01 * w12 + t02 * w22
-        z10 = t10 * w00 + t11 * w10 + t12 * w20
-        z11 = t10 * w01 + t11 * w11 + t12 * w21
-        z12 = t10 * w02 + t11 * w12 + t12 * w22
-        z20 = w00 + w10
-        z21 = w01 + w11
-        z22 = w02 + w12
-        if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < tol:
-            converged = True
-            break
-        dw_norm_old = dw_norm
-    return converged, k + 1, (z00, z01, z02, z10, z11, z12, z20, z21, z22), rate
-'''
-
-
-def collocation_source(stage, setup: str = "") -> str:
-    """The template with the function-body lines ``setup`` before the loop and ``stage(t=, s=, out=)`` at each stage.
-
-    A stage is function-body lines that bind the rhs at the expressions t and s with ``out``.
-    """
-    stages = "".join(stage(t=tc, s=f"(y0 + z{i}0, y1 + z{i}1, y2 + z{i}2)", out=f"f{i}0, f{i}1, f{i}2 =")
-                     for i, tc in enumerate(("tc0", "tc1", "tc2")))
-    return _COLLOCATION_SRC.format(setup=setup, stages="".join("    " + line + "\n" for line in stages.splitlines()))
-
-
-@cache
-def _generic_collocation():
-    """The instance that calls ``fun(t, s, *args)`` at each stage."""
-    namespace = {}
-    source = collocation_source("    {out} fun({t}, {s}, *args)\n".format)
-    exec(compile(source, "<mmopam.radau collocation, generic stage>", "exec"), globals(), namespace)
-    return namespace["collocation"]
-
-
-def _iteration_matrices(h, J):
-    """LU factors of MU_REAL/h I - J and MU_COMPLEX/h I - J."""
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
-    mu = MU_REAL / h
-    lu_real = _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
-    mu = MU_COMPLEX / h
-    return lu_real, _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
-
-
-# --- the solver ----------------------------------------------------------------------
-
-
-def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=0, terminal=None) -> RadauSolution:
-    """Integrate from ``t0`` to ``t_bound`` as ``solve_ivp(method="Radau", jac=jac, dense_output=True)``.
-
-    ``event(t, s)`` is located where it changes sign in ``direction`` (+1 up,
-    -1 down, 0 either); after ``terminal`` such roots the solve stops at the
-    last one. A step size below ten spacings of t raises StepSizeUnderflow,
-    and a non-finite accepted state raises NonFiniteState.
-    """
-    if not t_bound > t0:
-        raise DomainError(f"t_bound must exceed t0, got [{t0}, {t_bound}]")
-    if not (rtol > 0.0 and atol > 0.0):
-        raise DomainError("rtol and atol must be positive")
-    rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
-    collocation = getattr(fun, "collocation", None) or _generic_collocation()
-    st = SolverStats()
-    t = float(t0)
-    u0, u1, u2 = (float(v) for v in y0)
-    f0, f1, f2 = fun(t, (u0, u1, u2), *args)
+_SOLVER_SRC = '''\
+def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal):
+{setup}    f0, f1, f2 = fun(t, (u0, u1, u2), *args)
     h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), 1.0, 3, rtol, atol)
-    J = jac(t, (u0, u1, u2), *args)
-    st.nfev, st.njev = 2, 1
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t, (u0, u1, u2), *args)
+    nfev, njev, nlu, steps, n_rejected, newton_failures = 2, 1, 0, 0, 0, 0
     newton_tol = max(10 * EPS / rtol, min(0.03, rtol**0.5))
     h_prev = err_prev = None  # scipy's h_abs_old, error_norm_old
     lu_real = lu_complex = None
     current_jac = True
     cubic = None  # dense output of the last step
-    e0_, e1_, e2_ = E
     c_0, c_1, _ = C
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
-    sol = RadauSolution([t], [], stats=st)
+    e0_, e1_, e2_ = E
+    (t00, t01, t02), (t10, t11, t12), _ = T
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = TI
+    ti0, ti1, ti2 = TI_REAL
+    k0, k1, k2 = TI_COMPLEX
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P_DENSE
+    ts, cubics, t_events, y_events = [t], [], [], []
     if event is not None:
         g = event(t, (u0, u1, u2))
         count = 0
@@ -390,13 +245,16 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
             h_abs, h_abs_old, error_norm_old = min_step, None, None
         else:
             h_abs, h_abs_old, error_norm_old = h_next, h_prev, err_prev
+        s0, s1, s2 = atol + abs(u0) * rtol, atol + abs(u1) * rtol, atol + abs(u2) * rtol  # Newton's scales
         rejected = False
         while True:
             if not h_abs >= min_step:  # also catches a nan step
                 raise StepSizeUnderflow(
-                    f"integrator failed at t = {t:.6g}: required step size is less than spacing between numbers"
+                    f"integrator failed at t = {{t:.6g}}: required step size is less than spacing between numbers"
                 )
-            t_new = min(t + h_abs, t_bound)
+            t_new = t + h_abs
+            if t_bound < t_new:
+                t_new = t_bound
             h = h_abs = t_new - t
             if cubic is None:
                 Z0 = (0.0,) * 9
@@ -422,68 +280,177 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
                     q10 * xc + q11 * xc2 + q12 * xc3 + v1 - u1,
                     q20 * xc + q21 * xc2 + q22 * xc3 + v2 - u2,
                 )
-            s0, s1, s2 = atol + abs(u0) * rtol, atol + abs(u1) * rtol, atol + abs(u2) * rtol
-            converged = False
-            while not converged:
+            while True:  # Newton from Z0; a failure with a stale Jacobian retries with a fresh one
                 if lu_real is None or lu_complex is None:
-                    lu_real, lu_complex = _iteration_matrices(h, J)
-                    st.nlu += 2
+                    mu = MU_REAL / h
+                    lu_real = _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
+                    mu = MU_COMPLEX / h
+                    lu_complex = _lu3((mu - j00, -j01, -j02, -j10, mu - j11, -j12, -j20, -j21, mu - j22))
+                    nlu += 2
+                converged = False
                 if lu_real is not None and lu_complex is not None:  # else singular: a failed iteration
-                    converged, n_iter, Z, rate = collocation(
-                        fun, args, t, u0, u1, u2, h, Z0, s0, s1, s2, newton_tol, lu_real, lu_complex
-                    )
-                    st.nfev += 3 * n_iter
-                if not converged:
-                    st.newton_failures += 1
-                    if current_jac:
-                        break
-                    J = jac(t, (u0, u1, u2), *args)
-                    st.njev += 1
-                    current_jac = True
-                    lu_real = lu_complex = None
+                    rp0, rp1, rp2, ru00, ru01, ru02, rl10, ru11, ru12, rl20, rl21, ru22 = lu_real
+                    cp0, cp1, cp2, cu00, cu01, cu02, cl10, cu11, cu12, cl20, cl21, cu22 = lu_complex
+                    m_real = MU_REAL / h
+                    m_complex = MU_COMPLEX / h
+                    z00, z01, z02, z10, z11, z12, z20, z21, z22 = Z0
+                    # W = TI Z0
+                    w00 = a00 * z00 + a01 * z10 + a02 * z20
+                    w01 = a00 * z01 + a01 * z11 + a02 * z21
+                    w02 = a00 * z02 + a01 * z12 + a02 * z22
+                    w10 = a10 * z00 + a11 * z10 + a12 * z20
+                    w11 = a10 * z01 + a11 * z11 + a12 * z21
+                    w12 = a10 * z02 + a11 * z12 + a12 * z22
+                    w20 = a20 * z00 + a21 * z10 + a22 * z20
+                    w21 = a20 * z01 + a21 * z11 + a22 * z21
+                    w22 = a20 * z02 + a21 * z12 + a22 * z22
+                    tc0, tc1, tc2 = t + h * c_0, t + h * c_1, t + h
+                    dw_norm_old = None
+                    rate = None
+                    for k in range(NEWTON_MAXITER):
+{newton_stages}                        b = (
+                            f00 * ti0 + f10 * ti1 + f20 * ti2 - m_real * w00,
+                            f01 * ti0 + f11 * ti1 + f21 * ti2 - m_real * w01,
+                            f02 * ti0 + f12 * ti1 + f22 * ti2 - m_real * w02,
+                        )
+                        c0 = b[rp0]
+                        c1 = b[rp1] - c0 * rl10
+                        c2 = b[rp2] - c0 * rl20 - c1 * rl21
+                        d2 = c2 / ru22
+                        d1 = (c1 - d2 * ru12) / ru11
+                        d0 = (c0 - d2 * ru02 - d1 * ru01) / ru00
+                        b = (
+                            f00 * k0 + f10 * k1 + f20 * k2 - m_complex * complex(w10, w20),
+                            f01 * k0 + f11 * k1 + f21 * k2 - m_complex * complex(w11, w21),
+                            f02 * k0 + f12 * k1 + f22 * k2 - m_complex * complex(w12, w22),
+                        )
+                        c0 = b[cp0]
+                        c1 = b[cp1] - c0 * cl10
+                        c2 = b[cp2] - c0 * cl20 - c1 * cl21
+                        c2 = c2 / cu22
+                        c1 = (c1 - c2 * cu12) / cu11
+                        c0 = (c0 - c2 * cu02 - c1 * cu01) / cu00
+                        e0, e1, e2 = c0.real, c1.real, c2.real
+                        i0, i1, i2 = c0.imag, c1.imag, c2.imag
+                        q0, q1, q2 = d0 / s0, d1 / s1, d2 / s2
+                        q3, q4, q5 = e0 / s0, e1 / s1, e2 / s2
+                        q6, q7, q8 = i0 / s0, i1 / s1, i2 / s2
+                        dw_norm = sqrt(
+                            q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q6 * q6 + q7 * q7 + q8 * q8
+                        ) / 3.0
+                        if not dw_norm < inf:  # a non-finite F or W gets here: see the module docstring
+                            # 0 * v is 0 for every finite v and nan otherwise
+                            if (0.0 * f00 + 0.0 * f01 + 0.0 * f02 + 0.0 * f10 + 0.0 * f11 + 0.0 * f12
+                                    + 0.0 * f20 + 0.0 * f21 + 0.0 * f22 != 0.0):
+                                break
+                            # with F finite, a non-finite iterate W is what makes scipy's lu_solve raise here
+                            if (0.0 * w00 + 0.0 * w01 + 0.0 * w02 + 0.0 * w10 + 0.0 * w11 + 0.0 * w12
+                                    + 0.0 * w20 + 0.0 * w21 + 0.0 * w22 != 0.0):
+                                raise NonFiniteState(f"collocation iterate left the finite range at t = {{t:.6g}}")
+                        if dw_norm_old is not None:
+                            rate = dw_norm / dw_norm_old
+                        if rate is not None and (
+                            rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * dw_norm > newton_tol
+                        ):
+                            break
+                        w00 += d0
+                        w01 += d1
+                        w02 += d2
+                        w10 += e0
+                        w11 += e1
+                        w12 += e2
+                        w20 += i0
+                        w21 += i1
+                        w22 += i2
+                        # Z = T W; the last row of T is (1, 1, 0)
+                        z00 = t00 * w00 + t01 * w10 + t02 * w20
+                        z01 = t00 * w01 + t01 * w11 + t02 * w21
+                        z02 = t00 * w02 + t01 * w12 + t02 * w22
+                        z10 = t10 * w00 + t11 * w10 + t12 * w20
+                        z11 = t10 * w01 + t11 * w11 + t12 * w21
+                        z12 = t10 * w02 + t11 * w12 + t12 * w22
+                        z20 = w00 + w10
+                        z21 = w01 + w11
+                        z22 = w02 + w12
+                        if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < newton_tol:
+                            converged = True
+                            break
+                        dw_norm_old = dw_norm
+                    n_iter = k + 1
+                    nfev += 3 * n_iter
+                if converged:
+                    break
+                newton_failures += 1
+                if current_jac:
+                    break
+                (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t, (u0, u1, u2), *args)
+                njev += 1
+                current_jac = True
+                lu_real = lu_complex = None
             if not converged:
                 h_abs *= 0.5
                 lu_real = lu_complex = None
                 continue
 
-            z00, z01, z02, z10, z11, z12, z20, z21, z22 = Z
             n0, n1, n2 = u0 + z20, u1 + z21, u2 + z22
             ze0 = (z00 * e0_ + z10 * e1_ + z20 * e2_) / h
             ze1 = (z01 * e0_ + z11 * e1_ + z21 * e2_) / h
             ze2 = (z02 * e0_ + z12 * e1_ + z22 * e2_) / h
-            r0, r1, r2 = _solve3(lu_real, f0 + ze0, f1 + ze1, f2 + ze2)
-            s0 = atol + max(abs(u0), abs(n0)) * rtol
-            s1 = atol + max(abs(u1), abs(n1)) * rtol
-            s2 = atol + max(abs(u2), abs(n2)) * rtol
-            error_norm = _norm3(r0 / s0, r1 / s1, r2 / s2)
+            b = (f0 + ze0, f1 + ze1, f2 + ze2)
+            c0 = b[rp0]
+            c1 = b[rp1] - c0 * rl10
+            c2 = b[rp2] - c0 * rl20 - c1 * rl21
+            r2 = c2 / ru22
+            r1 = (c1 - r2 * ru12) / ru11
+            r0 = (c0 - r2 * ru02 - r1 * ru01) / ru00
+            au0, au1, au2, an0, an1, an2 = abs(u0), abs(u1), abs(u2), abs(n0), abs(n1), abs(n2)
+            se0 = atol + (an0 if an0 > au0 else au0) * rtol
+            se1 = atol + (an1 if an1 > au1 else au1) * rtol
+            se2 = atol + (an2 if an2 > au2 else au2) * rtol
+            q0, q1, q2 = r0 / se0, r1 / se1, r2 / se2
+            error_norm = sqrt(q0 * q0 + q1 * q1 + q2 * q2) / 3 ** 0.5
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
             if rejected and error_norm > 1:
                 g0, g1, g2 = fun(t, (u0 + r0, u1 + r1, u2 + r2), *args)
-                st.nfev += 1
-                r0, r1, r2 = _solve3(lu_real, g0 + ze0, g1 + ze1, g2 + ze2)
-                error_norm = _norm3(r0 / s0, r1 / s1, r2 / s2)
-            if error_norm > 1:
-                factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
-                h_abs *= max(MIN_FACTOR, safety * factor)
-                lu_real = lu_complex = None
-                rejected = True
-                st.rejected += 1
+                nfev += 1
+                b = (g0 + ze0, g1 + ze1, g2 + ze2)
+                c0 = b[rp0]
+                c1 = b[rp1] - c0 * rl10
+                c2 = b[rp2] - c0 * rl20 - c1 * rl21
+                r2 = c2 / ru22
+                r1 = (c1 - r2 * ru12) / ru11
+                r0 = (c0 - r2 * ru02 - r1 * ru01) / ru00
+                q0, q1, q2 = r0 / se0, r1 / se1, r2 / se2
+                error_norm = sqrt(q0 * q0 + q1 * q1 + q2 * q2) / 3 ** 0.5
+            # step-size factor: two-step predictive controller when history exists
+            if error_norm == 0:
+                factor = inf
+            elif error_norm_old is None or not h_abs_old:  # after a zero step scipy's multiplier also clips to 1
+                factor = error_norm ** -0.25
             else:
+                factor = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+                factor = (factor if factor < 1 else 1) * error_norm ** -0.25
+            factor = safety * factor
+            if not error_norm > 1:
                 break
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
+            lu_real = lu_complex = None
+            rejected = True
+            n_rejected += 1
 
         recompute_jac = n_iter > 2 and rate > 1e-3
-        factor = min(MAX_FACTOR, safety * _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old))
+        if not factor < MAX_FACTOR:
+            factor = MAX_FACTOR
         if not recompute_jac and factor < 1.2:
             factor = 1
         else:
             lu_real = lu_complex = None
         if 0.0 * n0 + 0.0 * n1 + 0.0 * n2 != 0.0:
-            raise NonFiniteState(f"trajectory left the finite range at t = {t_new:.6g}")
-        f0, f1, f2 = fun(t_new, (n0, n1, n2), *args)
-        st.nfev += 1
+            raise NonFiniteState(f"trajectory left the finite range at t = {{t_new:.6g}}")
+{step_end}        nfev += 1
         if recompute_jac:
-            J = jac(t_new, (n0, n1, n2), *args)
-            st.njev += 1
+            (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t_new, (n0, n1, n2), *args)
+            njev += 1
         current_jac = recompute_jac
         h_prev, err_prev, h_next = h_next, error_norm, h_abs * factor
         cubic = (
@@ -491,9 +458,9 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
             z00 * p00 + z10 * p10 + z20 * p20, z00 * p01 + z10 * p11 + z20 * p21, z00 * p02 + z10 * p12 + z20 * p22,
             z01 * p00 + z11 * p10 + z21 * p20, z01 * p01 + z11 * p11 + z21 * p21, z01 * p02 + z11 * p12 + z21 * p22,
             z02 * p00 + z12 * p10 + z22 * p20, z02 * p01 + z12 * p11 + z22 * p21, z02 * p02 + z12 * p12 + z22 * p22,
-        )  # fmt: skip
-        sol.cubics.append(cubic)
-        st.steps += 1
+        )
+        cubics.append(cubic)
+        steps += 1
         t_old, t, u0, u1, u2 = t, t_new, n0, n1, n2
 
         if event is not None:
@@ -501,15 +468,61 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
             if direction >= 0 and g <= 0 <= g_new or direction <= 0 and g >= 0 >= g_new:
                 count += 1
                 root = _brentq(lambda tt: event(tt, dense_eval(cubic, tt)), t_old, t, 4 * EPS, 4 * EPS)
-                sol.t_events.append(root)
-                sol.y_events.append(dense_eval(cubic, root))
+                t_events.append(root)
+                y_events.append(dense_eval(cubic, root))
                 if terminal and count >= terminal:
-                    sol.t.append(root)
-                    return sol
+                    ts.append(root)
+                    break
             g = g_new
-        sol.t.append(t)
+        ts.append(t)
         if t >= t_bound:
-            return sol
+            break
+    stats = SolverStats(steps, n_rejected, nfev, njev, nlu, newton_failures)
+    return RadauSolution(ts, cubics, t_events, y_events, stats)
+'''
+
+
+def solver_source(stage, setup: str = "") -> str:
+    """The template with the function-body lines ``setup`` first and ``stage(t=, s=, out=)`` in each rhs slot.
+
+    A stage is function-body lines that bind the rhs at the expressions t and s with ``out``.
+    """
+
+    def at(depth, lines):
+        return "".join("    " * depth + line + "\n" for line in lines.splitlines())
+
+    newton = "".join(stage(t=f"tc{i}", s=f"(u0 + z{i}0, u1 + z{i}1, u2 + z{i}2)", out=f"f{i}0, f{i}1, f{i}2 =")
+                     for i in range(3))
+    step_end = stage(t="t_new", s="(n0, n1, n2)", out="f0, f1, f2 =")
+    return _SOLVER_SRC.format(setup=setup, newton_stages=at(5, newton), step_end=at(1, step_end))
+
+
+@cache
+def _generic_solver():
+    """The instance that calls ``fun(t, s, *args)`` in each rhs slot."""
+    namespace = {}
+    source = solver_source("    {out} fun({t}, {s}, *args)\n".format)
+    exec(compile(source, "<mmopam.radau solver, generic stage>", "exec"), globals(), namespace)
+    return namespace["solver"]
+
+
+def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=0, terminal=None) -> RadauSolution:
+    """Integrate from ``t0`` to ``t_bound`` as ``solve_ivp(method="Radau", jac=jac, dense_output=True)``.
+
+    ``event(t, s)`` is located where it changes sign in ``direction`` (+1 up,
+    -1 down, 0 either); after ``terminal`` such roots the solve stops at the
+    last one. A step size below ten spacings of t raises StepSizeUnderflow,
+    and a non-finite accepted state raises NonFiniteState. Runs ``fun.solver``
+    when ``fun`` carries one, else the generic instance of the template.
+    """
+    if not t_bound > t0:
+        raise DomainError(f"t_bound must exceed t0, got [{t0}, {t_bound}]")
+    if not (rtol > 0.0 and atol > 0.0):
+        raise DomainError("rtol and atol must be positive")
+    rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
+    solver = getattr(fun, "solver", None) or _generic_solver()
+    u0, u1, u2 = (float(v) for v in y0)
+    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

@@ -9,16 +9,39 @@ segment closed form rests on, so agreement checks each of those steps.
 ``hybrid_reference`` runs the hybrid's returns with every leg a scalar
 ``solve_ivp`` of dZ/dx itself at a tight tolerance, without the Moebius
 form of the legs.
+
+``eval_Fz``, ``eval_Fxz`` and ``drho`` are scalar references for the
+derivatives that the package's straight-line kernels unroll (F_z, F_xz and
+d(rho)/dx); the package itself has no caller for them.
 """
 
 from math import exp
 
 from scipy.integrate import quad, solve_ivp
 
-from mmopam.family import compute_geometry, eval_Fx, eval_Fxz
+from mmopam.family import _KCD, _KD, _RHO_DDEN, _RHO_DEN, _horner, compute_geometry, eval_Fx
 from mmopam.segments import AffineMap
 
 _ABS_TOL = 1e-12
+
+
+def eval_Fz(x, z):
+    acc = 0.0
+    for _, _, d in _KCD:
+        acc = (acc + d) * x
+    return acc * x
+
+
+def eval_Fxz(x, z):
+    return _horner(_KD, x) * x
+
+
+def drho(rho, x):
+    """d(rho)/dx of a RhoSpec, as the Jacobian kernel's rho' term."""
+    if rho.variant == "quadratic":
+        return 1.0 + 2.0 * rho.q * x
+    den = _horner(_RHO_DEN, x)
+    return -_horner(_RHO_DDEN, x) / (den * den)
 
 
 class QuadratureFailure(RuntimeError):

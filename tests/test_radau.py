@@ -11,6 +11,7 @@ step-size decision flips and the step sequences part.
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -162,6 +163,35 @@ def test_overflowing_collocation_iterate_raises():
         radau.solve(push, no_jac, 0.0, (1.79e308, 0.0, 0.0), 1e9, 1e-6, 1e-9)
 
 
+@pytest.mark.parametrize("state, t_fail", [((1e30, 0.0, 0.0), "0"), ((0.0, 0.0, 1e300), "1.98493e-289")],
+                         ids=["x-overflow", "z-overflow"])
+def test_non_finite_newton_stage(state, t_fail, monkeypatch):
+    # F overflows at Newton stages: the iteration tests F and W for finiteness only once the norm of its
+    # increment is not finite, which a non-finite F always makes it. The outcome is the one of testing them
+    # at every iteration (the z run accepts steps in between), through Field.rhs's instance and the generic one.
+    params = _row_params("1^1")
+    cfg = SimConfig(eps=1e-6, delta=1e-2, initial_state=state)
+    message = re.escape(f"integrator failed at t = {t_fail}: required step size is less than spacing between numbers")
+    with pytest.raises(StepSizeUnderflow, match=f"^{message}$"):
+        integrate_full(params, cfg)
+    non_finite = []
+    solve = radau.solve
+
+    def generic(fun, *args, **kwargs):
+        def plain(t, s, *a):
+            f = fun(t, s, *a)
+            if not all(math.isfinite(v) for v in f):
+                non_finite.append(t)
+            return f
+
+        return solve(plain, *args, **kwargs)
+
+    monkeypatch.setattr(mmopam.simulate.radau, "solve", generic)
+    with pytest.raises(StepSizeUnderflow, match=f"^{message}$"):
+        integrate_full(params, cfg)
+    assert non_finite
+
+
 def test_integrate_full_is_one_solve(fixed_rho, monkeypatch):
     solves = []
     solve = radau.solve
@@ -187,12 +217,12 @@ def test_integrate_full_is_one_solve(fixed_rho, monkeypatch):
 
 @pytest.mark.parametrize("rho", [mmopam.RhoSpec("fixed_rational"), mmopam.RhoSpec("quadratic", p=1.0, q=1.0)],
                          ids=["fixed", "quad"])
-def test_field_collocation_equals_generic(rho, monkeypatch):
-    # Field.rhs carries the Newton iteration with its body written into the stages; a plain lambda around
-    # the same rhs runs the generic instance, which calls it at every stage. Both give the same bits.
+def test_field_solver_equals_generic(rho, monkeypatch):
+    # Field.rhs carries the solver with its body written into the Newton stages and the step end; a plain
+    # lambda around the same rhs runs the generic instance, which calls it there. Both give the same bits.
     params = mmopam.synthesize(mmopam.PamCoefficients(*ROWS["1^1"]), rho)
     cfg = SimConfig(eps=1e-6, delta=1e-2)
-    assert params.field.rhs.collocation is not None
+    assert params.field.rhs.solver is not None
     runs = [integrate_full(params, cfg, n_crossings=3)]
     calls = []
     solve = radau.solve
@@ -204,8 +234,12 @@ def test_field_collocation_equals_generic(rho, monkeypatch):
     runs.append(integrate_full(params, cfg, n_crossings=3))
     field_run, generic_run = ([[v.hex() for v in col] for col in (r.t, r.x, r.y, r.z, *r.crossing_states)] for r in runs)
     assert field_run == generic_run
-    assert runs[0].solver_stats == runs[1].solver_stats
-    assert len(calls) == runs[1].solver_stats.nfev > 3 * runs[1].solver_stats.steps
+    st = runs[1].solver_stats
+    assert runs[0].solver_stats == st
+    assert len(calls) == st.nfev > 3 * st.steps
+    # the run goes through every branch of the step loop: rejected steps, failed Newton iterations
+    # and Jacobian refreshes
+    assert st.rejected > 0 and st.newton_failures > 0 and st.njev > 1
 
 
 # --- the unrolled 3x3 LU ------------------------------------------------------------------
@@ -308,7 +342,7 @@ def test_lu3_row_order_matches_scipy_lu_factor(kind):
 
 
 # One stiff pool item per row: crossing states and counters recorded with the loop LU and the
-# _solve3 calls that the straight-line code replaced. Any change in any step shows here.
+# substitution calls that the straight-line code replaced. Any change in any step shows here.
 PINNED = {
     0: (
         [("0x1.f17138f6e5f15p-2", "0x1.00000000416d9p-1", "-0x1.bbd03548ad934p-2", "-0x1.67dc1436a29d8p-8"),
