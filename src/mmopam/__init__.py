@@ -23,8 +23,8 @@ _EXPORTS = {
         "SingularSystem", "StepSizeUnderflow", "SynthesisVerificationFailure",
     ),
     "family": (
-        "CanonicalParams", "Field", "ManifoldGeometry", "RhoSpec", "compute_geometry", "eval_F", "eval_Fx", "eval_G",
-        "eval_H", "eval_J", "eval_P", "eval_Q", "eval_vector_field",
+        "CanonicalParams", "Field", "ManifoldGeometry", "RhoSpec", "compute_geometry", "eval_F", "eval_Fx", "eval_P",
+        "eval_Q",
     ),
     "pam": (
         "DISCONTINUITY_GUARD", "MuInterval", "OrbitResult", "PamCoefficients", "Signature", "TransformedPam",

@@ -12,16 +12,30 @@ minimum step of ten spacings of t, the clamp of the last step to
 order 7. Dense output is left out: the caller needs only the step ends.
 
 The state is a tuple of floats and ``fun(t, y, *args)`` returns its
-derivative as a tuple. One step, its stage sums, its 3 tail sums (b, e3, e5)
-and the error scales, is straight-line code generated per number of
-equations and of extra arguments on first use: each sum runs in index order
-from ``0.0 +`` and skips the exact zeros of the tableau.
+derivative as a tuple. The solver is one source template, generated from
+the tableau per number of equations: the step loop, the 11 stages, the
+tail sums (b, e3, e5), the error norm and the step-size controller in one
+function, with the state and the counters as locals. Each sum runs in
+index order from ``0.0 +`` and skips the exact zeros of the tableau. The
+derivative at each stage and at the step end is a slot. The generic
+instance, compiled per number of equations and of extra arguments on first
+use, calls ``fun`` there. ``fun.solver``, when ``fun`` carries one, is an
+instance with ``fun``'s body written into the slots, the same operations in
+the same order: :mod:`mmopam.family` compiles one per rho shape for
+``Field.dPhidx``. :func:`solve` checks its inputs and runs one of the two.
+
+The last stage has c = 1.0, so its time ``t + 1.0 * h`` is the step end's
+``t + h`` to the bit, 1.0 * h being h exactly. The step-end slot may thus
+reuse what the last stage computed from the time alone: the field instance
+takes dPhidx's coefficients from there, 11 evaluations per step attempt
+instead of 12, with the same bits. The generator refuses a tableau whose
+last c is not 1.0.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import cache, partial
 from math import inf, nextafter, sqrt
 
 from .errors import DomainError, StepSizeUnderflow
@@ -102,94 +116,19 @@ MAX_FACTOR = 10  # maximum allowed increase in a step size
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 
-@lru_cache(maxsize=None)
-def _stepper(n: int, nargs: int):
-    """``step(fun, args, t, y, h, k0, rtol, atol) -> (y_new, f_new, ss3, ss5)`` for ``n`` equations.
-
-    One step's stages, its end state and derivative, and the squared sums
-    ``ss3``, ``ss5`` of the two error estimates over the component scales
-    ``atol + max(|y|, |y_new|) rtol``. Generated from STAGES and TAIL: each
-    component of each stage sum and of the three tail sums (b, e3, e5) is one
-    expression over the nonzero entries in index order, starting from
-    ``0.0 +``. The entries are closure cells of the factory. The state and
-    every stage are tuples, unpacked into one name per component. The ``nargs``
-    extra arguments are passed to ``fun`` by name, so the code is built once
-    per (n, nargs): a call through ``*args`` misses the interpreter's fast path.
-    """
-    consts = {}
-    comps = range(n)
-    extra = "".join(f", a{i}" for i in range(nargs))
-
-    def unpack(names):
-        return ", ".join(names) + ","
-
-    lines = [f"{extra[2:]}, = args"] if nargs else []
-    lines.append(f"{unpack(f'y{i}' for i in comps)} = y")
-    lines.append(f"{unpack(f'k0_{i}' for i in comps)} = k0")
-    for s, (c, row) in enumerate(STAGES, 1):
-        consts[f"c{s}"] = c
-        stage_y = []
-        for i in comps:
-            terms = "".join(f" + k{j}_{i} * a{s}_{j}" for j, _ in row)
-            stage_y.append(f"y{i} + (0.0{terms}) * h")
-        consts.update((f"a{s}_{j}", a) for j, a in row)
-        lines.append(f"{unpack(f'k{s}_{i}' for i in comps)} = fun(t + c{s} * h, ({', '.join(stage_y)},){extra})")
-    sums = {"b": [""] * n, "e3": [""] * n, "e5": [""] * n}
-    for j, *weights in TAIL:
-        for name, w in zip(sums, weights):
-            consts[f"{name}_{j}"] = w
-            for i in comps:
-                sums[name][i] += f" + k{j}_{i} * {name}_{j}"
-    for i in comps:
-        lines.append(f"n{i} = y{i} + h * (0.0{sums['b'][i]})")
-    lines.append(f"y_new = ({unpack(f'n{i}' for i in comps)})")
-    lines.append(f"f_new = fun(t + h, y_new{extra})")
-    lines.append(f"{unpack(f'k12_{i}' for i in comps)} = f_new")
-    # scipy's sums also run over the zero weights and its maximum propagates nan, so a
-    # non-finite stage or end state gives a nan error norm: 0 * v is nan unless v is finite
-    zero = [j for j in range(1, len(STAGES) + 2) if j not in OUT]
-    for i in comps:
-        lines.append(f"ay{i} = abs(y{i})")
-        lines.append(f"an{i} = abs(n{i})")
-        lines.append(f"sc{i} = atol + (ay{i} if ay{i} >= an{i} else an{i}) * rtol")
-        lines.append(f"r3_{i} = (0.0{sums['e3'][i]}) / sc{i}")
-        nan_terms = "".join(f" + 0.0 * k{j}_{i}" for j in zero)
-        lines.append(f"r5_{i} = (0.0{sums['e5'][i]}{nan_terms}) / sc{i}")
-    lines.append("s3 = " + " + ".join(f"r3_{i} * r3_{i}" for i in comps))
-    lines.append("s5 = " + " + ".join(f"r5_{i} * r5_{i}" for i in comps))
-    lines.append("return y_new, f_new, s3, s5")
-    src = f"def make({', '.join(consts)}):\n    def step(fun, args, t, y, h, k0, rtol, atol):\n"
-    src += "".join(f"        {line}\n" for line in lines)
-    src += "    return step\n"
-    namespace = {}
-    exec(compile(src, f"<mmopam.dop853 step, {n} equations, {nargs} extra arguments>", "exec"), namespace)
-    return namespace["make"](*consts.values())
-
-
-def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, ...]], SolverStats]:
-    """The states at the accepted step ends and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
-
-    ``y0`` is a tuple of n floats and ``fun(t, y, *args)`` returns the n
-    derivatives at the tuple ``y`` as a tuple. The returned list holds one
-    state per accepted step, the last at ``t_bound``, as the columns of
-    scipy's ``sol.y`` after the first. ``t_bound`` may lie on either side of
-    ``t0``. A step below ten spacings of t, which a nan error norm reaches by
-    rejecting, raises StepSizeUnderflow.
-    """
-    if t_bound == t0:
-        raise DomainError(f"t_bound must differ from t0, got [{t0}, {t_bound}]")
-    if not (rtol > 0.0 and atol > 0.0):
-        raise DomainError("rtol and atol must be positive")
-    rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
-    direction = 1.0 if t_bound > t0 else -1.0
-    t, y = float(t0), tuple(map(float, y0))
-    n = len(y)
+# --- the solver template --------------------------------------------------------
+#
+# scipy's step loop, ``RungeKutta.step`` around ``_step_impl``, with ``rk_step`` and
+# ``_estimate_error_norm`` in the {step} lines that :func:`solver_source` generates.
+_SOLVER_SRC = """\
+def solver(fun, t, y, t_bound, rtol, atol, args):
+{setup}    direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y, *args)
     h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol)
-    st = SolverStats(nfev=2)
-    step = _stepper(n, len(args))
+    {y} = y
+    {k0} = f
+    steps, n_rejected, nfev = 0, 0, 2
     ys = []
-
     while True:
         min_step = 10 * abs(nextafter(t, direction * inf) - t)
         if h_abs < min_step:
@@ -198,25 +137,21 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, 
         while True:
             if not h_abs >= min_step:  # also catches a nan step
                 raise StepSizeUnderflow(
-                    f"integrator failed at t = {t:.6g}: required step size is less than spacing between numbers"
+                    f"integrator failed at t = {{t:.6g}}: required step size is less than spacing between numbers"
                 )
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-
-            y_new, f_new, ss3, ss5 = step(fun, args, t, y, h, f, rtol, atol)
-            st.nfev += 12
-
+{step}            nfev += 12
             # scipy's np.linalg.norm(err) ** 2, the norm being the root of the squared sum
-            err5_norm_2 = sqrt(ss5) ** 2
-            err3_norm_2 = sqrt(ss3) ** 2
+            err5_norm_2 = sqrt(s5) ** 2
+            err3_norm_2 = sqrt(s3) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5_norm_2 / sqrt((err5_norm_2 + 0.01 * err3_norm_2) * n)
-
+                error_norm = h_abs * err5_norm_2 / sqrt((err5_norm_2 + 0.01 * err3_norm_2) * {n})
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -228,10 +163,99 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, 
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
-            st.rejected += 1
+            n_rejected += 1
 
-        st.steps += 1
-        t, y, f = t_new, y_new, f_new
-        ys.append(y)
+        steps += 1
+        t = t_new
+        {y} = {n_new}
+        {k0} = {k12}
+        ys.append(({n_new}))
         if direction * (t - t_bound) >= 0:
-            return ys, st
+            return ys, SolverStats(steps, n_rejected, nfev)
+"""
+
+
+def solver_source(n: int, stage, end, setup: str = "") -> str:
+    """The solver for ``n`` equations with ``setup`` first, ``stage`` in the 11 stage slots and ``end`` in the step end's.
+
+    A slot is ``slot(x=, s=, out=)``: function-body lines that bind the n
+    derivatives at the time expression x and the component expressions s
+    (a tuple of n strings) with the assignment target ``out``. ``end``'s x
+    is the last stage's time, so ``end`` may reuse what that stage bound
+    from x alone; refuses a tableau whose last c is not 1.0.
+    """
+    if STAGES[-1][0] != 1.0:
+        raise ValueError(f"the step end reuses the last stage's time, which needs c = 1.0, got {STAGES[-1][0]!r}")
+    comps = range(n)
+
+    def tup(fmt):
+        return ", ".join(fmt.format(i) for i in comps) + ","
+
+    step = []  # function-body lines
+    for s, (c, row) in enumerate(STAGES, 1):
+        ys = tuple(f"y{i} + (0.0{''.join(f' + k{j}_{i} * {a!r}' for j, a in row)}) * h" for i in comps)
+        step.append(stage(x=f"t + {c!r} * h", s=ys, out=f"{tup(f'k{s}_{{}}')} ="))
+    sums = {"b": [""] * n, "e3": [""] * n, "e5": [""] * n}
+    for j, *weights in TAIL:
+        for name, w in zip(sums, weights):
+            for i in comps:
+                sums[name][i] += f" + k{j}_{i} * {w!r}"
+    step += [f"    n{i} = y{i} + h * (0.0{sums['b'][i]})\n" for i in comps]
+    step.append(end(x="t + h", s=tuple(f"n{i}" for i in comps), out=f"{tup('k12_{}')} ="))
+    # scipy's sums also run over the zero weights and its maximum propagates nan, so a
+    # non-finite stage or end state gives a nan error norm: 0 * v is nan unless v is finite
+    zero = [j for j in range(1, len(STAGES) + 2) if j not in OUT]
+    for i in comps:
+        step.append(
+            f"    ay{i} = abs(y{i})\n    an{i} = abs(n{i})\n"
+            f"    sc{i} = atol + (ay{i} if ay{i} >= an{i} else an{i}) * rtol\n"
+            f"    r3_{i} = (0.0{sums['e3'][i]}) / sc{i}\n"
+            f"    r5_{i} = (0.0{sums['e5'][i]}{''.join(f' + 0.0 * k{j}_{i}' for j in zero)}) / sc{i}\n"
+        )
+    step.append("    s3 = " + " + ".join(f"r3_{i} * r3_{i}" for i in comps) + "\n")
+    step.append("    s5 = " + " + ".join(f"r5_{i} * r5_{i}" for i in comps) + "\n")
+    return _SOLVER_SRC.format(
+        setup=setup, n=n, y=tup("y{}"), k0=tup("k0_{}"), n_new=tup("n{}"), k12=tup("k12_{}"),
+        step="".join("        " + line + "\n" for line in "".join(step).splitlines()),
+    )
+
+
+def _call(x, s, out, extra):
+    """The generic slot: ``fun`` called at x and s, its ``extra`` arguments passed by name."""
+    return f"    {out} fun({x}, ({', '.join(s)},){extra})\n"
+
+
+@cache
+def _generic_solver(n: int, nargs: int):
+    """The instance for ``n`` equations that calls ``fun(t, y, *args)`` in each slot.
+
+    The ``nargs`` extra arguments are passed to ``fun`` by name, so the code is
+    built once per (n, nargs): a call through ``*args`` misses the interpreter's fast path.
+    """
+    extra = "".join(f", a{i}" for i in range(nargs))
+    slot = partial(_call, extra=extra)
+    source = solver_source(n, slot, slot, f"    {extra[2:]}, = args\n" if nargs else "")
+    namespace = {}
+    exec(compile(source, f"<mmopam.dop853 solver, {n} equations, {nargs} extra arguments>", "exec"), globals(), namespace)
+    return namespace["solver"]
+
+
+def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, ...]], SolverStats]:
+    """The states at the accepted step ends and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
+
+    ``y0`` is a tuple of n floats and ``fun(t, y, *args)`` returns the n
+    derivatives at the tuple ``y`` as a tuple. The returned list holds one
+    state per accepted step, the last at ``t_bound``, as the columns of
+    scipy's ``sol.y`` after the first. ``t_bound`` may lie on either side of
+    ``t0``. A step below ten spacings of t, which a nan error norm reaches by
+    rejecting, raises StepSizeUnderflow. Runs ``fun.solver`` when ``fun``
+    carries one, else the generic instance of the template.
+    """
+    if t_bound == t0:
+        raise DomainError(f"t_bound must differ from t0, got [{t0}, {t_bound}]")
+    if not (rtol > 0.0 and atol > 0.0):
+        raise DomainError("rtol and atol must be positive")
+    rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
+    y = tuple(map(float, y0))
+    solver = getattr(fun, "solver", None) or _generic_solver(len(y), len(args))
+    return solver(fun, float(t0), y, t_bound, rtol, atol, args)

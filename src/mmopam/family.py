@@ -22,14 +22,16 @@ the fold heights taken from exact rational F.
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, and the
 integrators' kernels. Loops start from 0.0, so they take scalars and,
 element-wise, arrays; the ``eval_*`` functions use it. The Radau right-hand
-side ``Field.rhs``, its Jacobian ``Field.jac``, the whole Radau solver with
-that rhs written into its three Newton stages and its step end
-(``Field.rhs.solver``, which ``radau.solve`` runs), and the derivative
-``Field.dPhidx`` of the fundamental matrix of the hybrid slow flow are
-straight-line functions: the same loops unrolled, with the same operations
-in the same order, compiled once per rho shape and bound to a parameter
-set's constants on first use, so the map level, which builds a Field per
-parameter set, never pays for them.
+side ``Field.rhs``, its Jacobian ``Field.jac``, the derivative
+``Field.dPhidx`` of the fundamental matrix of the hybrid slow flow, and the
+two whole solvers with those bodies written into their stages
+(``Field.rhs.solver``, which ``radau.solve`` runs, and
+``Field.dPhidx.solver``, which ``dop853.solve`` runs, its step end taking
+only dPhidx's product with the new matrix, on the coefficients its last
+stage bound at the same x) are straight-line functions: the same loops
+unrolled, with the same operations in the same order, compiled once per rho
+shape and bound to a parameter set's constants on first use, so the map
+level, which builds a Field per parameter set, never pays for them.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ def eval_Fxx(x, z):
     for k, c, d in _KCD[:-1]:
         acc = acc * x + k * (k - 1) * (c + d * z)
     return acc * x + 2.0 * (_C2 + _D2 * z)
-
-
-def eval_J(x):
-    return 0.5 - x
 
 
 # --- rho specification -------------------------------------------------------
@@ -246,7 +244,9 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 # bound by a factory compiled once per kernel and rho shape; no value enters the source.
 # The rhs stage binds its three values at the state {s} with {out}: "return" in the rhs
 # kernel, an assignment in each rhs slot of the Radau solver kernel (its three Newton
-# stages and the step end).
+# stages and the step end). dPhidx is two parts, its coefficients a, b and c at x and
+# their product with Phi = (A, B, C, D); the DOP853 solver kernel's step end takes only
+# the second, on the coefficients its last stage bound at the same x.
 _RHS_STAGE = """\
     x, y, z = {s}
     Q = {Q}
@@ -256,6 +256,19 @@ _RHS_STAGE = """\
     J = 0.5 - x
     {out} (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
 """
+
+_DPHI_COEFFS = """\
+    Q = {Q}
+    u = alpha * Q + beta
+    P = alpha * Q * Q / 2.0 + beta * Q
+    g = kappa + lam * P
+    W = {W}
+    ct = delta * {rho} * ({Fxz} * x)
+    a = u * g * W
+    b = u * (W + g * ct)
+    c = u * ct
+"""
+_DPHI_PRODUCT = "    {out} b * A + a * C, b * B + a * D, -c * A, -c * B\n"
 
 _KERNEL_SRC = {
     "rhs": "def rhs(t, s, eps, delta):\n{rhs}",
@@ -279,21 +292,14 @@ def jac(t, s, eps, delta):
         (delta * Gp + z * Hp, 0.0, r * u * J),
     )
 """,
-    "dPhidx": """\
-def dPhidx(x, Phi, delta):
-    A, B, C, D = Phi
-    Q = {Q}
-    u = alpha * Q + beta
-    P = alpha * Q * Q / 2.0 + beta * Q
-    g = kappa + lam * P
-    W = {W}
-    ct = delta * {rho} * ({Fxz} * x)
-    a = u * g * W
-    b = u * (W + g * ct)
-    c = u * ct
-    return b * A + a * C, b * B + a * D, -c * A, -c * B
-""",
+    "dPhidx": "def dPhidx(x, Phi, delta):\n    A, B, C, D = Phi\n" + _DPHI_COEFFS + _DPHI_PRODUCT.replace("{out}", "return"),
 }
+
+
+def _dphi_slot(parts, x, s, out, coeffs=True):
+    """A DOP853 slot with dPhidx's body: its coefficients at x (unless ``coeffs`` is false), then the product."""
+    lines = f"    x = {x}\n{_DPHI_COEFFS.format(**parts)}" if coeffs else ""
+    return lines + "".join(f"    {v} = {e}\n" for v, e in zip("ABCD", s)) + _DPHI_PRODUCT.format(out=out)
 
 
 def _horner_src(names) -> str:
@@ -338,11 +344,18 @@ def _kernel_factory(name: str, variant: str, nq: int):
         "RS": _RHO_DEN,
         "RDS": _RHO_DDEN,
     }
-    if name == "solver":
+    function = "solver"
+    if name == "radau":
         from . import radau  # the solver's template, and the constants and helpers it reads
         namespace.update(vars(radau))
         body = radau.solver_source(partial(_RHS_STAGE.format, **parts), "    eps, delta = args\n")
+    elif name == "dop853":
+        from . import dop853
+        namespace.update(vars(dop853))
+        stage = partial(_dphi_slot, parts)
+        body = dop853.solver_source(4, stage, partial(stage, coeffs=False), "    delta, = args\n")
     else:
+        function = name
         body = _KERNEL_SRC[name].format(rhs=_RHS_STAGE.format(s="s", out="return", **parts), **parts)
     unpack = {
         "q_coeffs": _names("Q", nq),
@@ -356,7 +369,7 @@ def _kernel_factory(name: str, variant: str, nq: int):
     src = "def make(alpha, beta, kappa, lam, rho_p, rho_q, q_coeffs, w_coeffs):\n"
     src += "".join(f"    {', '.join(names)}, = {seq}\n" for seq, names in unpack.items())
     src += "".join("    " + line + "\n" for line in body.splitlines())
-    src += f"    return {name}\n"
+    src += f"    return {function}\n"
     exec(compile(src, f"<mmopam.family {name} kernel, {variant} rho>", "exec"), namespace)
     return namespace["make"]
 
@@ -404,7 +417,7 @@ class Field:
         """
         if self._rhs is None:
             self._rhs = self._bind("rhs")
-            self._rhs.solver = self._bind("solver")  # radau.solve with this rhs in its Newton stages and step end
+            self._rhs.solver = self._bind("radau")  # radau.solve with this rhs in its Newton stages and step end
         return self._rhs
 
     @property
@@ -426,6 +439,7 @@ class Field:
         """
         if self._dPhidx is None:
             self._dPhidx = self._bind("dPhidx")
+            self._dPhidx.solver = self._bind("dop853")  # dop853.solve with this body in its stages and step end
         return self._dPhidx
 
     def _bind(self, name):
@@ -493,26 +507,6 @@ def eval_Q(params: CanonicalParams, x):
 def eval_P(params: CanonicalParams, x):
     """P(x) = alpha*Q^2/2 + beta*Q, the antiderivative of p(x)."""
     return params.field.QuP(x)[2]
-
-
-def eval_G(params: CanonicalParams, x):
-    """G(x) = (kappa + lambda P) (alpha Q + beta) rho J."""
-    return params.field.drift(x)[0]
-
-
-def eval_H(params: CanonicalParams, x):
-    """H(x) = rho (alpha Q + beta) J."""
-    return params.field.drift(x)[1]
-
-
-def eval_vector_field(
-    params: CanonicalParams, x: float, y: float, z: float, eps: float, delta: float
-) -> tuple[float, float, float]:
-    """Fast-time right-hand side (x', y', z')."""
-    if eps < 0.0 or delta < 0.0:
-        raise DomainError("eps and delta must be nonnegative")
-    G, H = params.field.drift(x)
-    return y - eval_F(x, z), eps * (0.5 - x), eps * (delta * G + z * H)
 
 
 # --- critical-manifold geometry ----------------------------------------------

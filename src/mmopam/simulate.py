@@ -199,13 +199,14 @@ def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns:
     the fundamental matrix of its linearisation (:attr:`Field.dPhidx`). Each
     call solves that matrix once per leg with :func:`mmopam.dop853.solve`, at
     HYBRID_RTOL and HYBRID_ATOL, over the passages of ``geom.branches``, the
-    Z < 0 branch's S_a3 split at xhat3 so both branches share its tail; every
-    return then carries Z along the branch its sign picks. At delta = 0, C = 0
-    and D = 1, and each leg is the exact affine segment map. A denominator
-    C Z + D that is not positive at a step end of a leg, or a non-finite
-    result, means the solution passes through infinity and raises
-    NonFiniteState. The result carries the four solves' counters, summed, as
-    ``solver_stats``.
+    Z < 0 branch's S_a3 split at xhat3 so both branches share its tail; the
+    solves run ``Field.dPhidx.solver``, the DOP853 solver generated with
+    dPhidx's body in its stages. Every return then carries Z through the
+    legs of the branch its sign picks. At delta = 0, C = 0 and D = 1, and
+    each leg is the exact affine segment map. A denominator C Z + D that
+    is not positive at a step end of a leg, or a non-finite result, means the
+    solution passes through infinity and raises NonFiniteState. The result
+    carries the four solves' counters, summed, as ``solver_stats``.
     """
     if not (0.0 <= delta < math.inf):
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
@@ -221,8 +222,14 @@ def hybrid_simulate(params: CanonicalParams, delta: float, Z0: float, n_returns:
     for _ in range(n_returns):
         if abs(Z) <= DISCONTINUITY_GUARD:
             raise DiscontinuityHit(f"hybrid state hit the jump (Z = {Z!r})")
-        for leg in branches[Z > 0.0]:
-            Z = _carry(leg, Z)
+        for (A, B, C, D), denominators in branches[Z > 0.0]:
+            for c, d in denominators:
+                if not c * Z + d > 0.0:
+                    raise NonFiniteState(f"the reduced flow from Z = {Z!r} passes through infinity")
+            Z_end = (A * Z + B) / (C * Z + D)
+            if not math.isfinite(Z_end):
+                raise NonFiniteState(f"the reduced flow from Z = {Z!r} leaves the finite range")
+            Z = Z_end
         returns.append(Z)
 
     period = _detect_tail_period(returns, HYBRID_PERIOD_TOL, max_period=max(1, len(returns) // 4))
@@ -236,30 +243,19 @@ def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry):
     """The legs of each branch of ``geom.branches``, with S_a3 split at xhat3 so both share its tail, and their counters.
 
     Each leg is its end matrix (A, B, C, D), solved from the identity, and
-    the (C, D) of every accepted step end.
+    the (C, D) of every accepted step end. DOP853 counts no Jacobians, LU
+    factorisations or Newton failures, so the sum has steps, rejections and nfev only.
     """
     (sa1, (xhat1, _)), (sa2, sa3) = geom.branches
     dPhidx = params.field.dPhidx
-    stats = radau.SolverStats()
+    steps = rejected = nfev = 0
     legs = []
     for x_from, x_to in (sa1, sa2, (xhat1, sa3[0]), sa3):
         ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
-        stats += st
+        steps, rejected, nfev = steps + st.steps, rejected + st.rejected, nfev + st.nfev
         legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
     leg1, leg2, head, tail = legs
-    return ((leg1, head, tail), (leg2, tail)), stats
-
-
-def _carry(leg, Z: float) -> float:
-    """Z carried over one leg, (A Z + B) / (C Z + D), with the denominator positive at every step end."""
-    (A, B, C, D), denominators = leg
-    for c, d in denominators:
-        if not c * Z + d > 0.0:
-            raise NonFiniteState(f"the reduced flow from Z = {Z!r} passes through infinity")
-    Z_end = (A * Z + B) / (C * Z + D)
-    if not math.isfinite(Z_end):
-        raise NonFiniteState(f"the reduced flow from Z = {Z!r} leaves the finite range")
-    return Z_end
+    return ((leg1, head, tail), (leg2, tail)), radau.SolverStats(steps, rejected, nfev)
 
 
 # The classifier skips this many leading crossings as transient, and two crossing states

@@ -12,14 +12,17 @@ form of the legs.
 
 ``eval_Fz``, ``eval_Fxz`` and ``drho`` are scalar references for the
 derivatives that the package's straight-line kernels unroll (F_z, F_xz and
-d(rho)/dx); the package itself has no caller for them.
+d(rho)/dx); ``eval_J``, ``eval_G``, ``eval_H`` and ``eval_vector_field``
+evaluate the slow drift and the fast-time right-hand side through
+``Field.drift``. The package itself has no caller for them.
 """
 
 from math import exp
 
 from scipy.integrate import quad, solve_ivp
 
-from mmopam.family import _KCD, _KD, _RHO_DDEN, _RHO_DEN, _horner, compute_geometry, eval_Fx
+from mmopam.errors import DomainError
+from mmopam.family import _KCD, _KD, _RHO_DDEN, _RHO_DEN, CanonicalParams, _horner, compute_geometry, eval_F, eval_Fx
 from mmopam.segments import AffineMap
 
 _ABS_TOL = 1e-12
@@ -42,6 +45,30 @@ def drho(rho, x):
         return 1.0 + 2.0 * rho.q * x
     den = _horner(_RHO_DEN, x)
     return -_horner(_RHO_DDEN, x) / (den * den)
+
+
+def eval_J(x):
+    return 0.5 - x
+
+
+def eval_G(params: CanonicalParams, x):
+    """G(x) = (kappa + lambda P) (alpha Q + beta) rho J."""
+    return params.field.drift(x)[0]
+
+
+def eval_H(params: CanonicalParams, x):
+    """H(x) = rho (alpha Q + beta) J."""
+    return params.field.drift(x)[1]
+
+
+def eval_vector_field(
+    params: CanonicalParams, x: float, y: float, z: float, eps: float, delta: float
+) -> tuple[float, float, float]:
+    """Fast-time right-hand side (x', y', z')."""
+    if eps < 0.0 or delta < 0.0:
+        raise DomainError("eps and delta must be nonnegative")
+    G, H = params.field.drift(x)
+    return y - eval_F(x, z), eps * (0.5 - x), eps * (delta * G + z * H)
 
 
 class QuadratureFailure(RuntimeError):

@@ -452,7 +452,7 @@ def test_each_process_loads_only_what_its_command_runs(tmp_path, argv, bare_modu
 def test_package_namespace():
     from importlib import import_module
 
-    assert len(mmopam.__all__) == len(set(mmopam.__all__)) == 53
+    assert len(mmopam.__all__) == len(set(mmopam.__all__)) == 49
     for module, names in mmopam._EXPORTS.items():
         home = import_module(f"mmopam.{module}")
         for name in names:

@@ -23,9 +23,11 @@ import pytest
 from oracles import hybrid_reference
 
 import mmopam
-from mmopam import dop853, radau
+from mmopam import dop853, family, radau
 from mmopam.errors import DomainError, NonFiniteState, StepSizeUnderflow
+from mmopam.family import RhoSpec
 from mmopam.pam import DISCONTINUITY_GUARD
+from mmopam.radau import _initial_step
 
 HYBRID_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "fingerprints" / "hybrid.json"
 ROWS = {"1^1": (0.3, 1.0, 0.9, -2.0), "1^3": (0.3, 7.0, 0.9, -2.0), "3^1": (0.9, 1.0, 0.4, -3.0)}
@@ -119,28 +121,74 @@ def _loop_step(fun, args, t, y, h, f, rtol, atol):
     return y_new, f_new, ss3, ss5
 
 
+def _loop_solve(fun, t0, y0, t_bound, rtol, atol, args=()):
+    """scipy's step loop around :func:`_loop_step`: the reference for the generated solver's loop."""
+    rtol = max(rtol, 100 * dop853.EPS)
+    direction = 1.0 if t_bound > t0 else -1.0
+    t, y = float(t0), tuple(map(float, y0))
+    f = fun(t, y, *args)
+    h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol)
+    st = radau.SolverStats(nfev=2)
+    ys = []
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepSizeUnderflow(
+                    f"integrator failed at t = {t:.6g}: required step size is less than spacing between numbers"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, ss3, ss5 = _loop_step(fun, args, t, y, h, f, rtol, atol)
+            st.nfev += 12
+            err5_norm_2 = math.sqrt(ss5) ** 2
+            err3_norm_2 = math.sqrt(ss3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_norm_2 / math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(y))
+            if error_norm < 1:
+                factor = dop853.MAX_FACTOR if error_norm == 0 else min(
+                    dop853.MAX_FACTOR, dop853.SAFETY * error_norm**dop853.ERROR_EXPONENT
+                )
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * error_norm**dop853.ERROR_EXPONENT)
+            rejected = True
+            st.rejected += 1
+        st.steps += 1
+        t, y, f = t_new, y_new, f_new
+        ys.append(y)
+        if direction * (t - t_bound) >= 0:
+            return ys, st
+
+
 def _solve_with_both_steps(fun, t0, y0, t_bound, args=()):
-    """``dop853.solve`` with the straight-line step and with the loop step. The points where fun is
-    evaluated and the step ends must agree to the bit, the counters exactly. Returns the end state."""
+    """``dop853.solve`` through its generic instance (``fun`` wrapped in a plain function) and the loop
+    oracle :func:`_loop_solve`. The points where fun is evaluated and the step ends must agree to the bit,
+    the counters exactly. Returns the end state."""
     runs = []
-    for step in (None, _loop_step):
+    for solve in (dop853.solve, _loop_solve):
         calls = []
 
         def traced(t, y, *a):
             calls.append((t.hex(), *(v.hex() for v in y)))
             return fun(t, y, *a)
 
-        with pytest.MonkeyPatch.context() as mp:
-            if step is not None:
-                mp.setattr(dop853, "_stepper", lambda n, nargs: step)
-            ys, st = dop853.solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
+        ys, st = solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
         runs.append(([[v.hex() for v in y] for y in ys], st, calls))
     assert runs[0] == runs[1]
     return tuple(float.fromhex(v) for v in runs[0][0][-1])
 
 
 def _check_hybrid_against_loop_step(item, n_returns):
-    """Both steps on the four legs at a pool item's row and delta, and on its returns; returns the leg directions."""
+    """The generic instance against the loop oracle on the four legs at a pool item's row and delta, and
+    ``Field.dPhidx.solver`` against it on the item's returns; returns the leg directions."""
     params = _row_params(item["input"]["row"])
     delta, Z = item["input"]["delta"], item["input"]["z0"]
     directions = set()
@@ -148,10 +196,10 @@ def _check_hybrid_against_loop_step(item, n_returns):
         _solve_with_both_steps(params.field.dPhidx, x_from, IDENTITY, x_to, (delta,))
         directions.add(x_to > x_from)
     results = []
-    for step in (None, _loop_step):
+    for solve in (None, _loop_solve):
         with pytest.MonkeyPatch.context() as mp:
-            if step is not None:
-                mp.setattr(dop853, "_stepper", lambda n, nargs: step)
+            if solve is not None:
+                mp.setattr(dop853, "solve", solve)
             res = mmopam.hybrid_simulate(params, delta, Z, n_returns)
         results.append(([v.hex() for v in res.returns], res.solver_stats))
     assert results[0] == results[1]
@@ -221,16 +269,24 @@ def test_nan_rhs_raises_step_size_underflow():
 @pytest.mark.parametrize("bad_call", [1, 2, 3, 4, 12], ids=["k1", "k2", "k3", "k4", "f_new"])
 def test_nan_in_a_zero_weight_stage_reaches_the_error_norm(bad_call):
     # scipy's error sums also run over the stages whose weights are 0, so one nan there rejects the step
-    calls = []
+    def nan_at(call):
+        calls = []
 
-    def fun(t, y):
-        calls.append(t)
-        return (math.nan if len(calls) == bad_call else 1.0, 2.0)
+        def fun(t, y):
+            calls.append(t)
+            return (math.nan if len(calls) == call else 1.0, 2.0)
 
-    for step in (dop853._stepper(2, 0), _loop_step):
-        calls.clear()
-        y_new, _, _, ss5 = step(fun, (), 0.0, (1.0, 1.0), 0.1, (1.0, 2.0), 1e-10, 1e-12)
-        assert all(math.isfinite(v) for v in y_new) and math.isnan(ss5)
+        return fun
+
+    y_new, _, _, ss5 = _loop_step(nan_at(bad_call), (), 0.0, (1.0, 1.0), 0.1, (1.0, 2.0), 1e-10, 1e-12)
+    assert all(math.isfinite(v) for v in y_new) and math.isnan(ss5)
+    # in a solve the first attempt's stages follow the two evaluations of the start: the nan rejects it
+    runs = []
+    for solve in (dop853.solve, _loop_solve):
+        ys, st = solve(nan_at(2 + bad_call), 0.0, (1.0, 1.0), 1.0, 1e-10, 1e-12)
+        assert all(math.isfinite(v) for y in ys for v in y) and st.rejected == 1
+        runs.append(([[v.hex() for v in y] for y in ys], st))
+    assert runs[0] == runs[1]
 
 
 def test_rtol_floor_matches_scipy():
@@ -242,8 +298,43 @@ def test_rtol_floor_matches_scipy():
         ref = _scipy_dop853(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
     ys, st = dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
     assert (ys, st) == dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 100 * dop853.EPS, 1e-20)
+    assert (ys, st) == _loop_solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
     assert st.nfev == ref.nfev
     assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rho", [RhoSpec("fixed_rational"), RhoSpec("quadratic", p=1.0, q=1.0)], ids=["fixed", "quad"])
+def test_field_dop853_solver_equals_generic(rho):
+    """``Field.dPhidx.solver`` (dPhidx's body in the stages, the step end on the last stage's coefficients)
+    and the generic instance through a plain lambda: the same step ends to the bit and the same counters."""
+    rejected, directions = 0, set()
+    for target in ROWS.values():
+        params = mmopam.synthesize(mmopam.PamCoefficients(*target), rho)
+        dPhidx = params.field.dPhidx
+        generic = lambda x, phi, delta: dPhidx(x, phi, delta)  # noqa: E731
+        assert callable(dPhidx.solver) and not hasattr(generic, "solver")
+        for delta in (0.0, 5e-3, 0.1):
+            for x_from, x_to in _spans(mmopam.compute_geometry(params)):
+                (ys, st), (ys_generic, st_generic) = (
+                    dop853.solve(fun, x_from, IDENTITY, x_to, RTOL, ATOL, args=(delta,)) for fun in (dPhidx, generic)
+                )
+                assert [[v.hex() for v in y] for y in ys] == [[v.hex() for v in y] for y in ys_generic]
+                assert st == st_generic
+                assert st.nfev == 2 + 12 * (st.steps + st.rejected)  # scipy's count
+                rejected += st.rejected
+                directions.add(x_to > x_from)
+    assert rejected > 0 and directions == {True, False}
+
+
+def test_generators_refuse_a_last_stage_off_the_step_end(monkeypatch):
+    """The step end reuses the last stage's time, so a tableau whose last c is not 1.0 compiles no solver."""
+    c, row = dop853.STAGES[-1]
+    assert c == 1.0
+    monkeypatch.setattr(dop853, "STAGES", dop853.STAGES[:-1] + ((math.nextafter(1.0, 0.0), row),))
+    with pytest.raises(ValueError, match=r"needs c = 1\.0, got 0\.9999999999999999"):
+        dop853._generic_solver.__wrapped__(2, 0)
+    with pytest.raises(ValueError, match=r"needs c = 1\.0"):
+        family._kernel_factory.__wrapped__("dop853", "fixed_rational", 6)
 
 
 def test_empty_interval_rejected():

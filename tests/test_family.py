@@ -15,16 +15,12 @@ from mmopam.family import (
     eval_F,
     eval_Fx,
     eval_Fxx,
-    eval_G,
-    eval_H,
-    eval_J,
     eval_P,
     eval_Q,
-    eval_vector_field,
     q_polynomial,
 )
 
-from oracles import Q_quadrature, drho, eval_Fxz, eval_Fz
+from oracles import Q_quadrature, drho, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J, eval_vector_field
 
 
 def central_diff(f, x, h=1e-6):

@@ -19,7 +19,7 @@ from mmopam.pam import PamCoefficients
 from mmopam.segments import associated_pam
 from mmopam.synthesis import synthesize
 
-from oracles import drho, eval_Fxz, eval_Fz
+from oracles import drho, eval_Fxz, eval_Fz, eval_G, eval_H
 
 CF = np.array([float(c) for c in family._C])
 DF = np.array([float(d) for d in family._D])
@@ -183,8 +183,8 @@ def test_rho_Q_kernels_exact(rho):
         assert drho(rho, x) == ref_drho(rho, np.float64(x))
         assert fld.Q(x) == ref_Q(params, x)
         assert family.eval_P(params, x) == ref_P(params, x)
-        assert family.eval_G(params, x) == ref_G(params, x)
-        assert family.eval_H(params, x) == ref_H(params, x)
+        assert eval_G(params, x) == ref_G(params, x)
+        assert eval_H(params, x) == ref_H(params, x)
 
 
 def bits(v) -> str:
@@ -226,7 +226,7 @@ def test_map_level_path_compiles_no_kernel(monkeypatch):
     assert requested == []
     fld = params.field
     assert fld.dPhidx is fld.dPhidx
-    assert requested == [("dPhidx", "fixed_rational", 6)]
+    assert requested == [("dPhidx", "fixed_rational", 6), ("dop853", "fixed_rational", 6)]
 
 
 def test_kernels_compiled_once_per_rho_shape(monkeypatch):
@@ -236,12 +236,13 @@ def test_kernels_compiled_once_per_rho_shape(monkeypatch):
     fields = [CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho).field for rho in RHOS + RHOS]
     for fld in fields:
         fld.rhs, fld.jac, fld.dPhidx
-    kernels = ("rhs", "solver", "jac", "dPhidx")
+    kernels = ("rhs", "radau", "jac", "dPhidx", "dop853")
     assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in kernels
                                       for v in ("fixed_rational", "quadratic"))
-    # radau.solve finds the solver kernel on the rhs kernel, one per parameter set
-    assert all(fld.rhs.solver.__closure__ for fld in fields)
+    # radau.solve and dop853.solve find the solver kernels on the rhs and dPhidx kernels, one per parameter set
+    assert all(fld.rhs.solver.__closure__ and fld.dPhidx.solver.__closure__ for fld in fields)
     assert fields[1].rhs.solver is not fields[2].rhs.solver
+    assert fields[1].dPhidx.solver is not fields[2].dPhidx.solver
     # each parameter set keeps its own constants: the two quadratic rho differ
     assert fields[1].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3) != fields[2].dPhidx(0.3, (1.0, 0.0, 0.0, 1.0), 5e-3)
 
