@@ -324,7 +324,7 @@ def _simulate_full(args, params: CanonicalParams, cfg) -> int:
 
 
 def _full_outputs(prefix: str | None, series, delta: float) -> None:
-    """With ``prefix``, a full run's series CSV, two SVGs and crossings JSON; then its Radau counters on stderr."""
+    """With ``prefix``, a full run's series CSV, two SVGs and crossings JSON; then its solver counters on stderr."""
     if prefix:
         from .plotting import line_plot
         from .simulate import visual_rescale
@@ -338,6 +338,7 @@ def _full_outputs(prefix: str | None, series, delta: float) -> None:
         with open(prefix + "_crossings.json", "w", encoding="utf-8") as fh:
             json.dump(crossings, fh, indent=2)
     print(f"radau: {series.solver_stats}", file=sys.stderr)
+    print(f"dop853: {series.jump_stats}", file=sys.stderr)
 
 
 def _report_match(params: CanonicalParams, observed: str) -> int:

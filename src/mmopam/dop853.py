@@ -128,7 +128,7 @@ def solver(fun, t, y, t_bound, rtol, atol, args):
     {y} = y
     {k0} = f
     steps, n_rejected, nfev = 0, 0, 2
-    ys = []
+    ts, ys = [], []
     while True:
         min_step = 10 * abs(nextafter(t, direction * inf) - t)
         if h_abs < min_step:
@@ -169,9 +169,10 @@ def solver(fun, t, y, t_bound, rtol, atol, args):
         t = t_new
         {y} = {n_new}
         {k0} = {k12}
+        ts.append(t)
         ys.append(({n_new}))
         if direction * (t - t_bound) >= 0:
-            return ys, SolverStats(steps, n_rejected, nfev)
+            return ts, ys, SolverStats(steps, n_rejected, nfev)
 """
 
 
@@ -240,16 +241,17 @@ def _generic_solver(n: int, nargs: int):
     return namespace["solver"]
 
 
-def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[tuple[float, ...]], SolverStats]:
-    """The states at the accepted step ends and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
+def solve(fun, t0, y0, t_bound, rtol, atol, args=()) -> tuple[list[float], list[tuple[float, ...]], SolverStats]:
+    """The accepted step ends, their states and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
 
     ``y0`` is a tuple of n floats and ``fun(t, y, *args)`` returns the n
-    derivatives at the tuple ``y`` as a tuple. The returned list holds one
-    state per accepted step, the last at ``t_bound``, as the columns of
-    scipy's ``sol.y`` after the first. ``t_bound`` may lie on either side of
-    ``t0``. A step below ten spacings of t, which a nan error norm reaches by
-    rejecting, raises StepSizeUnderflow. Runs ``fun.solver`` when ``fun``
-    carries one, else the generic instance of the template.
+    derivatives at the tuple ``y`` as a tuple. The two returned lists hold
+    one time and one state per accepted step, the last at ``t_bound``, as
+    scipy's ``sol.t`` and the columns of ``sol.y`` after the first.
+    ``t_bound`` may lie on either side of ``t0``. A step below ten spacings
+    of t, which a nan error norm reaches by rejecting, raises
+    StepSizeUnderflow. Runs ``fun.solver`` when ``fun`` carries one, else the
+    generic instance of the template.
     """
     if t_bound == t0:
         raise DomainError(f"t_bound must differ from t0, got [{t0}, {t_bound}]")

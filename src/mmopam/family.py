@@ -22,9 +22,11 @@ the fold heights taken from exact rational F.
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, and the
 integrators' kernels. Loops start from 0.0, so they take scalars and,
 element-wise, arrays; the ``eval_*`` functions use it. The Radau right-hand
-side ``Field.rhs``, its Jacobian ``Field.jac``, the derivative
-``Field.dPhidx`` of the fundamental matrix of the hybrid slow flow, and the
-two whole solvers with those bodies written into their stages
+side ``Field.rhs``, its Jacobian ``Field.jac``, the fast fibers' system
+``Field.layer`` with x as the independent variable (the rhs divided by its
+first component, which ``integrate_full`` solves over each jump), the
+derivative ``Field.dPhidx`` of the fundamental matrix of the hybrid slow flow,
+and the two whole solvers with those bodies written into their stages
 (``Field.rhs.solver``, which ``radau.solve`` runs, and
 ``Field.dPhidx.solver``, which ``dop853.solve`` runs, its step end taking
 only dPhidx's product with the new matrix, on the coefficients its last
@@ -243,10 +245,11 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 # so every input, +-inf and nan too, gives the same bits. Constants are closure cells
 # bound by a factory compiled once per kernel and rho shape; no value enters the source.
 # The rhs stage binds its three values at the state {s} with {out}: "return" in the rhs
-# kernel, an assignment in each rhs slot of the Radau solver kernel (its three Newton
-# stages and the step end). dPhidx is two parts, its coefficients a, b and c at x and
-# their product with Phi = (A, B, C, D); the DOP853 solver kernel's step end takes only
-# the second, on the coefficients its last stage bound at the same x.
+# kernel, an assignment in the layer kernel, which divides them by the first, and in each
+# rhs slot of the Radau solver kernel (its three Newton stages and the step end). dPhidx
+# is two parts, its coefficients a, b and c at x and their product with Phi = (A, B, C,
+# D); the DOP853 solver kernel's step end takes only the second, on the coefficients its
+# last stage bound at the same x.
 _RHS_STAGE = """\
     x, y, z = {s}
     Q = {Q}
@@ -293,6 +296,7 @@ def jac(t, s, eps, delta):
     )
 """,
     "dPhidx": "def dPhidx(x, Phi, delta):\n    A, B, C, D = Phi\n" + _DPHI_COEFFS + _DPHI_PRODUCT.replace("{out}", "return"),
+    "layer": "def layer(x, s, eps, delta):\n    t, y, z = s\n{layer}    return 1.0 / f0, f1 / f0, f2 / f0\n",
 }
 
 
@@ -356,7 +360,9 @@ def _kernel_factory(name: str, variant: str, nq: int):
         body = dop853.solver_source(4, stage, partial(stage, coeffs=False), "    delta, = args\n")
     else:
         function = name
-        body = _KERNEL_SRC[name].format(rhs=_RHS_STAGE.format(s="s", out="return", **parts), **parts)
+        stage = partial(_RHS_STAGE.format, **parts)
+        body = _KERNEL_SRC[name].format(rhs=stage(s="s", out="return"), layer=stage(s="(x, y, z)", out="f0, f1, f2 ="),
+                                        **parts)
     unpack = {
         "q_coeffs": _names("Q", nq),
         "w_coeffs": _names("W", nq - 1),
@@ -384,7 +390,7 @@ class Field:
     H = (rho u) J with u = alpha Q + beta, so every route gives the same bits.
     """
 
-    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "_q", "_w", "_spec", "_rhs", "_jac", "_dPhidx")
+    __slots__ = ("alpha", "beta", "kappa", "lam", "rho", "_q", "_w", "_spec", "_rhs", "_jac", "_layer", "_dPhidx")
 
     def __init__(self, params: CanonicalParams):
         self.alpha, self.beta = float(params.alpha), float(params.beta)
@@ -392,7 +398,7 @@ class Field:
         self.rho = params.rho.rho
         self._q, self._w = _q_tables(params.rho)
         self._spec = params.rho
-        self._rhs = self._jac = self._dPhidx = None  # the integrator kernels, bound on first use
+        self._rhs = self._jac = self._layer = self._dPhidx = None  # the integrator kernels, bound on first use
 
     def Q(self, x):
         return _horner(self._q, x)
@@ -426,6 +432,17 @@ class Field:
         if self._jac is None:
             self._jac = self._bind("jac")
         return self._jac
+
+    @property
+    def layer(self):
+        """The fast fibers' system with x as the independent variable, called ``layer(x, (t, y, z), eps, delta)``.
+
+        (dt, dy, dz)/dx is :attr:`rhs`'s stage divided by its first component
+        (y - F(x, z)) / eps, so the field is written in one place.
+        """
+        if self._layer is None:
+            self._layer = self._bind("layer")
+        return self._layer
 
     @property
     def dPhidx(self):

@@ -9,7 +9,9 @@ rules, the error estimate (re-estimated after a rejected step), the
 step-size controller with ``predict_factor`` and the cubic dense output.
 Events follow ``solve_ivp``: a direction filter, a terminal count, and the
 root located by :func:`_brentq` on the step's dense output with
-xtol = rtol = 4 EPS.
+xtol = rtol = 4 EPS. Beyond scipy, a solve may also end at the first step
+end whose first rhs component exceeds a bound in magnitude: the full
+system hands its fast jumps to another solver there.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
 arithmetic on Python floats and complex numbers, so the solver needs no
@@ -217,7 +219,7 @@ def _initial_step(fun, args, t0, y, t_bound, f, direction, order, rtol, atol):
 # ``b if b < a else a`` and max(a, b) is ``b if b > a else a``, nan included.
 
 _SOLVER_SRC = '''\
-def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal):
+def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal, stop):
 {setup}    f0, f1, f2 = fun(t, (u0, u1, u2), *args)
     h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), 1.0, 3, rtol, atol)
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t, (u0, u1, u2), *args)
@@ -475,7 +477,7 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
                     break
             g = g_new
         ts.append(t)
-        if t >= t_bound:
+        if t >= t_bound or abs(f0) > stop:
             break
     stats = SolverStats(steps, n_rejected, nfev, njev, nlu, newton_failures)
     return RadauSolution(ts, cubics, t_events, y_events, stats)
@@ -506,12 +508,15 @@ def _generic_solver():
     return namespace["solver"]
 
 
-def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=0, terminal=None) -> RadauSolution:
+def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=0, terminal=None,
+          stop=inf) -> RadauSolution:
     """Integrate from ``t0`` to ``t_bound`` as ``solve_ivp(method="Radau", jac=jac, dense_output=True)``.
 
     ``event(t, s)`` is located where it changes sign in ``direction`` (+1 up,
     -1 down, 0 either); after ``terminal`` such roots the solve stops at the
-    last one. A step size below ten spacings of t raises StepSizeUnderflow,
+    last one. The solve also ends at the first step end whose first rhs
+    component exceeds ``stop`` in magnitude; the default ``inf`` never ends
+    it. A step size below ten spacings of t raises StepSizeUnderflow,
     and a non-finite accepted state raises NonFiniteState. Runs ``fun.solver``
     when ``fun`` carries one, else the generic instance of the template.
     """
@@ -522,7 +527,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
     solver = getattr(fun, "solver", None) or _generic_solver()
     u0, u1, u2 = (float(v) for v in y0)
-    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal)
+    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal, stop)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

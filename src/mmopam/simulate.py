@@ -5,7 +5,9 @@ Three ways of producing the same combinatorics are implemented here:
 * :func:`integrate_full` integrates the slow-time system
   eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + z*H(x)
   with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
-  analytic Jacobian, locating Poincare-section crossings as solver event roots.
+  analytic Jacobian on the sheets and folds, and each fast jump with x as the
+  independent variable with the package's own DOP853 (:mod:`mmopam.dop853`),
+  taking Poincare-section crossings from Radau event roots and jump step ends.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps. Each leg is a Moebius map in
   Z, solved once per call as a fundamental matrix with the package's own
@@ -22,11 +24,12 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain, islice
 
 from . import dop853, radau
 from .errors import DiscontinuityHit, DomainError, FrozenValue, NonFiniteState, NotPeriodic, Value
-from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F
+from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F, eval_Fx, eval_Fxx
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
 
@@ -44,8 +47,12 @@ def solve_ivp(*args, **kwargs):
 
 # The full system and the hybrid legs are solved to these tolerances, and a period
 # of the hybrid returns is accepted once returns p apart agree within HYBRID_PERIOD_TOL.
+# A fast jump's x-solve changes its state (t, y, z) by about eps, so it is solved to
+# JUMP_RTOL and JUMP_ATOL, tighter relative to the state than FULL_RTOL and FULL_ATOL.
 FULL_RTOL = 1e-8
 FULL_ATOL = 1e-10
+JUMP_RTOL = 1e-11
+JUMP_ATOL = 1e-13
 HYBRID_RTOL = 1e-11
 HYBRID_ATOL = 1e-13
 HYBRID_PERIOD_TOL = 1e-6
@@ -85,21 +92,22 @@ class TimeSeries(Value):
     """Sampled trajectory with section-crossing bookkeeping.
 
     The columns are float sequences (``array('d')`` from :func:`integrate_full`);
-    ``crossing_states`` holds the (t, x, y, z) of each crossing, a solver event root,
-    and defaults to a new empty list.
+    ``crossing_states`` holds the (t, x, y, z) of each crossing and defaults to
+    a new empty list. ``solver_stats`` and ``jump_stats`` are the counters of
+    :func:`integrate_full`'s Radau solves and of its x-solves.
     """
 
-    _fields = ("t", "x", "y", "z", "crossing_states", "solver_stats")
-    solver_stats = None
+    _fields = ("t", "x", "y", "z", "crossing_states", "solver_stats", "jump_stats")
+    solver_stats = jump_stats = None
 
     def __init__(self, t: Sequence[float], x: Sequence[float], y: Sequence[float], z: Sequence[float],
                  crossing_states: list[tuple[float, float, float, float]] | None = None,
-                 solver_stats: radau.SolverStats | None = None):
+                 solver_stats: radau.SolverStats | None = None, jump_stats: radau.SolverStats | None = None):
         if not all(a < b for a, b in zip(t, islice(t, 1, None))):
             raise DomainError("sample times must be strictly increasing")
         self.t, self.x, self.y, self.z = t, x, y, z
         self.crossing_states = [] if crossing_states is None else crossing_states
-        self.solver_stats = solver_stats
+        self.solver_stats, self.jump_stats = solver_stats, jump_stats
 
     def __len__(self) -> int:
         return len(self.t)
@@ -112,54 +120,180 @@ class TimeSeries(Value):
                 writer.writerow([repr(float(v)) for v in row])
 
 
+# A fast jump is solved in x once the gap |y - F(x, z)| exceeds JUMP_GAP eps^(2/3), the gap
+# scale of the fold layer, and hands back to Radau where it falls to half that. Jump samples
+# lie at most SAMPLE_DX apart in x. The folds of F(., z) lie near the six critical points of
+# F(., 0), from which Newton's method starts.
+JUMP_GAP = 10.0
+SAMPLE_DX = 0.05
+_CRITICAL_POINTS = (-4.696, -2.92, -2.0, -1.0, 0.0, 1.0)
+
+
 def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | None = None) -> TimeSeries:
-    """Integrate the slow-time system with the Radau IIA(5) solver of :mod:`mmopam.radau`.
+    """Integrate the slow-time system from t = 0: Radau on the sheets and folds, DOP853 in x on the fast jumps.
 
     The section is the plane x = (x3 + x4) / 2 between the two rightmost folds, crossed
     in decreasing x: the fast fall after an SAO jump crosses it once per oscillation.
-    One solve runs from t = 0 to ``cfg.max_slow_time``, stopping at the last crossing
-    if ``n_crossings`` (at least 1) is given and that many fall within the budget. The
-    returned series carries the solver counters as ``solver_stats``. Too few crossings
-    raise NotPeriodic, whose ``series`` is what was integrated.
+    The run alternates two solvers within the budget ``cfg.max_slow_time``:
+
+    * :func:`mmopam.radau.solve` in slow time, its section crossings located as event
+      roots. It hands over at the first step end where the gap g = y - F(x, z) exceeds
+      theta = JUMP_GAP eps^(2/3) in magnitude: a fast jump.
+    * :func:`mmopam.dop853.solve` on :attr:`Field.layer`, the same field with x as the
+      independent variable, which is not stiff while g stays away from 0. A jump moves x
+      in the direction d = sign(g) in legs, each ending at the next fold of F(., z) or,
+      before it, at the exit where d (y - F(x, z)) falls to theta / 2 (with the leg's
+      starting y and z). The jump hands back to Radau at the exit, or at a fold where
+      |g| < theta, so Radau keeps the fold passages; exiting at half the entry gap keeps
+      a restart from handing over again at once. A leg across the section in decreasing
+      x is split there, so its crossing is the step end (t, x_sec, y, z), with no root
+      finding. A leg that would end past the budget is dropped, and Radau finishes the
+      run from its start.
+
+    With ``n_crossings`` (at least 1), the run stops at that crossing if the budget holds
+    it. Each Radau step end and each x-step end is a sample, and an x-step longer than
+    SAMPLE_DX gets evenly spaced samples from its cubic Hermite interpolant in x, its end
+    slopes limited so that t stays monotone. The
+    series carries the Radau counters, summed, as ``solver_stats`` and the x-solves' as
+    ``jump_stats``. Too few crossings raise NotPeriodic, whose ``series`` is what was
+    integrated.
     """
     if n_crossings is not None and n_crossings < 1:
         raise DomainError(f"n_crossings must be positive, got {n_crossings}")
     geom = compute_geometry(params)
     x_sec = 0.5 * (geom.x3 + geom.x4)
     fld = params.field
+    args = cfg.eps, cfg.delta
+    theta = JUMP_GAP * cfg.eps ** (2.0 / 3.0)
+    t_bound = cfg.max_slow_time
+    cols = array("d"), array("d"), array("d"), array("d")
+    crossings: list[tuple[float, float, float, float]] = []
+    stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
     def cross(t, s):
         return s[0] - x_sec
 
-    sol = radau.solve(
-        fld.rhs,
-        fld.jac,
-        0.0,
-        cfg.resolve_initial_state(),
-        cfg.max_slow_time,
-        FULL_RTOL,
-        FULL_ATOL,
-        args=(cfg.eps, cfg.delta),
-        event=cross,
-        direction=-1,
-        terminal=n_crossings,
-    )
-    crossings = [(te, *se) for te, se in zip(sol.t_events, sol.y_events)]
-    series = TimeSeries(*_densify(sol), crossing_states=crossings, solver_stats=sol.stats)
+    t, state, stop = 0.0, cfg.resolve_initial_state(), theta / cfg.eps
+    while len(crossings) != n_crossings:
+        terminal = None if n_crossings is None else n_crossings - len(crossings)
+        sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, event=cross,
+                          direction=-1, terminal=terminal, stop=stop)
+        stats += sol.stats
+        _densify(sol, cols)
+        crossings += [(te, *se) for te, se in zip(sol.t_events, sol.y_events)]
+        t = sol.t[-1]
+        if t >= t_bound or len(crossings) == n_crossings:
+            break
+        t, state, stop = _jump(fld, args, theta, x_sec, t_bound, t, radau.dense_eval(sol.cubics[-1], t), cols,
+                               crossings, n_crossings, jump_stats)
+    series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats, jump_stats=jump_stats)
     if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
-            f"only {len(crossings)} of {n_crossings} section crossings within {sol.t[-1]:.3g} slow-time units",
+            f"only {len(crossings)} of {n_crossings} section crossings within {t:.3g} slow-time units",
             series=series,
         )
     return series
 
 
-def _densify(sol: radau.RadauSolution) -> tuple[array, array, array, array]:
-    """A solve's samples as the columns (t, x, y, z): t0 and each step end, from its step's cubic as OdeSolution does.
+def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
+    """The x-solve legs of one jump from (t, state), where |y - F(x, z)| > theta; returns Radau's (t, state, stop).
 
-    A terminal root at the start of its step repeats the last time and is skipped: the times stay strictly increasing.
+    Appends the samples and crossings and adds the DOP853 counters to ``stats``.
+    A leg that would end at or past ``t_bound`` is dropped, and the returned
+    stop of inf lets Radau finish the run from its start.
     """
-    cols = ts, xs, ys, zs = array("d"), array("d"), array("d"), array("d")
+    x, y, z = state
+    d = 1.0 if y > eval_F(x, z) else -1.0
+    folds = sorted(map(partial(_fold, z=z), _CRITICAL_POINTS), reverse=d < 0)
+    for xf in [xf for xf in folds if d * (xf - x) > 0.0] + [None]:  # the last leg ends at its exit
+        def gap(xv, y=y, z=z):
+            return d * (y - eval_F(xv, z)) - 0.5 * theta
+
+        if xf is None:  # beyond the last fold F is monotone and unbounded, so the exit lies within reach
+            xf = x + d
+            while gap(xf) > 0.0:
+                xf += xf - x
+        at_exit = gap(xf) <= 0.0
+        x_end = radau._brentq(gap, x, xf, 4 * radau.EPS, 4 * radau.EPS) if at_exit else xf
+        for xb in (x_sec, x_end) if x > x_sec >= x_end else (x_end,):
+            if xb == x:  # the exit is the section
+                continue
+            xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args)
+            stats += st
+            if not ends[-1][0] < t_bound:
+                return t, (x, y, z), math.inf
+            _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
+            x_from, x, (t, y, z) = x, xb, ends[-1]
+            if x == x_sec < x_from:
+                crossings.append((t, x, y, z))
+                if len(crossings) == n_crossings:
+                    return t, (x, y, z), math.inf
+        if at_exit or abs(y - eval_F(x, z)) < theta:
+            return t, (x, y, z), theta / args[0]
+
+
+def _fold(x, z):
+    """The fold of F(., z) that Newton's method on F_x reaches from x."""
+    for _ in range(20):
+        step = eval_Fx(x, z) / eval_Fxx(x, z)
+        x -= step
+        if abs(step) <= 1e-15:
+            break
+    return x
+
+
+def _sample_leg(layer, args, x, state, xs, ends, cols):
+    """Append the x-steps' ends from (x, state) as (t, x, y, z) samples, with Hermite samples inside long steps.
+
+    A step longer than SAMPLE_DX gets evenly spaced samples from its cubic
+    Hermite interpolant in x, each component's end slopes limited as Fritsch and
+    Carlson do (*SIAM J. Numer. Anal.* 17, 1980) so that a monotone component,
+    t among them, stays monotone: near a fold the slope at one end of a step
+    can exceed the step's secant by orders of magnitude.
+    """
+    ts, xcol, ys, zs = cols
+    for x1, end in zip(xs, ends):
+        h = x1 - x
+        k = int(abs(h) / SAMPLE_DX) + 1
+        if k > 1:
+            slopes = [_limited_slopes(a, b, h, ma, mb) for a, b, ma, mb in zip(state, end, layer(x, state, *args),
+                                                                             layer(x1, end, *args))]
+            for j in range(1, k):
+                s = j / k
+                h01 = s * s * (3.0 - 2.0 * s)
+                h10 = h * s * (1.0 - s) * (1.0 - s)
+                h11 = h * s * s * (s - 1.0)
+                tv, yv, zv = (a + (b - a) * h01 + ma * h10 + mb * h11 for a, b, (ma, mb) in zip(state, end, slopes))
+                ts.append(tv)
+                xcol.append(x + s * h)
+                ys.append(yv)
+                zs.append(zv)
+        x, state = x1, end
+        ts.append(end[0])
+        xcol.append(x1)
+        ys.append(end[1])
+        zs.append(end[2])
+
+
+def _limited_slopes(a, b, h, ma, mb):
+    """The end slopes (ma, mb) of a cubic from a to b over a step h, limited so the cubic is monotone if a != b."""
+    secant = (b - a) / h
+    if secant == 0.0:
+        return 0.0, 0.0
+    ra, rb = max(ma / secant, 0.0), max(mb / secant, 0.0)
+    r2 = ra * ra + rb * rb
+    scale = secant * (3.0 / math.sqrt(r2) if r2 > 9.0 else 1.0)
+    return ra * scale, rb * scale
+
+
+def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) -> None:
+    """Append a solve's samples to the columns (t, x, y, z): t0 and each step end, from its step's cubic.
+
+    The samples are OdeSolution's at those times. A time not after the last
+    sample (a terminal root at the start of its step, or t0 after a jump) is
+    skipped: the times stay strictly increasing.
+    """
+    ts, xs, ys, zs = cols
     for cubic, t in zip(chain(sol.cubics[:1], sol.cubics), sol.t):
         if not ts or t > ts[-1]:
             x, y, z = radau.dense_eval(cubic, t)
@@ -167,7 +301,6 @@ def _densify(sol: radau.RadauSolution) -> tuple[array, array, array, array]:
             xs.append(x)
             ys.append(y)
             zs.append(z)
-    return cols
 
 
 def canard_hole_radius(eps: float, delta: float) -> float:
@@ -251,7 +384,7 @@ def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry):
     steps = rejected = nfev = 0
     legs = []
     for x_from, x_to in (sa1, sa2, (xhat1, sa3[0]), sa3):
-        ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
+        _, ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
         steps, rejected, nfev = steps + st.steps, rejected + st.rejected, nfev + st.nfev
         legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
     leg1, leg2, head, tail = legs
@@ -315,4 +448,5 @@ def visual_rescale(series: TimeSeries, delta: float = 1.0) -> TimeSeries:
         array("d", (v / delta for v in series.z)),
         [(t, xv * (2.0 / 7.0), yv * 1.5, zv / delta) for t, xv, yv, zv in series.crossing_states],
         series.solver_stats,
+        series.jump_stats,
     )

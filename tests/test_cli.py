@@ -533,7 +533,8 @@ def _stats_line(solver: str, st) -> str:
 
 
 def test_simulate_full_prints_radau_stats(capsys):
-    # one stderr line with the run's SolverStats; stdout is what it was without it
+    # one stderr line with the run's Radau SolverStats, then one with its jumps' DOP853 counters; stdout is what
+    # it was without them
     code, out, err = run(capsys, "simulate", "--mode", "full", "--from-pam", "--a11", "0.3", "--a12", "1",
                          "--a21", "0.9", "--a22", "-2", "--eps", "1e-6", "--delta", "1e-2", "--crossings", "12",
                          "--compare-pam")
@@ -542,8 +543,9 @@ def test_simulate_full_prints_radau_stats(capsys):
     params = mmopam.synthesize(mmopam.PamCoefficients(0.3, 1.0, 0.9, -2.0), mmopam.RhoSpec("fixed_rational"))
     series = mmopam.integrate_full(params, mmopam.SimConfig(eps=1e-6, delta=1e-2), n_crossings=12)
     assert series.solver_stats.steps > 0
-    assert err.splitlines()[0] == _stats_line("radau", series.solver_stats)
-    assert sum(line.startswith("radau: ") for line in err.splitlines()) == 1
+    assert series.jump_stats.steps > 0
+    assert err.splitlines()[:2] == [_stats_line("radau", series.solver_stats), _stats_line("dop853", series.jump_stats)]
+    assert sum(line.startswith(("radau: ", "dop853: ")) for line in err.splitlines()) == 2
 
 
 def test_simulate_hybrid_prints_dop853_stats(capsys):

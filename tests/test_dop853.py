@@ -129,7 +129,7 @@ def _loop_solve(fun, t0, y0, t_bound, rtol, atol, args=()):
     f = fun(t, y, *args)
     h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol)
     st = radau.SolverStats(nfev=2)
-    ys = []
+    ts, ys = [], []
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -163,9 +163,10 @@ def _loop_solve(fun, t0, y0, t_bound, rtol, atol, args=()):
             st.rejected += 1
         st.steps += 1
         t, y, f = t_new, y_new, f_new
+        ts.append(t)
         ys.append(y)
         if direction * (t - t_bound) >= 0:
-            return ys, st
+            return ts, ys, st
 
 
 def _solve_with_both_steps(fun, t0, y0, t_bound, args=()):
@@ -180,10 +181,11 @@ def _solve_with_both_steps(fun, t0, y0, t_bound, args=()):
             calls.append((t.hex(), *(v.hex() for v in y)))
             return fun(t, y, *a)
 
-        ys, st = solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
-        runs.append(([[v.hex() for v in y] for y in ys], st, calls))
+        ts, ys, st = solve(traced, t0, y0, t_bound, RTOL, ATOL, args=args)
+        assert ts[-1] == t_bound
+        runs.append(([[t.hex(), *(v.hex() for v in y)] for t, y in zip(ts, ys)], st, calls))
     assert runs[0] == runs[1]
-    return tuple(float.fromhex(v) for v in runs[0][0][-1])
+    return tuple(float.fromhex(v) for v in runs[0][0][-1][1:])
 
 
 def _check_hybrid_against_loop_step(item, n_returns):
@@ -230,10 +232,11 @@ def test_legs_match_scipy(delta):
         params = _row_params(row)
         for x_from, x_to in _spans(mmopam.compute_geometry(params)):
             ref = _scipy_dop853(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, (delta,))
-            ys, st = dop853.solve(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, args=(delta,))
+            ts, ys, st = dop853.solve(params.field.dPhidx, x_from, IDENTITY, x_to, RTOL, ATOL, args=(delta,))
             assert all(type(v) is float for v in ys[-1])
             assert st.nfev == ref.nfev
-            assert st.steps == len(ys) == len(ref.t) - 1
+            assert st.steps == len(ts) == len(ys) == len(ref.t) - 1
+            assert ts[-1] == x_to
             assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-10, atol=0.0)
             directions.add(x_to > x_from)
     assert directions == {True, False}
@@ -245,7 +248,7 @@ def test_exponential_both_ways():
 
     for t_bound in (2.0, -2.0):
         ref = _scipy_dop853(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
-        ys, st = dop853.solve(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
+        _, ys, st = dop853.solve(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
         assert st.nfev == ref.nfev and st.steps == len(ref.t) - 1
         assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-13, atol=0.0)
         # y1 = sinh(t) solves y1' = y1 + exp(-t) from 0
@@ -283,7 +286,7 @@ def test_nan_in_a_zero_weight_stage_reaches_the_error_norm(bad_call):
     # in a solve the first attempt's stages follow the two evaluations of the start: the nan rejects it
     runs = []
     for solve in (dop853.solve, _loop_solve):
-        ys, st = solve(nan_at(2 + bad_call), 0.0, (1.0, 1.0), 1.0, 1e-10, 1e-12)
+        _, ys, st = solve(nan_at(2 + bad_call), 0.0, (1.0, 1.0), 1.0, 1e-10, 1e-12)
         assert all(math.isfinite(v) for y in ys for v in y) and st.rejected == 1
         runs.append(([[v.hex() for v in y] for y in ys], st))
     assert runs[0] == runs[1]
@@ -296,9 +299,9 @@ def test_rtol_floor_matches_scipy():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns that it raised rtol
         ref = _scipy_dop853(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
-    ys, st = dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
-    assert (ys, st) == dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 100 * dop853.EPS, 1e-20)
-    assert (ys, st) == _loop_solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
+    ts, ys, st = dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
+    assert (ts, ys, st) == dop853.solve(fun, 0.0, (1.0, 1.0), 3.0, 100 * dop853.EPS, 1e-20)
+    assert (ts, ys, st) == _loop_solve(fun, 0.0, (1.0, 1.0), 3.0, 1e-18, 1e-20)
     assert st.nfev == ref.nfev
     assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-12, atol=0.0)
 
@@ -315,10 +318,11 @@ def test_field_dop853_solver_equals_generic(rho):
         assert callable(dPhidx.solver) and not hasattr(generic, "solver")
         for delta in (0.0, 5e-3, 0.1):
             for x_from, x_to in _spans(mmopam.compute_geometry(params)):
-                (ys, st), (ys_generic, st_generic) = (
+                (ts, ys, st), (ts_generic, ys_generic, st_generic) = (
                     dop853.solve(fun, x_from, IDENTITY, x_to, RTOL, ATOL, args=(delta,)) for fun in (dPhidx, generic)
                 )
                 assert [[v.hex() for v in y] for y in ys] == [[v.hex() for v in y] for y in ys_generic]
+                assert ts == ts_generic
                 assert st == st_generic
                 assert st.nfev == 2 + 12 * (st.steps + st.rejected)  # scipy's count
                 rejected += st.rejected

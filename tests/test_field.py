@@ -19,7 +19,7 @@ from mmopam.pam import PamCoefficients
 from mmopam.segments import associated_pam
 from mmopam.synthesis import synthesize
 
-from oracles import drho, eval_Fxz, eval_Fz, eval_G, eval_H
+from oracles import drho, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J
 
 CF = np.array([float(c) for c in family._C])
 DF = np.array([float(d) for d in family._D])
@@ -215,6 +215,27 @@ def test_integrator_kernels_exact(rho):
                 assert list(map(bits, dphi)) == list(map(bits, ref_dPhidx(params, np.float64(x), phi, delta)))
 
 
+@pytest.mark.parametrize("rho", RHOS[:2], ids=["fixed", "quad"])
+def test_layer_is_the_rhs_over_its_first_component(rho):
+    """(dt, dy, dz)/dx on a fast fiber: (eps / g, eps J / g, eps (delta G + z H) / g) with g = y - F(x, z)."""
+    eps, delta = 1e-7, 5e-3
+    params = CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho)
+    fld = params.field
+    for x in XS.tolist():
+        for z in ZS:
+            for gap in (-0.3, -2e-4, 1e-3, 0.5):
+                y = family.eval_F(x, z) + gap
+                g = y - family.eval_F(x, z)
+                layer = fld.layer(x, (7.0, y, z), eps, delta)
+                assert all(type(v) is float for v in layer)
+                want = (eps / g, eps * eval_J(x) / g, eps * (delta * eval_G(params, x) + z * eval_H(params, x)) / g)
+                for got, ref in zip(layer, want):
+                    assert math.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-300)
+                # the same bits as the rhs divided by its first component: the field is written once
+                f0, f1, f2 = fld.rhs(0.0, (x, y, z), eps, delta)
+                assert list(map(bits, layer)) == list(map(bits, (1.0 / f0, f1 / f0, f2 / f0)))
+
+
 def test_map_level_path_compiles_no_kernel(monkeypatch):
     """The map level builds a Field per parameter set; only an integrator's first use binds a kernel."""
     requested = []
@@ -235,8 +256,8 @@ def test_kernels_compiled_once_per_rho_shape(monkeypatch):
     family._kernel_factory.cache_clear()
     fields = [CanonicalParams(0.8743, 0.024, 27.2674, -64.5764, rho).field for rho in RHOS + RHOS]
     for fld in fields:
-        fld.rhs, fld.jac, fld.dPhidx
-    kernels = ("rhs", "radau", "jac", "dPhidx", "dop853")
+        fld.rhs, fld.jac, fld.layer, fld.dPhidx
+    kernels = ("rhs", "radau", "jac", "layer", "dPhidx", "dop853")
     assert sorted(compiled) == sorted(f"<mmopam.family {k} kernel, {v} rho>" for k in kernels
                                       for v in ("fixed_rational", "quadratic"))
     # radau.solve and dop853.solve find the solver kernels on the rhs and dPhidx kernels, one per parameter set

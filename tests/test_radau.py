@@ -44,6 +44,17 @@ def _row_params(row: str) -> CanonicalParams:
     return mmopam.synthesize(mmopam.PamCoefficients(*ROWS[row]), mmopam.RhoSpec("fixed_rational"))
 
 
+def _section_solve(params, cfg, n_crossings=None, fun=None, **kwargs):
+    """One Radau solve of the whole run with integrate_full's section event and tolerances, ``fun`` (default
+    ``Field.rhs``) as the right-hand side: integrate_full before it handed the fast jumps to DOP853 in x."""
+    fld = params.field
+    geom = mmopam.compute_geometry(params)
+    x_sec = 0.5 * (geom.x3 + geom.x4)
+    return radau.solve(fld.rhs if fun is None else fun, fld.jac, 0.0, cfg.resolve_initial_state(), cfg.max_slow_time,
+                       FULL_RTOL, FULL_ATOL, args=(cfg.eps, cfg.delta), event=lambda t, s: s[0] - x_sec, direction=-1,
+                       terminal=n_crossings, **kwargs)
+
+
 # --- fast tier ------------------------------------------------------------------------
 
 
@@ -165,7 +176,7 @@ def test_overflowing_collocation_iterate_raises():
 
 @pytest.mark.parametrize("state, t_fail", [((1e30, 0.0, 0.0), "0"), ((0.0, 0.0, 1e300), "1.98493e-289")],
                          ids=["x-overflow", "z-overflow"])
-def test_non_finite_newton_stage(state, t_fail, monkeypatch):
+def test_non_finite_newton_stage(state, t_fail):
     # F overflows at Newton stages: the iteration tests F and W for finiteness only once the norm of its
     # increment is not finite, which a non-finite F always makes it. The outcome is the one of testing them
     # at every iteration (the z run accepts steps in between), through Field.rhs's instance and the generic one.
@@ -173,46 +184,89 @@ def test_non_finite_newton_stage(state, t_fail, monkeypatch):
     cfg = SimConfig(eps=1e-6, delta=1e-2, initial_state=state)
     message = re.escape(f"integrator failed at t = {t_fail}: required step size is less than spacing between numbers")
     with pytest.raises(StepSizeUnderflow, match=f"^{message}$"):
-        integrate_full(params, cfg)
+        _section_solve(params, cfg)
     non_finite = []
-    solve = radau.solve
 
-    def generic(fun, *args, **kwargs):
-        def plain(t, s, *a):
-            f = fun(t, s, *a)
-            if not all(math.isfinite(v) for v in f):
-                non_finite.append(t)
-            return f
+    def plain(t, s, *a):
+        f = params.field.rhs(t, s, *a)
+        if not all(math.isfinite(v) for v in f):
+            non_finite.append(t)
+        return f
 
-        return solve(plain, *args, **kwargs)
-
-    monkeypatch.setattr(mmopam.simulate.radau, "solve", generic)
     with pytest.raises(StepSizeUnderflow, match=f"^{message}$"):
-        integrate_full(params, cfg)
+        _section_solve(params, cfg, fun=plain)
     assert non_finite
+    # integrate_full hands the first step end of the z run, where |y - F| is past its threshold, to a jump
+    with pytest.raises(StepSizeUnderflow):
+        integrate_full(params, cfg)
 
 
-def test_integrate_full_is_one_solve(fixed_rho, monkeypatch):
+def test_stop_at_inf_is_no_stop():
+    # the default stop changes no bit; a finite one ends the solve at the first step end past it
+    params = _row_params("1^1")
+    cfg = SimConfig(eps=1e-6, delta=1e-2, max_slow_time=2.5)
+    plain, at_inf = _section_solve(params, cfg), _section_solve(params, cfg, stop=math.inf)
+    assert repr(plain) == repr(at_inf) and plain.stats.steps > 1000 and plain.t_events  # repr round-trips every float
+    stop = 1e3
+    sol = _section_solve(params, cfg, stop=stop)
+    end = sol.t[-1]
+    assert sol.t == plain.t[: len(sol.t)] and end < cfg.max_slow_time
+    x, y, z = radau.dense_eval(sol.cubics[-1], end)
+    assert abs(params.field.rhs(end, (x, y, z), cfg.eps, cfg.delta)[0]) > stop
+    assert all(abs(params.field.rhs(t, radau.dense_eval(c, t), cfg.eps, cfg.delta)[0]) <= stop
+               for c, t in zip(sol.cubics[:-1], sol.t[1:-1]))
+
+
+def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
+    """Radau solves that end where the gap |y - F| passes theta, each followed by the x-solve legs of one jump;
+    the counters are the sums over each solver's solves, and neither calls scipy."""
     solves = []
-    solve = radau.solve
+    radau_solve, dop853_solve = radau.solve, mmopam.dop853.solve
 
-    def recording(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        solves.append(sol.stats)
-        return sol
+    def recording_radau(*args, **kwargs):
+        solves.append(("radau", args, kwargs, radau_solve(*args, **kwargs)))
+        return solves[-1][-1]
+
+    def recording_dop853(*args, **kwargs):
+        solves.append(("dop853", args, kwargs, dop853_solve(*args, **kwargs)))
+        return solves[-1][-1]
 
     def no_scipy(*args, **kwargs):
         raise AssertionError("integrate_full must not call solve_ivp")
 
-    monkeypatch.setattr(mmopam.simulate.radau, "solve", recording)
+    monkeypatch.setattr(mmopam.simulate.radau, "solve", recording_radau)
+    monkeypatch.setattr(mmopam.simulate.dop853, "solve", recording_dop853)
     monkeypatch.setattr(mmopam.simulate, "solve_ivp", no_scipy)
     params = _row_params("1^1")
-    series = integrate_full(params, SimConfig(eps=1e-5, delta=1e-2, max_slow_time=2.5), n_crossings=2)
-    # the budget holds both crossings, and the solve stops at the second
-    assert len(solves) == 1 and len(series.crossing_states) == 2
+    cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=2.5)
+    series = integrate_full(params, cfg, n_crossings=2)
+    # the budget holds both crossings, and the run stops at the second; a crossing inside a jump is the step end
+    # of a leg split at the section, x = 0.5 exactly
+    assert len(series.crossing_states) == 2
     assert series.t[-1] == series.crossing_states[-1][0] < 2.5
-    assert series.solver_stats == solves[0]
-    assert solves[0].steps > 0 and solves[0].nlu > 0
+    assert all(x == 0.5 for _, x, _, _ in series.crossing_states)
+    kinds = [kind for kind, *_ in solves]
+    assert kinds[0] == "radau" and kinds.count("radau") > 2 and kinds.count("dop853") > 2
+    theta = mmopam.simulate.JUMP_GAP * cfg.eps ** (2 / 3)
+    radau_stats, jump_stats = radau.SolverStats(), radau.SolverStats()
+    for (kind, args, kwargs, out), (next_kind, next_args, *_) in zip(solves, solves[1:] + [("end", None)]):
+        if kind == "radau":
+            radau_stats += out.stats
+            assert kwargs["stop"] == theta / cfg.eps and args[4] == cfg.max_slow_time
+            end = radau.dense_eval(out.cubics[-1], out.t[-1])
+            if next_kind == "dop853":  # a Radau solve hands over at its last step end, past theta
+                assert abs(end[1] - eval_F(end[0], end[2])) > theta
+                assert next_args[1:3] == (end[0], (out.t[-1], *end[1:]))
+        else:
+            xs, ends, st = out
+            jump_stats += st
+            # the next solve starts where this leg ends
+            if next_kind == "dop853":
+                assert next_args[1:3] == (xs[-1], ends[-1])
+            elif next_kind == "radau":
+                assert (next_args[2], *next_args[3]) == (ends[-1][0], xs[-1], *ends[-1][1:])
+    assert (series.solver_stats, series.jump_stats) == (radau_stats, jump_stats)
+    assert radau_stats.steps > 0 and radau_stats.nlu > 0 and jump_stats.steps > 0
 
 
 @pytest.mark.parametrize("rho", [mmopam.RhoSpec("fixed_rational"), mmopam.RhoSpec("quadratic", p=1.0, q=1.0)],
@@ -341,8 +395,9 @@ def test_lu3_row_order_matches_scipy_lu_factor(kind):
         assert np.allclose(lu[3:], factors.ravel(), rtol=1e-9, atol=1e-12)
 
 
-# One stiff pool item per row: crossing states and counters recorded with the loop LU and the
-# substitution calls that the straight-line code replaced. Any change in any step shows here.
+# One stiff pool item per row: crossing states and counters of the run as one Radau solve with integrate_full's
+# section event, recorded with the loop LU and the substitution calls that the straight-line code replaced. Any
+# change in any step shows here.
 PINNED = {
     0: (
         [("0x1.f17138f6e5f15p-2", "0x1.00000000416d9p-1", "-0x1.bbd03548ad934p-2", "-0x1.67dc1436a29d8p-8"),
@@ -369,15 +424,19 @@ _POOL = json.loads(STIFF_POOL.read_text())
 _POOL_IDS = [pytest.param(i, id=f"{item['input']['row']}-{i}") for i, item in enumerate(_POOL["pool"])]
 
 
+def _pool_cfg(item) -> SimConfig:
+    return SimConfig(eps=_POOL["eps"], delta=_POOL["delta"], initial_state=tuple(item["input"]["state"]))
+
+
 @pytest.fixture(scope="module")
 def pool_runs():
-    """(integrate_full's series, scipy's solution) for every stiff pool state, computed once."""
+    """(integrate_full's series, the run as one Radau solve, scipy's solution) for every stiff pool state."""
     params = {row: _row_params(row) for row in ROWS}
     runs = []
     for item in _POOL["pool"]:
         p = params[item["input"]["row"]]
         fld = p.field
-        cfg = SimConfig(eps=_POOL["eps"], delta=_POOL["delta"], initial_state=tuple(item["input"]["state"]))
+        cfg = _pool_cfg(item)
         geom = mmopam.compute_geometry(p)
         x_sec = 0.5 * (geom.x3 + geom.x4)  # integrate_full's default section
 
@@ -388,38 +447,39 @@ def pool_runs():
         cross.terminal = _POOL["n_crossings"]
         ref = _scipy_radau(fld.rhs, fld.jac, (0.0, cfg.max_slow_time), cfg.initial_state, FULL_RTOL, FULL_ATOL,
                            (cfg.eps, cfg.delta), cross)
-        runs.append((integrate_full(p, cfg, n_crossings=_POOL["n_crossings"]), ref))
+        runs.append((integrate_full(p, cfg, n_crossings=_POOL["n_crossings"]),
+                     _section_solve(p, cfg, _POOL["n_crossings"]), ref))
     return runs
 
 
 @pytest.mark.parametrize("i", [_POOL_IDS[i] for i in PINNED])
 def test_stiff_pool_item_pinned(i):
     item = _POOL["pool"][i]
-    cfg = SimConfig(eps=_POOL["eps"], delta=_POOL["delta"], initial_state=tuple(item["input"]["state"]))
-    series = integrate_full(_row_params(item["input"]["row"]), cfg, n_crossings=_POOL["n_crossings"])
+    sol = _section_solve(_row_params(item["input"]["row"]), _pool_cfg(item), _POOL["n_crossings"])
     crossings, stats = PINNED[i]
-    assert [tuple(v.hex() for v in c) for c in series.crossing_states] == crossings
-    assert series.solver_stats == stats
+    assert [tuple(v.hex() for v in (te, *se)) for te, se in zip(sol.t_events, sol.y_events)] == crossings
+    assert sol.stats == stats
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("i", _POOL_IDS)
 def test_stiff_pool_matches_scipy(i, pool_runs):
-    """Crossings within the benchmark's fingerprint tolerance of scipy's; counters within 1%.
+    """integrate_full's crossings within the benchmark's fingerprint tolerance of scipy's; the counters of
+    the run as one Radau solve within 1% of scipy's.
 
     nlu, which counts two factorisations per refresh of the iteration matrix,
     is held to 2% per item: a refresh follows a threshold test on the
     step-size factor, and the rounding differences described above flip a
     few of them on some items. Over the pool it is held to 1% (next test).
     """
-    series, ref = pool_runs[i]
+    series, sol, ref = pool_runs[i]
     tol = _POOL["tolerance"]
     want = [(te, *ye) for te, ye in zip(ref.t_events[0], ref.y_events[0])]
     assert len(series.crossing_states) == len(want) == _POOL["n_crossings"]
     for got_c, want_c in zip(series.crossing_states, want):
         for g, w in zip(got_c, want_c):
             assert abs(g - w) <= tol["atol"] + tol["rtol"] * abs(w)
-    st = series.solver_stats
+    st = sol.stats
     assert _within(st.steps, len(ref.t) - 1, 0.01)
     assert _within(st.nfev, ref.nfev, 0.01)
     assert _within(st.njev, ref.njev, 0.01)
@@ -429,8 +489,8 @@ def test_stiff_pool_matches_scipy(i, pool_runs):
 @pytest.mark.slow
 def test_stiff_pool_totals(pool_runs):
     for name, want in (("steps", lambda r: len(r.t) - 1), ("nfev", lambda r: r.nfev), ("nlu", lambda r: r.nlu)):
-        got = sum(getattr(series.solver_stats, name) for series, _ in pool_runs)
-        assert _within(got, sum(want(ref) for _, ref in pool_runs), 0.01), name
+        got = sum(getattr(sol.stats, name) for _, sol, _ in pool_runs)
+        assert _within(got, sum(want(ref) for _, _, ref in pool_runs), 0.01), name
 
 
 # --- Brent root finder (event location) ---------------------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import mmopam.simulate
-from mmopam import radau
+from mmopam import dop853, radau
 from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
-from mmopam.family import CanonicalParams, compute_geometry, eval_F
-from mmopam.pam import PamCoefficients, iterate_orbit
+from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, eval_F
+from mmopam.pam import PamCoefficients, Signature, iterate_orbit
+from mmopam.radau import SolverStats
 from mmopam.segments import associated_pam
 from mmopam.simulate import (
     SimConfig,
@@ -20,6 +21,7 @@ from mmopam.simulate import (
     visual_rescale,
 )
 from mmopam.synthesis import synthesize
+from mmopam.tables import SYNTHESIS_BENCHMARKS
 
 ROW_1_1 = PamCoefficients(0.3, 1.0, 0.9, -2.0)
 
@@ -280,42 +282,91 @@ def _numpy_densify(sol):
     return t, at(t)
 
 
+def _record_solves(monkeypatch) -> list:
+    """Record integrate_full's solves in order, as ("radau" or "dop853", args, result)."""
+    solves = []
+    for kind, module in (("radau", radau), ("dop853", dop853)):
+        def recording(*args, _kind=kind, _solve=module.solve, **kwargs):
+            solves.append((_kind, args, _solve(*args, **kwargs)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(getattr(mmopam.simulate, kind), "solve", recording)
+    return solves
+
+
 @pytest.mark.parametrize("n_crossings", [None, 1], ids=["one-solve", "terminal-stop"])
 def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings):
-    solves = []
-    solve = radau.solve
-
-    def recording(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(mmopam.simulate.radau, "solve", recording)
+    # each Radau solve's samples are the numpy sampler's on that solve; in between lie the jumps' x-step ends
+    solves = _record_solves(monkeypatch)
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
     series = integrate_full(params_1_1, cfg, n_crossings=n_crossings)
-    assert len(solves) == 1
     assert (series.t[-1] < cfg.max_slow_time) == (n_crossings is not None)
-    t, y = _numpy_densify(solves[0])
-    assert [list(c) for c in (series.t, series.x, series.y, series.z)] == [t.tolist(), *(row.tolist() for row in y)]
+    cols = [list(c) for c in (series.t, series.x, series.y, series.z)]
+    radau_sols = [out for kind, _, out in solves if kind == "radau"]
+    assert radau_sols and len(radau_sols) < len(solves)
+    covered = set()
+    for sol in radau_sols:
+        t, y = _numpy_densify(sol)
+        i = cols[0].index(t[0])  # a solve after a jump starts at the jump's last sample
+        assert [c[i : i + len(t)] for c in cols] == [t.tolist(), *(row.tolist() for row in y)]
+        covered.update(range(i, i + len(t)))
+    samples = set(zip(*cols))
+    for kind, _, out in solves:
+        if kind == "dop853":
+            xs, ends, _ = out
+            assert {(t, x, y, z) for x, (t, y, z) in zip(xs, ends)} <= samples
+    assert len(covered) < len(series)
 
 
 def test_integrate_full_stops_at_its_budget(params_1_1, monkeypatch):
-    # more crossings than the budget holds: one solve to max_slow_time, then NotPeriodic with the partial series
-    solves = []
-    solve = radau.solve
-
-    def recording(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(mmopam.simulate.radau, "solve", recording)
+    # more crossings than the budget holds: the last Radau solve ends at max_slow_time, then NotPeriodic with the
+    # partial series, whose counters are the sums over the solves
+    solves = _record_solves(monkeypatch)
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
     with pytest.raises(NotPeriodic, match=r"of 50 section crossings within 1 slow-time units") as exc:
         integrate_full(params_1_1, cfg, n_crossings=50)
-    assert len(solves) == 1
     series = exc.value.series
     assert series.t[-1] == cfg.max_slow_time
-    assert series.solver_stats == solves[0].stats
-    assert len(series.crossing_states) == len(solves[0].t_events) < 50
+    kind, _, last = solves[-1]
+    assert kind == "radau" and last.t[-1] == cfg.max_slow_time
+    radau_stats, jump_stats, crossing_times = SolverStats(), SolverStats(), []
+    for kind, _, out in solves:
+        if kind == "radau":
+            radau_stats += out.stats
+            crossing_times += out.t_events
+        else:
+            xs, ends, st = out
+            jump_stats += st
+            crossing_times += [t for x, (t, _, _) in zip(xs, ends) if x == 0.5]
+    assert (series.solver_stats, series.jump_stats) == (radau_stats, jump_stats)
+    assert [t for t, *_ in series.crossing_states] == sorted(crossing_times)
+    assert 0 < len(series.crossing_states) < 50
+
+
+def test_budget_ending_mid_jump_ends_at_it(params_1_1, monkeypatch):
+    # a leg that would end past the budget is dropped, and Radau finishes the run from its start
+    solves = _record_solves(monkeypatch)
+    cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
+    integrate_full(params_1_1, cfg)
+    t_from, t_to = next((args[2][0], out[1][-1][0]) for kind, args, out in solves if kind == "dop853")
+    solves.clear()
+    budget = 0.5 * (t_from + t_to)
+    series = integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2, max_slow_time=budget))
+    assert series.t[-1] == budget
+    (kind, args, sol), (last_kind, last_args, last) = solves[-2:]
+    assert kind == "dop853" and sol[1][-1][0] > budget
+    assert last_kind == "radau" and last_args[2] == t_from and last.t[-1] == budget
+
+
+@pytest.mark.parametrize("row", [ROW_1_1, PamCoefficients(0.3, 7.0, 0.9, -2.0)], ids=["1^1", "1^3"])
+def test_every_jump_leg_has_length(fixed_rho, monkeypatch, row):
+    # legs end at folds, at the section and at exits, and none starts where it ends
+    solves = _record_solves(monkeypatch)
+    integrate_full(synthesize(row, fixed_rho), SimConfig(eps=1e-6, delta=5e-3, max_slow_time=20.0), n_crossings=6)
+    legs = [(args[1], args[3]) for kind, args, _ in solves if kind == "dop853"]
+    assert len(legs) > 10 and all(x_to != x_from for x_from, x_to in legs)
+    ends = {x_to for _, x_to in legs}
+    assert 0.5 in ends and any(abs(x - fold) < 1e-3 for x in ends for fold in (-2.0, 0.0, 1.0))
 
 
 def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
@@ -329,3 +380,17 @@ def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.slow
+def test_quadratic_rho_criterion_7_signatures():
+    # criterion 7's runs with the quadratic rho (p = q = 1): each row's full-system attractor is the map's word
+    results = {}
+    for label in ("1^1", "1^3", "3^1"):
+        row = next(r for r in SYNTHESIS_BENCHMARKS if r.signature == label)
+        params = synthesize(row.pam, RhoSpec("quadratic", p=1.0, q=1.0))
+        period = Signature.from_string(label).period
+        series = integrate_full(params, SimConfig(eps=1e-7, delta=5e-3, max_slow_time=400.0),
+                                n_crossings=5 + 4 * period + 2)
+        results[label] = str(classify_series(series, compute_geometry(params)))
+    assert results == {"1^1": "1^1", "1^3": "1^3", "3^1": "3^1"}

@@ -72,9 +72,9 @@ CASES = [
     (SimConfig, dict(eps=1e-7, delta=5e-3, max_slow_time=40.0, initial_state=None), ("initial_state", (1.3, 0.0, 0.0)),
      True, "SimConfig(eps=1e-07, delta=0.005, max_slow_time=40.0, initial_state=None)"),
     (TimeSeries, dict(t=array("d", [0.0, 1.0]), x=[1.0, 2.0], y=[0.0, 0.0], z=[0.5, 0.25], crossing_states=[],
-                      solver_stats=None), ("z", [0.5, 0.5]), False,
+                      solver_stats=None, jump_stats=SolverStats(steps=2)), ("jump_stats", None), False,
      "TimeSeries(t=array('d', [0.0, 1.0]), x=[1.0, 2.0], y=[0.0, 0.0], z=[0.5, 0.25], crossing_states=[], "
-     "solver_stats=None)"),
+     "solver_stats=None, jump_stats=SolverStats(steps=2, rejected=0, nfev=0, njev=0, nlu=0, newton_failures=0))"),
     (HybridResult, dict(returns=[-0.5, 1.0], signature=Signature(((1, 1),)), period=2, solver_stats=None),
      ("period", 3), False,
      "HybridResult(returns=[-0.5, 1.0], signature=Signature(segments=((1, 1),)), period=2, solver_stats=None)"),
@@ -153,7 +153,8 @@ def test_different_classes_with_equal_values_differ():
 def test_defaults():
     # a default is read on the class too, as the CLI reads SimConfig.delta
     assert (SimConfig.eps, SimConfig.delta, SimConfig.max_slow_time, SimConfig.initial_state) == (1e-7, 5e-3, 40.0, None)
-    assert (RhoSpec.p, RhoSpec.q, TimeSeries.solver_stats, HybridResult.solver_stats) == (None, None, None, None)
+    assert (RhoSpec.p, RhoSpec.q, TimeSeries.solver_stats, TimeSeries.jump_stats, HybridResult.solver_stats) == (
+        None, None, None, None, None)
     assert SolverStats.steps == SolverStats.newton_failures == 0
     assert SimConfig() == SimConfig(eps=1e-7, delta=5e-3, max_slow_time=40.0, initial_state=None)
     cfg = SimConfig(eps=1e-6, delta=1e-2, initial_state=(1.3, 0.0, -5e-3))
@@ -166,7 +167,7 @@ def test_defaults():
     assert a == RadauSolution([0.0], [], [], [], SolverStats())
     assert a.t_events is not b.t_events and a.y_events is not b.y_events and a.stats is not b.stats
     s, u = TimeSeries([0.0], [1.0], [0.0], [0.0]), TimeSeries([0.0], [1.0], [0.0], [0.0])
-    assert (s.crossing_states, s.solver_stats) == ([], None)
+    assert (s.crossing_states, s.solver_stats, s.jump_stats) == ([], None, None)
     assert s.crossing_states is not u.crossing_states
     assert HybridResult([], None, None).solver_stats is None
 
