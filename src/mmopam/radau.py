@@ -11,7 +11,8 @@ Events follow ``solve_ivp``: a direction filter, a terminal count, and the
 root located by :func:`_brentq` on the step's dense output with
 xtol = rtol = 4 EPS. Beyond scipy, a solve may also end at the first step
 end whose first rhs component exceeds a bound in magnitude: the full
-system hands its fast jumps to another solver there.
+system hands its fast jumps to another solver there. A solve returns its
+samples; a step's dense output serves only the next step and the event root.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
 arithmetic on Python floats and complex numbers, so the solver needs no
@@ -105,17 +106,17 @@ class SolverStats(Value):
 
 class RadauSolution(Value):
     """Step ends ``t`` (from t0; the last is the terminal root when an event stopped the solve),
-    one dense-output cubic per step, the event roots and states, and counters.
+    the state ``y`` at each, the event roots and states, and counters.
 
-    A cubic is ``(t_old, h, y_old (3), Q (3 x 3, row-major by component))``; :func:`dense_eval`
-    evaluates it. The event lists and the counters default to new empty ones.
+    ``y`` starts with the start state; a step end's state is its step's dense output there, and a
+    terminal root's is its event state. The event lists and the counters default to new empty ones.
     """
 
-    _fields = ("t", "cubics", "t_events", "y_events", "stats")
+    _fields = ("t", "y", "t_events", "y_events", "stats")
 
-    def __init__(self, t: list[float], cubics: list[tuple[float, ...]], t_events: list[float] | None = None,
+    def __init__(self, t: list[float], y: list[tuple[float, float, float]], t_events: list[float] | None = None,
                  y_events: list[tuple[float, float, float]] | None = None, stats: SolverStats | None = None):
-        self.t, self.cubics = t, cubics
+        self.t, self.y = t, y
         self.t_events = [] if t_events is None else t_events
         self.y_events = [] if y_events is None else y_events
         self.stats = SolverStats() if stats is None else stats
@@ -228,7 +229,7 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
     h_prev = err_prev = None  # scipy's h_abs_old, error_norm_old
     lu_real = lu_complex = None
     current_jac = True
-    cubic = None  # dense output of the last step
+    cubic = None  # dense output of the last step: the next step's stage prediction and the event root
     c_0, c_1, _ = C
     e0_, e1_, e2_ = E
     (t00, t01, t02), (t10, t11, t12), _ = T
@@ -236,7 +237,7 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
     ti0, ti1, ti2 = TI_REAL
     k0, k1, k2 = TI_COMPLEX
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P_DENSE
-    ts, cubics, t_events, y_events = [t], [], [], []
+    ts, ys, t_events, y_events = [t], [(u0, u1, u2)], [], []
     if event is not None:
         g = event(t, (u0, u1, u2))
         count = 0
@@ -461,7 +462,6 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
             z01 * p00 + z11 * p10 + z21 * p20, z01 * p01 + z11 * p11 + z21 * p21, z01 * p02 + z11 * p12 + z21 * p22,
             z02 * p00 + z12 * p10 + z22 * p20, z02 * p01 + z12 * p11 + z22 * p21, z02 * p02 + z12 * p12 + z22 * p22,
         )
-        cubics.append(cubic)
         steps += 1
         t_old, t, u0, u1, u2 = t, t_new, n0, n1, n2
 
@@ -474,13 +474,15 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
                 y_events.append(dense_eval(cubic, root))
                 if terminal and count >= terminal:
                     ts.append(root)
+                    ys.append(y_events[-1])
                     break
             g = g_new
         ts.append(t)
+        ys.append(dense_eval(cubic, t))
         if t >= t_bound or abs(f0) > stop:
             break
     stats = SolverStats(steps, n_rejected, nfev, njev, nlu, newton_failures)
-    return RadauSolution(ts, cubics, t_events, y_events, stats)
+    return RadauSolution(ts, ys, t_events, y_events, stats)
 '''
 
 

@@ -24,8 +24,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 from . import dop853, radau
 from .errors import DiscontinuityHit, DomainError, FrozenValue, NonFiniteState, NotPeriodic, Value
@@ -166,7 +165,7 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     args = cfg.eps, cfg.delta
     theta = JUMP_GAP * cfg.eps ** (2.0 / 3.0)
     t_bound = cfg.max_slow_time
-    cols = array("d"), array("d"), array("d"), array("d")
+    cols = ts, xs, ys, zs = array("d"), array("d"), array("d"), array("d")
     crossings: list[tuple[float, float, float, float]] = []
     stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
@@ -179,13 +178,18 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
         sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, event=cross,
                           direction=-1, terminal=terminal, stop=stop)
         stats += sol.stats
-        _densify(sol, cols)
+        for tv, (xv, yv, zv) in zip(sol.t, sol.y):
+            if not ts or tv > ts[-1]:  # skips t0 after a jump and a terminal root at the start of its step
+                ts.append(tv)
+                xs.append(xv)
+                ys.append(yv)
+                zs.append(zv)
         crossings += [(te, *se) for te, se in zip(sol.t_events, sol.y_events)]
         t = sol.t[-1]
         if t >= t_bound or len(crossings) == n_crossings:
             break
-        t, state, stop = _jump(fld, args, theta, x_sec, t_bound, t, radau.dense_eval(sol.cubics[-1], t), cols,
-                               crossings, n_crossings, jump_stats)
+        t, state, stop = _jump(fld, args, theta, x_sec, t_bound, t, sol.y[-1], cols, crossings, n_crossings,
+                               jump_stats)
     series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats, jump_stats=jump_stats)
     if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
@@ -200,12 +204,17 @@ def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossin
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
     A leg that would end at or past ``t_bound`` is dropped, and the returned
-    stop of inf lets Radau finish the run from its start.
+    stop of inf lets Radau finish the run from its start. Folds that Newton's
+    method does not find in increasing order (z above about 9.2 or below about
+    -16) raise DomainError: a leg could cross g = 0 and run t backwards.
     """
     x, y, z = state
     d = 1.0 if y > eval_F(x, z) else -1.0
-    folds = sorted(map(partial(_fold, z=z), _CRITICAL_POINTS), reverse=d < 0)
-    for xf in [xf for xf in folds if d * (xf - x) > 0.0] + [None]:  # the last leg ends at its exit
+    folds = [_fold(xc, z) for xc in _CRITICAL_POINTS]
+    if not all(a < b for a, b in zip(folds, folds[1:])):
+        raise DomainError(f"the folds of F(., z) are out of order at z = {z!r}")
+    # a leg to each fold ahead in the direction d; the last leg ends at its exit
+    for xf in [xf for xf in (folds if d > 0.0 else folds[::-1]) if d * (xf - x) > 0.0] + [None]:
         def gap(xv, y=y, z=z):
             return d * (y - eval_F(xv, z)) - 0.5 * theta
 
@@ -286,23 +295,6 @@ def _limited_slopes(a, b, h, ma, mb):
     return ra * scale, rb * scale
 
 
-def _densify(sol: radau.RadauSolution, cols: tuple[array, array, array, array]) -> None:
-    """Append a solve's samples to the columns (t, x, y, z): t0 and each step end, from its step's cubic.
-
-    The samples are OdeSolution's at those times. A time not after the last
-    sample (a terminal root at the start of its step, or t0 after a jump) is
-    skipped: the times stay strictly increasing.
-    """
-    ts, xs, ys, zs = cols
-    for cubic, t in zip(chain(sol.cubics[:1], sol.cubics), sol.t):
-        if not ts or t > ts[-1]:
-            x, y, z = radau.dense_eval(cubic, t)
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
-
-
 def canard_hole_radius(eps: float, delta: float) -> float:
     """Half-width in Z of the region around the jump excluded from statistics."""
     return 2.0 * eps ** (1.0 / 3.0) / delta
@@ -376,19 +368,18 @@ def _hybrid_legs(params: CanonicalParams, delta: float, geom: ManifoldGeometry):
     """The legs of each branch of ``geom.branches``, with S_a3 split at xhat3 so both share its tail, and their counters.
 
     Each leg is its end matrix (A, B, C, D), solved from the identity, and
-    the (C, D) of every accepted step end. DOP853 counts no Jacobians, LU
-    factorisations or Newton failures, so the sum has steps, rejections and nfev only.
+    the (C, D) of every accepted step end.
     """
     (sa1, (xhat1, _)), (sa2, sa3) = geom.branches
     dPhidx = params.field.dPhidx
-    steps = rejected = nfev = 0
+    stats = radau.SolverStats()
     legs = []
     for x_from, x_to in (sa1, sa2, (xhat1, sa3[0]), sa3):
         _, ends, st = dop853.solve(dPhidx, x_from, (1.0, 0.0, 0.0, 1.0), x_to, HYBRID_RTOL, HYBRID_ATOL, args=(delta,))
-        steps, rejected, nfev = steps + st.steps, rejected + st.rejected, nfev + st.nfev
+        stats += st
         legs.append((ends[-1], [(C, D) for _, _, C, D in ends]))
     leg1, leg2, head, tail = legs
-    return ((leg1, head, tail), (leg2, tail)), radau.SolverStats(steps, rejected, nfev)
+    return ((leg1, head, tail), (leg2, tail)), stats
 
 
 # The classifier skips this many leading crossings as transient, and two crossing states

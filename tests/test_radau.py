@@ -20,7 +20,7 @@ import pytest
 
 import mmopam
 from mmopam import radau
-from mmopam.errors import NonFiniteState, RootFindingFailure, StepSizeUnderflow
+from mmopam.errors import DomainError, NonFiniteState, RootFindingFailure, StepSizeUnderflow
 from mmopam.family import CanonicalParams, Field, eval_F, eval_Fx
 from mmopam.radau import _brentq
 from mmopam.simulate import FULL_ATOL, FULL_RTOL, SimConfig, integrate_full
@@ -67,11 +67,12 @@ def test_short_model_run_matches_scipy():
     ref = _scipy_radau(fld.rhs, fld.jac, (0.0, 0.4), y0, FULL_RTOL, FULL_ATOL, args)
     sol = radau.solve(fld.rhs, fld.jac, 0.0, y0, 0.4, FULL_RTOL, FULL_ATOL, args=args)
     assert sol.t[-1] == 0.4
-    end = radau.dense_eval(sol.cubics[-1], sol.t[-1])
+    end = sol.y[-1]
     for got, want in zip(end, ref.y[:, -1]):
         assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-8)
     st = sol.stats
-    assert st.steps == len(sol.cubics) == len(sol.t) - 1
+    assert st.steps == len(sol.t) - 1 == len(sol.y) - 1
+    assert sol.y[0] == y0
     assert _within(st.steps, len(ref.t) - 1, 0.01)
     assert _within(st.nfev, ref.nfev, 0.01)
     assert _within(st.njev, ref.njev, 0.01)
@@ -107,17 +108,21 @@ def test_events_match_scipy(direction):
     for se, want in zip(sol.y_events, ref.y_events[0]):
         assert abs(se[0] - 0.3) < 1e-12
         assert np.allclose(se, want, rtol=1e-7, atol=1e-9)
-    # each root lies inside the step whose cubic located it
+    # each root lies inside the step whose dense output located it
     for te in sol.t_events:
-        assert any(c[0] <= te <= c[0] + c[1] for c in sol.cubics)
+        assert any(a <= te <= b for a, b in zip(sol.t, sol.t[1:]))
 
 
 def test_terminal_count_stops_at_the_last_root():
-    sol = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10,
-                      args=(2.0,), event=_crossing, direction=-1, terminal=3)
+    kwargs = dict(args=(2.0,), event=_crossing, direction=-1)
+    sol = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10, terminal=3, **kwargs)
+    full = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10, **kwargs)
     assert len(sol.t_events) == 3
-    assert sol.t[-1] == sol.t_events[-1]
-    assert sol.t[-2] < sol.t[-1] < sol.cubics[-1][0] + sol.cubics[-1][1]
+    assert (sol.t[-1], sol.y[-1]) == (sol.t_events[-1], sol.y_events[-1])
+    # the same steps up to the one that holds the root, which lies before that step's end
+    n = len(sol.t) - 1
+    assert (sol.t[:n], sol.y[:n]) == (full.t[:n], full.y[:n]) and sol.stats.steps == n == len(sol.y) - 1
+    assert sol.t[-2] < sol.t[-1] < full.t[n]
 
 
 def _blow_up(t, s):
@@ -174,9 +179,10 @@ def test_overflowing_collocation_iterate_raises():
         radau.solve(push, no_jac, 0.0, (1.79e308, 0.0, 0.0), 1e9, 1e-6, 1e-9)
 
 
-@pytest.mark.parametrize("state, t_fail", [((1e30, 0.0, 0.0), "0"), ((0.0, 0.0, 1e300), "1.98493e-289")],
+@pytest.mark.parametrize("state, t_fail, full_error", [((1e30, 0.0, 0.0), "0", StepSizeUnderflow),
+                                                       ((0.0, 0.0, 1e300), "1.98493e-289", DomainError)],
                          ids=["x-overflow", "z-overflow"])
-def test_non_finite_newton_stage(state, t_fail):
+def test_non_finite_newton_stage(state, t_fail, full_error):
     # F overflows at Newton stages: the iteration tests F and W for finiteness only once the norm of its
     # increment is not finite, which a non-finite F always makes it. The outcome is the one of testing them
     # at every iteration (the z run accepts steps in between), through Field.rhs's instance and the generic one.
@@ -196,8 +202,9 @@ def test_non_finite_newton_stage(state, t_fail):
     with pytest.raises(StepSizeUnderflow, match=f"^{message}$"):
         _section_solve(params, cfg, fun=plain)
     assert non_finite
-    # integrate_full hands the first step end of the z run, where |y - F| is past its threshold, to a jump
-    with pytest.raises(StepSizeUnderflow):
+    # integrate_full fails in its first Radau solve on the x run; it hands the first step end of the z run,
+    # where |y - F| is past its threshold, to a jump, whose folds at z near 1e300 are out of order
+    with pytest.raises(full_error):
         integrate_full(params, cfg)
 
 
@@ -211,10 +218,9 @@ def test_stop_at_inf_is_no_stop():
     sol = _section_solve(params, cfg, stop=stop)
     end = sol.t[-1]
     assert sol.t == plain.t[: len(sol.t)] and end < cfg.max_slow_time
-    x, y, z = radau.dense_eval(sol.cubics[-1], end)
-    assert abs(params.field.rhs(end, (x, y, z), cfg.eps, cfg.delta)[0]) > stop
-    assert all(abs(params.field.rhs(t, radau.dense_eval(c, t), cfg.eps, cfg.delta)[0]) <= stop
-               for c, t in zip(sol.cubics[:-1], sol.t[1:-1]))
+    assert sol.y == plain.y[: len(sol.y)] and sol.stats.steps == len(sol.t) - 1 == len(sol.y) - 1
+    assert abs(params.field.rhs(end, sol.y[-1], cfg.eps, cfg.delta)[0]) > stop
+    assert all(abs(params.field.rhs(t, s, cfg.eps, cfg.delta)[0]) <= stop for t, s in zip(sol.t[1:-1], sol.y[1:-1]))
 
 
 def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
@@ -253,7 +259,8 @@ def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
         if kind == "radau":
             radau_stats += out.stats
             assert kwargs["stop"] == theta / cfg.eps and args[4] == cfg.max_slow_time
-            end = radau.dense_eval(out.cubics[-1], out.t[-1])
+            assert out.stats.steps == len(out.t) - 1 == len(out.y) - 1
+            end = out.y[-1]
             if next_kind == "dop853":  # a Radau solve hands over at its last step end, past theta
                 assert abs(end[1] - eval_F(end[0], end[2])) > theta
                 assert next_args[1:3] == (end[0], (out.t[-1], *end[1:]))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -258,30 +259,6 @@ class TestIntegrateFull:
         assert np.all(np.diff(series.t) > 0.0)
 
 
-def _numpy_densify(sol):
-    """The numpy sampler integrate_full used before its columns became array('d'): a global pass
-    that inserts the midpoints of every gap in x above 0.05, at most 24 times."""
-    ends = np.array(sol.t)
-    cubics = np.array(sol.cubics)
-
-    def at(t, components=(0, 1, 2)):
-        c = cubics[np.clip(np.searchsorted(ends, t, side="left") - 1, 0, len(cubics) - 1)]
-        x = (t - c[:, 0]) / c[:, 1]
-        x2 = x * x
-        x3 = x2 * x
-        return np.array([c[:, 5 + 3 * j] * x + c[:, 6 + 3 * j] * x2 + c[:, 7 + 3 * j] * x3 + c[:, 2 + j] for j in components])
-
-    t = ends
-    for _ in range(24):
-        x = at(t, (0,))[0]
-        gaps = np.abs(np.diff(x)) > 0.05
-        if not gaps.any():
-            break
-        mids = 0.5 * (t[:-1][gaps] + t[1:][gaps])
-        t = np.unique(np.concatenate([t, mids]))
-    return t, at(t)
-
-
 def _record_solves(monkeypatch) -> list:
     """Record integrate_full's solves in order, as ("radau" or "dop853", args, result)."""
     solves = []
@@ -294,22 +271,31 @@ def _record_solves(monkeypatch) -> list:
     return solves
 
 
+# sha256 of the float.hex of the columns t, x, y and z, in that order, joined by spaces: a moved bit fails
+SAMPLES_SHA256 = {
+    None: "b0fbce61293b8260bb8d7455f048074abc77a92261fd53d0fb905b1abd964f43",
+    1: "c100495adbfb74c2bfd040c93ce47ca50f3fe7c06a0488db739e91bf59dfbecd",
+}
+
+
 @pytest.mark.parametrize("n_crossings", [None, 1], ids=["one-solve", "terminal-stop"])
 def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings):
-    # each Radau solve's samples are the numpy sampler's on that solve; in between lie the jumps' x-step ends
+    # each Radau solve's samples are a run of the columns; in between lie the jumps' x-step ends; every bit is pinned
     solves = _record_solves(monkeypatch)
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
     series = integrate_full(params_1_1, cfg, n_crossings=n_crossings)
     assert (series.t[-1] < cfg.max_slow_time) == (n_crossings is not None)
     cols = [list(c) for c in (series.t, series.x, series.y, series.z)]
+    digest = hashlib.sha256(" ".join(v.hex() for c in cols for v in c).encode()).hexdigest()
+    assert digest == SAMPLES_SHA256[n_crossings]
     radau_sols = [out for kind, _, out in solves if kind == "radau"]
     assert radau_sols and len(radau_sols) < len(solves)
     covered = set()
     for sol in radau_sols:
-        t, y = _numpy_densify(sol)
-        i = cols[0].index(t[0])  # a solve after a jump starts at the jump's last sample
-        assert [c[i : i + len(t)] for c in cols] == [t.tolist(), *(row.tolist() for row in y)]
-        covered.update(range(i, i + len(t)))
+        i = cols[0].index(sol.t[0])  # a solve after a jump starts at the jump's last sample
+        run = [c[i : i + len(sol.t)] for c in cols]
+        assert run == [sol.t, *map(list, zip(*sol.y))]
+        covered.update(range(i, i + len(sol.t)))
     samples = set(zip(*cols))
     for kind, _, out in solves:
         if kind == "dop853":
@@ -367,6 +353,16 @@ def test_every_jump_leg_has_length(fixed_rho, monkeypatch, row):
     assert len(legs) > 10 and all(x_to != x_from for x_from, x_to in legs)
     ends = {x_to for _, x_to in legs}
     assert 0.5 in ends and any(abs(x - fold) < 1e-3 for x in ends for fold in (-2.0, 0.0, 1.0))
+
+
+def test_jump_with_folds_out_of_order_raises(params_1_1, monkeypatch):
+    # at z = 10, Newton's method from the critical point -1 of F(., 0) finds the fold at -2 again; a jump with its
+    # folds out of order could cross y = F(x, z) in a leg and run t backwards, so it is refused
+    solves = _record_solves(monkeypatch)
+    cfg = SimConfig(eps=1e-5, delta=1e-2, initial_state=(-1.2, eval_F(-1.2, 10.0) - 0.2, 10.0))
+    with pytest.raises(DomainError, match=r"^the folds of F\(\., z\) are out of order at z = 9\.99"):
+        integrate_full(params_1_1, cfg)
+    assert [kind for kind, *_ in solves] == ["radau"]
 
 
 def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
