@@ -9,14 +9,20 @@ variable is fixed at 0: Q, the geometry and the segment maps all belong to
 the sheet profile F(., 0), so there is no z0 parameter.
 
 Two rho families are supported: Quadratic rho(x) = p + x + q x^2, and the
-fixed rational rho whose reciprocal is a specific quartic. For both, the
-product rho * F_x(., 0) reduces to a polynomial (exactly, for the fixed
-rational choice), so Q has a closed polynomial form.
+fixed rational rho whose reciprocal is a specific quartic R4. The family is
+built so that, exactly in rational arithmetic,
+
+    F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x),
+
+so for both families the product rho * F_x(., 0) is a polynomial, and Q has
+a closed polynomial form: for the fixed rational rho it is the integral of
+x (x + 1) (x + 2) (x - 1).
 
 The geometry is the family's design: F_x(., 0) vanishes at the folds -2, -1,
-0 and 1, and F(-2) = F(8/5), F(0) = F(3/2) and F(1) = F(-5/2), all exactly in
-rational arithmetic. :func:`compute_geometry` returns these constants, with
-the fold heights taken from exact rational F.
+0 and 1 (and at the two real roots of R4, left of them), and F(-2) = F(8/5),
+F(0) = F(3/2) and F(1) = F(-5/2), all exactly in rational arithmetic.
+:func:`compute_geometry` returns these constants, with the fold heights
+taken from exact rational F.
 
 :class:`Field`, built once per parameter set as ``params.field``, is the one
 evaluator: plain-float Horner kernels for F, Q, rho, G and H, and the
@@ -80,7 +86,6 @@ _RHO_DEN_EXACT = [
 
 _KCD = tuple((k, float(_C[k]), float(_D[k])) for k in range(9, 1, -1))  # (k, C_k, D_k), k = 9..2
 _KD = tuple(k * d for k, _, d in _KCD)  # F_xz / x, descending
-_C2, _D2 = float(_C[2]), float(_D[2])
 _RHO_DEN = tuple(float(c) for c in _RHO_DEN_EXACT)
 _RHO_DDEN = tuple(c * k for c, k in zip(_RHO_DEN, range(4, 0, -1)))
 
@@ -109,13 +114,6 @@ def eval_Fx(x, z):
     return acc * x
 
 
-def eval_Fxx(x, z):
-    acc = 0.0
-    for k, c, d in _KCD[:-1]:
-        acc = acc * x + k * (k - 1) * (c + d * z)
-    return acc * x + 2.0 * (_C2 + _D2 * z)
-
-
 # --- rho specification -------------------------------------------------------
 
 
@@ -133,9 +131,9 @@ class RhoSpec(FrozenValue):
         elif variant == "fixed_rational":
             if p is not None or q is not None:
                 raise DomainError("fixed_rational rho takes no (p, q)")
-            # rho is the reciprocal of a quartic, hence never zero; its pole
-            # at the quartic's real root left of the folds cancels against a
-            # root of F_x in every product this package evaluates.
+            # rho is the reciprocal of the quartic R4, hence never zero; its
+            # poles at R4's real roots left of the folds cancel against roots
+            # of F_x in every product this package evaluates.
         else:
             raise DomainError(f"unknown rho variant {variant!r}")
         vars(self).update(variant=variant, p=p, q=q)
@@ -198,33 +196,22 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    out = []
-    for i in range(len(num) - len(den) + 1):
-        c = num[i] / den[0]
-        out.append(c)
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    return out, num[len(out):]
-
-
 def q_polynomial(rho: RhoSpec) -> tuple[float, ...]:
     """Descending coefficients of Q(x) = int_0^x W, with W = rho(x) * F_x(x, 0).
 
     For quadratic rho, W is a product of polynomials. For the fixed rational
-    rho, F_x(., 0) is divisible by 1/rho in exact arithmetic; a nonzero
-    remainder would mean Q has no closed form and raises. W is rounded to
-    floats and divided term by term, c_k / (k + 1).
+    rho, F_x(x, 0) = x (x + 1) (x + 2) (x - 1) R4(x) with R4 = 1/rho, so W is
+    the monic quartic on the design folds ``_FOLDS``. W is rounded to floats
+    and divided term by term, c_k / (k + 1).
     """
-    fx_desc = [Fraction(k) * _C[k] for k in range(9, 0, -1)]  # F_x(., 0), descending x^8..x^0
     if rho.variant == "quadratic":
+        fx_desc = [Fraction(k) * _C[k] for k in range(9, 0, -1)]  # F_x(., 0), descending x^8..x^0
         rho_desc = [Fraction(rho.q).limit_denominator(10**15), Fraction(1), Fraction(rho.p).limit_denominator(10**15)]
         w = _poly_mul(rho_desc, fx_desc)
     else:
-        w, rem = _poly_divmod(fx_desc, _RHO_DEN_EXACT)
-        if any(rem):
-            raise DomainError("rho * F_x(., 0) leaves a nonzero remainder; Q has no polynomial form")
+        w = [Fraction(1)]
+        for xf in _FOLDS:
+            w = _poly_mul(w, [Fraction(1), -xf])
     n = len(w)
     return tuple(float(c) / (n - i) for i, c in enumerate(w)) + (0.0,)  # constant term 0: Q(0) = 0
 

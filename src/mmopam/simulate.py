@@ -24,11 +24,12 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
+from functools import partial
 from itertools import islice
 
 from . import dop853, radau
 from .errors import DiscontinuityHit, DomainError, FrozenValue, NonFiniteState, NotPeriodic, Value
-from .family import CanonicalParams, ManifoldGeometry, compute_geometry, eval_F, eval_Fx, eval_Fxx
+from .family import _FOLDS, _RHO_DEN, CanonicalParams, ManifoldGeometry, _horner, compute_geometry, eval_F
 from .pam import DISCONTINUITY_GUARD, Signature, _detect_tail_period, signature_from_signs
 
 
@@ -121,11 +122,13 @@ class TimeSeries(Value):
 
 # A fast jump is solved in x once the gap |y - F(x, z)| exceeds JUMP_GAP eps^(2/3), the gap
 # scale of the fold layer, and hands back to Radau where it falls to half that. Jump samples
-# lie at most SAMPLE_DX apart in x. The folds of F(., z) lie near the six critical points of
-# F(., 0), from which Newton's method starts.
+# lie at most SAMPLE_DX apart in x. The folds of F(., z) that stay put as z moves are x1, x3,
+# x4 and the two real roots of R4 = 1/rho of the fixed rational rho, in [-5, -4] and [-3, -2.5].
 JUMP_GAP = 10.0
 SAMPLE_DX = 0.05
-_CRITICAL_POINTS = (-4.696, -2.92, -2.0, -1.0, 0.0, 1.0)
+_X1, _X2, _X3, _X4 = map(float, _FOLDS)
+_STILL_FOLDS = tuple(radau._brentq(partial(_horner, _RHO_DEN), a, b, 4 * radau.EPS, 4 * radau.EPS)
+                     for a, b in ((-5.0, -4.0), (-3.0, -2.5))) + (_X1, _X3, _X4)
 
 
 def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | None = None) -> TimeSeries:
@@ -140,7 +143,9 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
       theta = JUMP_GAP eps^(2/3) in magnitude: a fast jump.
     * :func:`mmopam.dop853.solve` on :attr:`Field.layer`, the same field with x as the
       independent variable, which is not stiff while g stays away from 0. A jump moves x
-      in the direction d = sign(g) in legs, each ending at the next fold of F(., z) or,
+      in the direction d = sign(g) in legs, each ending at the next fold of F(., z) (the
+      roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x), R4 = 1/rho of the fixed
+      rational rho, between which F is monotone) or,
       before it, at the exit where d (y - F(x, z)) falls to theta / 2 (with the leg's
       starting y and z). The jump hands back to Radau at the exit, or at a fold where
       |g| < theta, so Radau keeps the fold passages; exiting at half the entry gap keeps
@@ -204,15 +209,14 @@ def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossin
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
     A leg that would end at or past ``t_bound`` is dropped, and the returned
-    stop of inf lets Radau finish the run from its start. Folds that Newton's
-    method does not find in increasing order (z above about 9.2 or below about
-    -16) raise DomainError: a leg could cross g = 0 and run t backwards.
+    stop of inf lets Radau finish the run from its start. The folds are the
+    roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x), sorted: -2, 0,
+    1, -1 - z/16 and the two real roots of R4, so at any z, F(., z) is
+    monotone on each leg.
     """
     x, y, z = state
     d = 1.0 if y > eval_F(x, z) else -1.0
-    folds = [_fold(xc, z) for xc in _CRITICAL_POINTS]
-    if not all(a < b for a, b in zip(folds, folds[1:])):
-        raise DomainError(f"the folds of F(., z) are out of order at z = {z!r}")
+    folds = _folds(z)
     # a leg to each fold ahead in the direction d; the last leg ends at its exit
     for xf in [xf for xf in (folds if d > 0.0 else folds[::-1]) if d * (xf - x) > 0.0] + [None]:
         def gap(xv, y=y, z=z):
@@ -241,14 +245,9 @@ def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossin
             return t, (x, y, z), theta / args[0]
 
 
-def _fold(x, z):
-    """The fold of F(., z) that Newton's method on F_x reaches from x."""
-    for _ in range(20):
-        step = eval_Fx(x, z) / eval_Fxx(x, z)
-        x -= step
-        if abs(step) <= 1e-15:
-            break
-    return x
+def _folds(z):
+    """The folds of F(., z), sorted: the roots of F_x(., z), with x2(z) = x2 - z/16."""
+    return sorted(_STILL_FOLDS + (_X2 - z / 16.0,))
 
 
 def _sample_leg(layer, args, x, state, xs, ends, cols):

@@ -12,7 +12,8 @@ form of the legs.
 
 ``eval_Fz``, ``eval_Fxz`` and ``drho`` are scalar references for the
 derivatives that the package's straight-line kernels unroll (F_z, F_xz and
-d(rho)/dx); ``eval_J``, ``eval_G``, ``eval_H`` and ``eval_vector_field``
+d(rho)/dx), and ``eval_Fxx`` is F_xx, which the tests read at the folds;
+``eval_J``, ``eval_G``, ``eval_H`` and ``eval_vector_field``
 evaluate the slow drift and the fast-time right-hand side through
 ``Field.drift``. The package itself has no caller for them.
 """
@@ -37,6 +38,14 @@ def eval_Fz(x, z):
 
 def eval_Fxz(x, z):
     return _horner(_KD, x) * x
+
+
+def eval_Fxx(x, z):
+    acc = 0.0
+    for k, c, d in _KCD[:-1]:
+        acc = acc * x + k * (k - 1) * (c + d * z)
+    _, c2, d2 = _KCD[-1]
+    return acc * x + 2.0 * (c2 + d2 * z)
 
 
 def drho(rho, x):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, eval_F, eval_Fx, eval_Fxx
+from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, eval_F, eval_Fx
 from mmopam.pam import (
     PamCoefficients,
     Signature,
@@ -36,7 +36,7 @@ from mmopam.tables import (
     verify_synthesis_benchmarks,
 )
 
-from oracles import segment_quadrature
+from oracles import eval_Fxx, segment_quadrature
 
 FIXED = RhoSpec("fixed_rational")
 QUAD = RhoSpec("quadratic", p=1.0, q=1.0)

@@ -14,13 +14,12 @@ from mmopam.family import (
     compute_geometry,
     eval_F,
     eval_Fx,
-    eval_Fxx,
     eval_P,
     eval_Q,
     q_polynomial,
 )
 
-from oracles import Q_quadrature, drho, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J, eval_vector_field
+from oracles import Q_quadrature, drho, eval_Fxx, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J, eval_vector_field
 
 
 def central_diff(f, x, h=1e-6):

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from mmopam import family
-from mmopam.errors import DomainError
 from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, q_polynomial
 from mmopam.pam import PamCoefficients
 from mmopam.segments import associated_pam
 from mmopam.synthesis import synthesize
 
-from oracles import drho, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J
+from oracles import drho, eval_Fxx, eval_Fxz, eval_Fz, eval_G, eval_H, eval_J
 
 CF = np.array([float(c) for c in family._C])
 DF = np.array([float(d) for d in family._D])
@@ -161,7 +160,7 @@ def same(got, want) -> bool:
     [("F", ref_F), ("Fx", ref_Fx), ("Fxx", ref_Fxx), ("Fz", ref_Fz), ("Fxz", ref_Fxz)],
 )
 def test_F_kernels_exact(kernel, ref, z):
-    evaluate = {"Fz": eval_Fz, "Fxz": eval_Fxz}.get(kernel) or getattr(family, "eval_" + kernel)
+    evaluate = {"Fxx": eval_Fxx, "Fz": eval_Fz, "Fxz": eval_Fxz}.get(kernel) or getattr(family, "eval_" + kernel)
     assert same(evaluate(XS, z), ref(XS, z))
     for x in XS:
         assert evaluate(float(x), z) == ref(np.float64(x), z)
@@ -295,24 +294,33 @@ def test_jac_matches_finite_differences(rho):
                 assert math.isclose(jac[i][j], fd[i], rel_tol=1e-6, abs_tol=1e-7 * scale), (s, i, j)
 
 
+def _poly_product(*factors):
+    """The product of polynomials with descending coefficients, exact for Fractions."""
+    out = [1]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 def test_fixed_rho_W_is_exact():
-    fx_desc = [Fraction(k) * family._C[k] for k in range(9, 0, -1)]
-    quot, rem = family._poly_divmod(fx_desc, family._RHO_DEN_EXACT)
-    assert quot == [1, 2, -1, -2, 0]
-    assert not any(rem)
+    # F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x) exactly, with R4 = 1/rho: its z-free part is
+    # x (x + 1) (x + 2) (x - 1) R4 and its z part x (x + 2) (x - 1) R4 / 16, so rho F_x(., 0) is a quartic
+    c_desc = [k * family._C[k] for k in range(9, 0, -1)]  # descending x^8..x^0
+    d_desc = [k * family._D[k] for k in range(9, 0, -1)]
+    r4 = family._RHO_DEN_EXACT
+    assert c_desc == _poly_product([1, 0], [1, 1], [1, 2], [1, -1], r4)
+    assert d_desc == [0] + [c / 16 for c in _poly_product([1, 0], [1, 2], [1, -1], r4)]
     assert np.polyder(q_polynomial(RhoSpec("fixed_rational"))).tolist() == [1.0, 2.0, -1.0, -2.0, 0.0]
 
 
-def test_q_polynomial_always_an_array(monkeypatch):
+def test_q_polynomial_always_an_array():
     for rho in RHOS:
         coeffs = q_polynomial(rho)
         assert isinstance(coeffs, tuple) and all(type(c) is float for c in coeffs)
-    # a quartic that does not divide F_x(., 0) has no closed-form Q, and says so
-    bent = list(family._RHO_DEN_EXACT)
-    bent[-1] += Fraction(1, 7)
-    monkeypatch.setattr(family, "_RHO_DEN_EXACT", bent)
-    with pytest.raises(DomainError):
-        q_polynomial(RhoSpec("fixed_rational"))
 
 
 def test_field_built_once_per_params():

@@ -1,20 +1,22 @@
 import gc
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import mmopam.simulate
 from mmopam import dop853, radau
-from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic
-from mmopam.family import CanonicalParams, RhoSpec, compute_geometry, eval_F
+from mmopam.errors import DiscontinuityHit, DomainError, MmopamError, NotPeriodic
+from mmopam.family import _KCD, CanonicalParams, RhoSpec, compute_geometry, eval_F, eval_Fx
 from mmopam.pam import PamCoefficients, Signature, iterate_orbit
 from mmopam.radau import SolverStats
 from mmopam.segments import associated_pam
 from mmopam.simulate import (
     SimConfig,
     TimeSeries,
+    _folds,
     canard_hole_radius,
     classify_series,
     hybrid_simulate,
@@ -355,14 +357,34 @@ def test_every_jump_leg_has_length(fixed_rho, monkeypatch, row):
     assert 0.5 in ends and any(abs(x - fold) < 1e-3 for x in ends for fold in (-2.0, 0.0, 1.0))
 
 
-def test_jump_with_folds_out_of_order_raises(params_1_1, monkeypatch):
-    # at z = 10, Newton's method from the critical point -1 of F(., 0) finds the fold at -2 again; a jump with its
-    # folds out of order could cross y = F(x, z) in a leg and run t backwards, so it is refused
-    solves = _record_solves(monkeypatch)
-    cfg = SimConfig(eps=1e-5, delta=1e-2, initial_state=(-1.2, eval_F(-1.2, 10.0) - 0.2, 10.0))
-    with pytest.raises(DomainError, match=r"^the folds of F\(\., z\) are out of order at z = 9\.99"):
+def test_folds_are_the_sorted_roots_of_Fx():
+    # F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x): for any z each fold is a root to rounding, and
+    # x2(z) = -1 - z/16 meets the fold at -2, 0 or 1 at z = 16, -16 or -32
+    meeting = (16.0, -16.0, -32.0)
+    for z in [-60.0 + 0.01 * k for k in range(12001)] + [9.99, 10.0, *meeting, -39.90000000000002]:
+        folds = _folds(z)
+        assert len(folds) == 6 and folds == sorted(folds), z
+        for x in folds:
+            terms = sum(abs(k * (c + d * z) * x ** (k - 1)) for k, c, d in _KCD)
+            assert abs(eval_Fx(x, z)) <= 4 * sys.float_info.epsilon * terms, (z, x)
+        assert len(set(folds)) == (5 if z in meeting else 6), z
+
+
+def test_jump_at_large_z_keeps_time_increasing(params_1_1):
+    # at z = 10 the first leg from x = -1.2 heads left for x2(z) = -1.625, so t keeps increasing up to the budget
+    cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=2.0, initial_state=(-1.2, eval_F(-1.2, 10.0) - 0.2, 10.0))
+    series = integrate_full(params_1_1, cfg)
+    assert series.t[-1] == 2.0 and all(a < b for a, b in zip(series.t, series.t[1:]))
+    assert (series.solver_stats.steps, series.jump_stats.steps) == (454, 51)
+
+
+def test_jump_far_below_z_minus_16_fails_typed(params_1_1):
+    # at z = -39.9, x2(z) lies right of 1; the fast drift of z moves g = y - F(x, z) to 0 inside a leg, before the exit
+    # placed with the leg's starting y and z, and the x-solve fails with a typed error
+    z = -39.90000000000002
+    cfg = SimConfig(eps=1e-5, delta=1e-2, initial_state=(-1.2, eval_F(-1.2, z) - 0.2, z))
+    with pytest.raises(MmopamError):
         integrate_full(params_1_1, cfg)
-    assert [kind for kind, *_ in solves] == ["radau"]
 
 
 def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
