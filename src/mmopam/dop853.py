@@ -34,14 +34,11 @@ last c is not 1.0.
 
 from __future__ import annotations
 
-import sys
 from functools import cache, partial
 from math import inf, nextafter, sqrt
 
 from .errors import DomainError, StepSizeUnderflow
-from .radau import SolverStats, _initial_step
-
-EPS = sys.float_info.epsilon
+from .radau import EPS, SolverStats, _initial_step
 
 # --- scipy's dop853_coefficients, nonzero entries only ------------------------
 

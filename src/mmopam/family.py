@@ -131,9 +131,10 @@ class RhoSpec(FrozenValue):
         elif variant == "fixed_rational":
             if p is not None or q is not None:
                 raise DomainError("fixed_rational rho takes no (p, q)")
-            # rho is the reciprocal of the quartic R4, hence never zero; its
-            # poles at R4's real roots left of the folds cancel against roots
-            # of F_x in every product this package evaluates.
+            # rho is the reciprocal of the quartic R4, hence never zero. Its
+            # poles, R4's real roots -4.69647 and -2.91967, cancel in W = rho F_x
+            # but not in G = (kappa + lambda P) u rho J or H = rho u J, so z' is
+            # singular on those two planes; integrate_full's jumps end legs there.
         else:
             raise DomainError(f"unknown rho variant {variant!r}")
         vars(self).update(variant=variant, p=p, q=q)
@@ -236,21 +237,22 @@ def _q_tables(rho: RhoSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
 # rhs slot of the Radau solver kernel (its three Newton stages and the step end). dPhidx
 # is two parts, its coefficients a, b and c at x and their product with Phi = (A, B, C,
 # D); the DOP853 solver kernel's step end takes only the second, on the coefficients its
-# last stage bound at the same x.
-_RHS_STAGE = """\
-    x, y, z = {s}
+# last stage bound at the same x. The rhs stage, dPhidx's coefficients and jac bind Q, u
+# and P with the one snippet _QUP.
+_QUP = """\
     Q = {Q}
     u = alpha * Q + beta
     P = alpha * Q * Q / 2.0 + beta * Q
+"""
+_RHS_STAGE = """\
+    x, y, z = {s}
+""" + _QUP + """\
     r = {rho}
     J = 0.5 - x
     {out} (y - {F}) / eps, 0.5 - x, delta * ((kappa + lam * P) * u * r * J) + z * (r * u * J)
 """
 
-_DPHI_COEFFS = """\
-    Q = {Q}
-    u = alpha * Q + beta
-    P = alpha * Q * Q / 2.0 + beta * Q
+_DPHI_COEFFS = _QUP + """\
     g = kappa + lam * P
     W = {W}
     ct = delta * {rho} * ({Fxz} * x)
@@ -267,9 +269,7 @@ def jac(t, s, eps, delta):
     x, y, z = s
     r = {rho}
     rp = {drho}
-    Q = {Q}
-    u = alpha * Q + beta
-    P = alpha * Q * Q / 2.0 + beta * Q
+""" + _QUP + """\
     Qp = r * {Fx0}
     up = alpha * Qp
     J = 0.5 - x

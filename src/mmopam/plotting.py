@@ -9,7 +9,7 @@ timestamps.
 from __future__ import annotations
 
 from .errors import DomainError, FrozenValue
-from .pam import PamCoefficients, pam_eval
+from .pam import PamCoefficients
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 50
@@ -86,7 +86,7 @@ def line_plot(curves: list[tuple], path: str, x_label: str = "", y_label: str = 
 
 
 def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str) -> None:
-    """Cobweb diagram: both affine branches, the diagonal, and the orbit staircase."""
+    """Cobweb diagram: both affine branches, the diagonal, and the staircase through the given ``iterates``."""
     if not iterates:
         raise DomainError("need at least one iterate for a cobweb")
     lo = min(min(iterates), 0.0)
@@ -106,12 +106,9 @@ def cobweb_plot(pam: PamCoefficients, iterates: list[float], path: str) -> None:
         body.append(_polyline(ax, xs, [pam.a21 * x + pam.a22 for x in xs], PALETTE[1]))
     # staircase
     px, py = [iterates[0]], [iterates[0]]
-    z = iterates[0]
-    for _ in range(len(iterates) - 1):
-        w = pam_eval(pam, z)
+    for z, w in zip(iterates, iterates[1:]):
         px.extend([z, w])
         py.extend([w, w])
-        z = w
     body.append(_polyline(ax, px, py, PALETTE[2], 0.9))
     _write_svg(path, body)
 

@@ -149,10 +149,10 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
       before it, at the exit where d (y - F(x, z)) falls to theta / 2 (with the leg's
       starting y and z). The jump hands back to Radau at the exit, or at a fold where
       |g| < theta, so Radau keeps the fold passages; exiting at half the entry gap keeps
-      a restart from handing over again at once. A leg across the section in decreasing
-      x is split there, so its crossing is the step end (t, x_sec, y, z), with no root
-      finding. A leg that would end past the budget is dropped, and Radau finishes the
-      run from its start.
+      a restart from handing over again at once. In decreasing x the section is a leg end
+      too, with no hand-back check, so its crossing is the step end (t, x_sec, y, z), with
+      no root finding. A leg that would end past the budget is dropped, and Radau finishes
+      the run from its start.
 
     With ``n_crossings`` (at least 1), the run stops at that crossing if the budget holds
     it. Each Radau step end and each x-step end is a sample, and an x-step longer than
@@ -209,39 +209,39 @@ def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossin
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
     A leg that would end at or past ``t_bound`` is dropped, and the returned
-    stop of inf lets Radau finish the run from its start. The folds are the
-    roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x), sorted: -2, 0,
-    1, -1 - z/16 and the two real roots of R4, so at any z, F(., z) is
-    monotone on each leg.
+    stop of inf lets Radau finish the run from its start. The leg ends are the
+    folds ahead, the roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x):
+    -2, 0, 1, -1 - z/16 and the two real roots of R4, so at any z, F(., z) is
+    monotone on each leg; and, when x falls, the section. Each leg's exit is
+    placed with the leg's starting y and z.
     """
     x, y, z = state
     d = 1.0 if y > eval_F(x, z) else -1.0
     folds = _folds(z)
-    # a leg to each fold ahead in the direction d; the last leg ends at its exit
-    for xf in [xf for xf in (folds if d > 0.0 else folds[::-1]) if d * (xf - x) > 0.0] + [None]:
+    # a leg to each fold and, falling, to the section ahead in the direction d; the last leg ends at its exit
+    ahead = folds + [x_sec] if d < 0.0 else folds
+    legs = sorted({xb for xb in ahead if d * (xb - x) > 0.0}, reverse=d < 0.0)
+    for xb in legs + [None]:
         def gap(xv, y=y, z=z):
             return d * (y - eval_F(xv, z)) - 0.5 * theta
 
-        if xf is None:  # beyond the last fold F is monotone and unbounded, so the exit lies within reach
-            xf = x + d
-            while gap(xf) > 0.0:
-                xf += xf - x
-        at_exit = gap(xf) <= 0.0
-        x_end = radau._brentq(gap, x, xf, 4 * radau.EPS, 4 * radau.EPS) if at_exit else xf
-        for xb in (x_sec, x_end) if x > x_sec >= x_end else (x_end,):
-            if xb == x:  # the exit is the section
-                continue
-            xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args)
-            stats += st
-            if not ends[-1][0] < t_bound:
+        if xb is None:  # beyond the last fold F is monotone and unbounded, so the exit lies within reach
+            xb = x + d
+            while gap(xb) > 0.0:
+                xb += xb - x
+        at_exit = gap(xb) <= 0.0
+        x_end = radau._brentq(gap, x, xb, 4 * radau.EPS, 4 * radau.EPS) if at_exit else xb
+        xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), x_end, JUMP_RTOL, JUMP_ATOL, args=args)
+        stats += st
+        if not ends[-1][0] < t_bound:
+            return t, (x, y, z), math.inf
+        _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
+        x, (t, y, z) = x_end, ends[-1]
+        if x == x_sec and d < 0.0:
+            crossings.append((t, x, y, z))
+            if len(crossings) == n_crossings:
                 return t, (x, y, z), math.inf
-            _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
-            x_from, x, (t, y, z) = x, xb, ends[-1]
-            if x == x_sec < x_from:
-                crossings.append((t, x, y, z))
-                if len(crossings) == n_crossings:
-                    return t, (x, y, z), math.inf
-        if at_exit or abs(y - eval_F(x, z)) < theta:
+        if at_exit or (x in folds and abs(y - eval_F(x, z)) < theta):
             return t, (x, y, z), theta / args[0]
 
 

@@ -7,6 +7,8 @@ import pytest
 
 import mmopam
 from mmopam.cli import main
+from mmopam.pam import PamCoefficients
+from mmopam.plotting import PALETTE, Axes, cobweb_plot
 
 
 CROSSOVER_SEGMENT = [
@@ -81,6 +83,18 @@ def test_pam_iterate_writes_artifacts(capsys, tmp_path):
     assert "period: 1" in out
     assert csv_path.read_text().startswith("n,Z")
     assert svg_path.read_text().startswith("<?xml")
+
+
+def test_cobweb_draws_the_iterates_it_is_given(tmp_path):
+    # the staircase runs through consecutive pairs of the list, here no orbit of the map: (z, z), then (z, w) and
+    # (w, w) for each pair (z, w)
+    svg_path = tmp_path / "cobweb.svg"
+    cobweb_plot(PamCoefficients(0.3, 7.0, 0.9, -2.0), [-1.0, 2.0, 0.5], str(svg_path))
+    staircase = [line for line in svg_path.read_text().splitlines() if f'stroke="{PALETTE[2]}"' in line]
+    ax = Axes(-1.3, 2.3, -1.3, 2.3)  # [min(iterates, 0), max(iterates, 0)] padded by a tenth of its width
+    corners = [(-1.0, -1.0), (-1.0, 2.0), (2.0, 2.0), (2.0, 0.5), (0.5, 0.5)]
+    points = " ".join(f"{px:.2f},{py:.2f}" for px, py in (ax.to_px(x, y) for x, y in corners))
+    assert len(staircase) == 1 and f'points="{points}"' in staircase[0]
 
 
 def test_synth_matches_reference(capsys):

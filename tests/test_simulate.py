@@ -8,7 +8,7 @@ import pytest
 
 import mmopam.simulate
 from mmopam import dop853, radau
-from mmopam.errors import DiscontinuityHit, DomainError, MmopamError, NotPeriodic
+from mmopam.errors import DiscontinuityHit, DomainError, MmopamError, NotPeriodic, StepSizeUnderflow
 from mmopam.family import _KCD, CanonicalParams, RhoSpec, compute_geometry, eval_F, eval_Fx
 from mmopam.pam import PamCoefficients, Signature, iterate_orbit
 from mmopam.radau import SolverStats
@@ -385,6 +385,27 @@ def test_jump_far_below_z_minus_16_fails_typed(params_1_1):
     cfg = SimConfig(eps=1e-5, delta=1e-2, initial_state=(-1.2, eval_F(-1.2, z) - 0.2, z))
     with pytest.raises(MmopamError):
         integrate_full(params_1_1, cfg)
+
+
+def test_x_solve_fails_at_a_pole_of_rho(fixed_rho, monkeypatch):
+    # rho's poles do not cancel in G = (kappa + lambda P) u rho J or H = rho u J, so z' is singular on the planes
+    # x = -4.69647 and -2.91967, both leg ends: a jump rising from x = -3.2 fails in its x-solve at the second
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    cfg = SimConfig(eps=1e-6, delta=1e-2, initial_state=(-3.2, eval_F(-3.2, 0.0) + 0.5, 0.0))
+    failed, solve = [], dop853.solve
+
+    def recording(fun, x, state, x_end, *args, **kwargs):
+        try:
+            return solve(fun, x, state, x_end, *args, **kwargs)
+        except StepSizeUnderflow:
+            failed.append(x_end)
+            raise
+
+    monkeypatch.setattr(mmopam.simulate.dop853, "solve", recording)
+    with pytest.raises(StepSizeUnderflow, match=r" = -2\.91967: "):
+        integrate_full(params, cfg)
+    pole = _folds(0.0)[1]
+    assert failed == [pole] and round(pole, 5) == -2.91967
 
 
 def test_integrate_full_leaves_no_cyclic_garbage(params_1_1):
