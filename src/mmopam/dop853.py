@@ -134,7 +134,7 @@ def solver(fun, t, y, t_bound, rtol, atol, args):
         while True:
             if not h_abs >= min_step:  # also catches a nan step
                 raise StepSizeUnderflow(
-                    f"integrator failed at t = {{t:.6g}}: required step size is less than spacing between numbers"
+                    f"integrator failed at {{t:.6g}}: required step size is less than spacing between numbers"
                 )
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:

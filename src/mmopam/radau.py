@@ -1,4 +1,4 @@
-"""Radau IIA of order 5 for three equations in plain floats, with event location.
+"""Radau IIA of order 5 for three equations in plain floats, with section crossings.
 
 A step-for-step port of ``scipy.integrate._ivp.radau``, the implicit
 Runge-Kutta method of Hairer & Wanner, *Solving Ordinary Differential
@@ -7,12 +7,15 @@ It keeps scipy's tableau and transformed collocation system, the
 simplified-Newton iteration with its rate test, the Jacobian and LU reuse
 rules, the error estimate (re-estimated after a rejected step), the
 step-size controller with ``predict_factor`` and the cubic dense output.
-Events follow ``solve_ivp``: a direction filter, a terminal count, and the
-root located by :func:`_brentq` on the step's dense output with
-xtol = rtol = 4 EPS. Beyond scipy, a solve may also end at the first step
-end whose first rhs component exceeds a bound in magnitude: the full
-system hands its fast jumps to another solver there. A solve returns its
-samples; a step's dense output serves only the next step and the event root.
+In place of ``solve_ivp``'s events a solve has one section, the plane
+x = ``section`` of the first component: a step crosses it when x falls from
+strictly above it to at or below it, and the crossing is located by
+:func:`_brentq` on the step's dense output with xtol = rtol = 4 EPS, as
+``solve_ivp`` locates a falling event; after ``terminal`` crossings the
+solve stops at the last. A solve may also end at the first step end whose
+first rhs component exceeds a bound in magnitude: the full system hands its
+fast jumps to another solver there. A solve returns its samples; a step's
+dense output serves only the next step and the crossing.
 
 The real and the complex 3x3 LU factorisations and solves are explicit
 arithmetic on Python floats and complex numbers, so the solver needs no
@@ -105,20 +108,19 @@ class SolverStats(Value):
 
 
 class RadauSolution(Value):
-    """Step ends ``t`` (from t0; the last is the terminal root when an event stopped the solve),
-    the state ``y`` at each, the event roots and states, and counters.
+    """Step ends ``t`` (from t0; the last is the terminal crossing when one stopped the solve),
+    the state ``y`` at each, the section ``crossings`` as (t, x, y, z), and counters.
 
     ``y`` starts with the start state; a step end's state is its step's dense output there, and a
-    terminal root's is its event state. The event lists and the counters default to new empty ones.
+    terminal crossing's is its crossing state. The crossings and the counters default to new empty ones.
     """
 
-    _fields = ("t", "y", "t_events", "y_events", "stats")
+    _fields = ("t", "y", "crossings", "stats")
 
-    def __init__(self, t: list[float], y: list[tuple[float, float, float]], t_events: list[float] | None = None,
-                 y_events: list[tuple[float, float, float]] | None = None, stats: SolverStats | None = None):
+    def __init__(self, t: list[float], y: list[tuple[float, float, float]],
+                 crossings: list[tuple[float, float, float, float]] | None = None, stats: SolverStats | None = None):
         self.t, self.y = t, y
-        self.t_events = [] if t_events is None else t_events
-        self.y_events = [] if y_events is None else y_events
+        self.crossings = [] if crossings is None else crossings
         self.stats = SolverStats() if stats is None else stats
 
 
@@ -220,7 +222,7 @@ def _initial_step(fun, args, t0, y, t_bound, f, direction, order, rtol, atol):
 # ``b if b < a else a`` and max(a, b) is ``b if b > a else a``, nan included.
 
 _SOLVER_SRC = '''\
-def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal, stop):
+def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop):
 {setup}    f0, f1, f2 = fun(t, (u0, u1, u2), *args)
     h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), 1.0, 3, rtol, atol)
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t, (u0, u1, u2), *args)
@@ -229,7 +231,7 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
     h_prev = err_prev = None  # scipy's h_abs_old, error_norm_old
     lu_real = lu_complex = None
     current_jac = True
-    cubic = None  # dense output of the last step: the next step's stage prediction and the event root
+    cubic = None  # dense output of the last step: the next step's stage prediction and the crossing
     c_0, c_1, _ = C
     e0_, e1_, e2_ = E
     (t00, t01, t02), (t10, t11, t12), _ = T
@@ -237,10 +239,7 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
     ti0, ti1, ti2 = TI_REAL
     k0, k1, k2 = TI_COMPLEX
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P_DENSE
-    ts, ys, t_events, y_events = [t], [(u0, u1, u2)], [], []
-    if event is not None:
-        g = event(t, (u0, u1, u2))
-        count = 0
+    ts, ys, crossings = [t], [(u0, u1, u2)], []
 
     while True:
         min_step = 10 * (nextafter(t, inf) - t)
@@ -463,26 +462,20 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, event, direction,
             z02 * p00 + z12 * p10 + z22 * p20, z02 * p01 + z12 * p11 + z22 * p21, z02 * p02 + z12 * p12 + z22 * p22,
         )
         steps += 1
-        t_old, t, u0, u1, u2 = t, t_new, n0, n1, n2
-
-        if event is not None:
-            g_new = event(t, (u0, u1, u2))
-            if direction >= 0 and g <= 0 <= g_new or direction <= 0 and g >= 0 >= g_new:
-                count += 1
-                root = _brentq(lambda tt: event(tt, dense_eval(cubic, tt)), t_old, t, 4 * EPS, 4 * EPS)
-                t_events.append(root)
-                y_events.append(dense_eval(cubic, root))
-                if terminal and count >= terminal:
-                    ts.append(root)
-                    ys.append(y_events[-1])
-                    break
-            g = g_new
+        if u0 > section >= n0:
+            root = _brentq(lambda tt: dense_eval(cubic, tt)[0] - section, t, t_new, 4 * EPS, 4 * EPS)
+            crossings.append((root, *dense_eval(cubic, root)))
+            if len(crossings) == terminal:
+                ts.append(root)
+                ys.append(crossings[-1][1:])
+                break
+        t, u0, u1, u2 = t_new, n0, n1, n2
         ts.append(t)
         ys.append(dense_eval(cubic, t))
         if t >= t_bound or abs(f0) > stop:
             break
     stats = SolverStats(steps, n_rejected, nfev, njev, nlu, newton_failures)
-    return RadauSolution(ts, ys, t_events, y_events, stats)
+    return RadauSolution(ts, ys, crossings, stats)
 '''
 
 
@@ -510,15 +503,17 @@ def _generic_solver():
     return namespace["solver"]
 
 
-def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=0, terminal=None,
+def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), section=-inf, terminal=None,
           stop=inf) -> RadauSolution:
     """Integrate from ``t0`` to ``t_bound`` as ``solve_ivp(method="Radau", jac=jac, dense_output=True)``.
 
-    ``event(t, s)`` is located where it changes sign in ``direction`` (+1 up,
-    -1 down, 0 either); after ``terminal`` such roots the solve stops at the
-    last one. The solve also ends at the first step end whose first rhs
-    component exceeds ``stop`` in magnitude; the default ``inf`` never ends
-    it. A step size below ten spacings of t raises StepSizeUnderflow,
+    A step whose first component x falls from strictly above ``section`` to
+    at or below it crosses the section, and the crossing is located on the
+    step's dense output; a start on the section is not a crossing. After
+    ``terminal`` crossings the solve stops at the last one. The default
+    ``-inf`` is no section. The solve also ends at the first step end whose
+    first rhs component exceeds ``stop`` in magnitude; the default ``inf``
+    never ends it. A step size below ten spacings of t raises StepSizeUnderflow,
     and a non-finite accepted state raises NonFiniteState. Runs ``fun.solver``
     when ``fun`` carries one, else the generic instance of the template.
     """
@@ -529,7 +524,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), event=None, direction=
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
     solver = getattr(fun, "solver", None) or _generic_solver()
     u0, u1, u2 = (float(v) for v in y0)
-    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, event, direction, terminal, stop)
+    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

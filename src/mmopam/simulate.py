@@ -7,7 +7,7 @@ Three ways of producing the same combinatorics are implemented here:
   with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
   analytic Jacobian on the sheets and folds, and each fast jump with x as the
   independent variable with the package's own DOP853 (:mod:`mmopam.dop853`),
-  taking Poincare-section crossings from Radau event roots and jump step ends.
+  taking Poincare-section crossings from jump leg ends and, rarely, Radau steps.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps. Each leg is a Moebius map in
   Z, solved once per call as a fundamental matrix with the package's own
@@ -136,11 +136,13 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
 
     The section is the plane x = (x3 + x4) / 2 between the two rightmost folds, crossed
     in decreasing x: the fast fall after an SAO jump crosses it once per oscillation.
+    Both solvers count a crossing by one rule, x falling from strictly above the section
+    to at or below it, so a restart on the section is not a second crossing.
     The run alternates two solvers within the budget ``cfg.max_slow_time``:
 
-    * :func:`mmopam.radau.solve` in slow time, its section crossings located as event
-      roots. It hands over at the first step end where the gap g = y - F(x, z) exceeds
-      theta = JUMP_GAP eps^(2/3) in magnitude: a fast jump.
+    * :func:`mmopam.radau.solve` in slow time, its rare section crossings located on the
+      dense output of the step that crosses. It hands over at the first step end where
+      the gap g = y - F(x, z) exceeds theta = JUMP_GAP eps^(2/3) in magnitude: a fast jump.
     * :func:`mmopam.dop853.solve` on :attr:`Field.layer`, the same field with x as the
       independent variable, which is not stiff while g stays away from 0. A jump moves x
       in the direction d = sign(g) in legs, each ending at the next fold of F(., z) (the
@@ -174,14 +176,11 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     crossings: list[tuple[float, float, float, float]] = []
     stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
-    def cross(t, s):
-        return s[0] - x_sec
-
     t, state, stop = 0.0, cfg.resolve_initial_state(), theta / cfg.eps
     while len(crossings) != n_crossings:
         terminal = None if n_crossings is None else n_crossings - len(crossings)
-        sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, event=cross,
-                          direction=-1, terminal=terminal, stop=stop)
+        sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, section=x_sec,
+                          terminal=terminal, stop=stop)
         stats += sol.stats
         for tv, (xv, yv, zv) in zip(sol.t, sol.y):
             if not ts or tv > ts[-1]:  # skips t0 after a jump and a terminal root at the start of its step
@@ -189,7 +188,7 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
                 xs.append(xv)
                 ys.append(yv)
                 zs.append(zv)
-        crossings += [(te, *se) for te, se in zip(sol.t_events, sol.y_events)]
+        crossings += sol.crossings
         t = sol.t[-1]
         if t >= t_bound or len(crossings) == n_crossings:
             break

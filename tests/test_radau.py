@@ -45,14 +45,13 @@ def _row_params(row: str) -> CanonicalParams:
 
 
 def _section_solve(params, cfg, n_crossings=None, fun=None, **kwargs):
-    """One Radau solve of the whole run with integrate_full's section event and tolerances, ``fun`` (default
+    """One Radau solve of the whole run with integrate_full's section and tolerances, ``fun`` (default
     ``Field.rhs``) as the right-hand side: integrate_full before it handed the fast jumps to DOP853 in x."""
     fld = params.field
     geom = mmopam.compute_geometry(params)
     x_sec = 0.5 * (geom.x3 + geom.x4)
     return radau.solve(fld.rhs if fun is None else fun, fld.jac, 0.0, cfg.resolve_initial_state(), cfg.max_slow_time,
-                       FULL_RTOL, FULL_ATOL, args=(cfg.eps, cfg.delta), event=lambda t, s: s[0] - x_sec, direction=-1,
-                       terminal=n_crossings, **kwargs)
+                       FULL_RTOL, FULL_ATOL, args=(cfg.eps, cfg.delta), section=x_sec, terminal=n_crossings, **kwargs)
 
 
 # --- fast tier ------------------------------------------------------------------------
@@ -89,36 +88,31 @@ def _oscillator_jac(t, s, w):
     return (0.0, 1.0, 0.0), (-w * w, 0.0, 0.0), (0.0, 0.0, -1000.0)
 
 
-def _crossing(t, s, w=None):
-    return s[0] - 0.3
-
-
-@pytest.mark.parametrize("direction", [-1, 0, 1])
+# the section crossed in decreasing x is scipy's event with direction -1; only that direction exists
+@pytest.mark.parametrize("direction", [-1])
 def test_events_match_scipy(direction):
     def event(t, s, w):
-        return _crossing(t, s)
+        return s[0] - 0.3
 
     event.direction = direction
     ref = _scipy_radau(_oscillator, _oscillator_jac, (0.0, 20.0), (1.0, 0.0, 1.0), 1e-8, 1e-10, (2.0,), event)
-    sol = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10,
-                      args=(2.0,), event=_crossing, direction=direction)
-    assert len(sol.t_events) == len(ref.t_events[0]) > 5
-    for te, want in zip(sol.t_events, ref.t_events[0]):
-        assert abs(te - want) < 1e-9
-    for se, want in zip(sol.y_events, ref.y_events[0]):
+    sol = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10, args=(2.0,), section=0.3)
+    assert len(sol.crossings) == len(ref.t_events[0]) > 5
+    for (te, *se), want_t, want in zip(sol.crossings, ref.t_events[0], ref.y_events[0]):
+        assert abs(te - want_t) < 1e-9
         assert abs(se[0] - 0.3) < 1e-12
         assert np.allclose(se, want, rtol=1e-7, atol=1e-9)
     # each root lies inside the step whose dense output located it
-    for te in sol.t_events:
+    for te, *_ in sol.crossings:
         assert any(a <= te <= b for a, b in zip(sol.t, sol.t[1:]))
 
 
 def test_terminal_count_stops_at_the_last_root():
-    kwargs = dict(args=(2.0,), event=_crossing, direction=-1)
+    kwargs = dict(args=(2.0,), section=0.3)
     sol = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10, terminal=3, **kwargs)
     full = radau.solve(_oscillator, _oscillator_jac, 0.0, (1.0, 0.0, 1.0), 20.0, 1e-8, 1e-10, **kwargs)
-    assert len(sol.t_events) == 3
-    assert (sol.t[-1], sol.y[-1]) == (sol.t_events[-1], sol.y_events[-1])
+    assert len(sol.crossings) == 3
+    assert (sol.t[-1], *sol.y[-1]) == sol.crossings[-1]
     # the same steps up to the one that holds the root, which lies before that step's end
     n = len(sol.t) - 1
     assert (sol.t[:n], sol.y[:n]) == (full.t[:n], full.y[:n]) and sol.stats.steps == n == len(sol.y) - 1
@@ -213,7 +207,7 @@ def test_stop_at_inf_is_no_stop():
     params = _row_params("1^1")
     cfg = SimConfig(eps=1e-6, delta=1e-2, max_slow_time=2.5)
     plain, at_inf = _section_solve(params, cfg), _section_solve(params, cfg, stop=math.inf)
-    assert repr(plain) == repr(at_inf) and plain.stats.steps > 1000 and plain.t_events  # repr round-trips every float
+    assert repr(plain) == repr(at_inf) and plain.stats.steps > 1000 and plain.crossings  # repr round-trips every float
     stop = 1e3
     sol = _section_solve(params, cfg, stop=stop)
     end = sol.t[-1]
@@ -403,7 +397,7 @@ def test_lu3_row_order_matches_scipy_lu_factor(kind):
 
 
 # One stiff pool item per row: crossing states and counters of the run as one Radau solve with integrate_full's
-# section event, recorded with the loop LU and the substitution calls that the straight-line code replaced. Any
+# section, recorded with the loop LU and the substitution calls that the straight-line code replaced. Any
 # change in any step shows here.
 PINNED = {
     0: (
@@ -464,7 +458,7 @@ def test_stiff_pool_item_pinned(i):
     item = _POOL["pool"][i]
     sol = _section_solve(_row_params(item["input"]["row"]), _pool_cfg(item), _POOL["n_crossings"])
     crossings, stats = PINNED[i]
-    assert [tuple(v.hex() for v in (te, *se)) for te, se in zip(sol.t_events, sol.y_events)] == crossings
+    assert [tuple(v.hex() for v in c) for c in sol.crossings] == crossings
     assert sol.stats == stats
 
 
@@ -500,7 +494,7 @@ def test_stiff_pool_totals(pool_runs):
         assert _within(got, sum(want(ref) for _, _, ref in pool_runs), 0.01), name
 
 
-# --- Brent root finder (event location) ---------------------------------------------------
+# --- Brent root finder (crossing location) ---------------------------------------------------
 
 BRENT_FUNCTIONS = {
     "Fx(., 0)": lambda x: eval_Fx(x, 0.0),

@@ -73,16 +73,15 @@ class TestSection:
 
         seen = {}
 
-        def capture(*args, event, direction, **kwargs):
-            seen.update(event=event, direction=direction)
+        def capture(*args, section, **kwargs):
+            seen.update(section=section)
             raise Stop
 
         monkeypatch.setattr(mmopam.simulate.radau, "solve", capture)
         with pytest.raises(Stop):
             integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2))
-        # the plane x = 0.5, crossed in decreasing x
-        assert math.isclose(seen["event"](0.0, (0.5, 0.0, 0.0)), 0.0, abs_tol=1e-9)
-        assert seen["direction"] == -1
+        # the plane x = 0.5, which radau.solve counts as crossed when x falls through it
+        assert math.isclose(seen["section"], 0.5, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("n_crossings", [0, -3])
@@ -321,7 +320,7 @@ def test_integrate_full_stops_at_its_budget(params_1_1, monkeypatch):
     for kind, _, out in solves:
         if kind == "radau":
             radau_stats += out.stats
-            crossing_times += out.t_events
+            crossing_times += [t for t, *_ in out.crossings]
         else:
             xs, ends, st = out
             jump_stats += st
@@ -344,6 +343,29 @@ def test_budget_ending_mid_jump_ends_at_it(params_1_1, monkeypatch):
     (kind, args, sol), (last_kind, last_args, last) = solves[-2:]
     assert kind == "dop853" and sol[1][-1][0] > budget
     assert last_kind == "radau" and last_args[2] == t_from and last.t[-1] == budget
+
+
+def test_budget_ending_after_the_section_counts_its_crossing_once(fixed_rho):
+    # the first crossing is a jump's leg end at the section; the budget drops the next leg, so Radau finishes the run
+    # from the section itself, which is not a crossing: x must fall from strictly above it
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    t_c = 0.1986816164807852
+    with pytest.raises(NotPeriodic, match=r"^only 1 of 2 section crossings within 0\.199 slow-time units$") as exc:
+        integrate_full(params, SimConfig(max_slow_time=t_c + 1e-8), n_crossings=2)
+    assert [c[:2] for c in exc.value.series.crossing_states] == [(t_c, 0.5)]
+
+
+def test_radau_locates_a_crossing_inside_integrate_full(fixed_rho, monkeypatch):
+    # a start just above the section, within theta of the middle sheet: Radau falls through x = 0.5 before any jump
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    cfg = SimConfig(initial_state=(0.5001, eval_F(0.5001, 0.0) - 1e-6, 0.0))
+    series = integrate_full(params, cfg, n_crossings=1)
+    (kind, _, sol), = solves
+    crossing = series.crossing_states[0]
+    assert kind == "radau" and (sol.t[-1], *sol.y[-1]) == crossing  # the terminal crossing ends the solve
+    assert [v.hex() for v in crossing] == [
+        "0x1.52481fc17e68fp-21", "0x1.000000000005cp-1", "-0x1.a85c57cda387ap-3", "0x1.0d9e46e5562fbp-39"]
 
 
 @pytest.mark.parametrize("row", [ROW_1_1, PamCoefficients(0.3, 7.0, 0.9, -2.0)], ids=["1^1", "1^3"])
@@ -402,7 +424,7 @@ def test_x_solve_fails_at_a_pole_of_rho(fixed_rho, monkeypatch):
             raise
 
     monkeypatch.setattr(mmopam.simulate.dop853, "solve", recording)
-    with pytest.raises(StepSizeUnderflow, match=r" = -2\.91967: "):
+    with pytest.raises(StepSizeUnderflow, match=r"^integrator failed at -2\.91967: "):
         integrate_full(params, cfg)
     pole = _folds(0.0)[1]
     assert failed == [pole] and round(pole, 5) == -2.91967

@@ -67,9 +67,9 @@ CASES = [
      "Axes(x_min=0.0, x_max=1.0, y_min=-1.0, y_max=2.0)"),
     (SolverStats, dict(steps=0, rejected=0, nfev=0, njev=0, nlu=0, newton_failures=0), ("nlu", 3), False,
      ZERO_STATS),
-    (RadauSolution, dict(t=[0.0], y=[(1.3, 0.0, -0.5)], t_events=[], y_events=[], stats=SolverStats()),
-     ("t_events", [0.5]), False,
-     f"RadauSolution(t=[0.0], y=[(1.3, 0.0, -0.5)], t_events=[], y_events=[], stats={ZERO_STATS})"),
+    (RadauSolution, dict(t=[0.0], y=[(1.3, 0.0, -0.5)], crossings=[], stats=SolverStats()),
+     ("crossings", [(0.5, 0.5, 0.0, 0.0)]), False,
+     f"RadauSolution(t=[0.0], y=[(1.3, 0.0, -0.5)], crossings=[], stats={ZERO_STATS})"),
     (SimConfig, dict(eps=1e-7, delta=5e-3, max_slow_time=40.0, initial_state=None), ("initial_state", (1.3, 0.0, 0.0)),
      True, "SimConfig(eps=1e-07, delta=0.005, max_slow_time=40.0, initial_state=None)"),
     (TimeSeries, dict(t=array("d", [0.0, 1.0]), x=[1.0, 2.0], y=[0.0, 0.0], z=[0.5, 0.25], crossing_states=[],
@@ -165,8 +165,8 @@ def test_defaults():
     assert RhoSpec("quadratic", **{"p": 1.0, "q": 2.0}) == RhoSpec("quadratic", 1.0, 2.0)
     # list and counter defaults are fresh per instance
     a, b = RadauSolution([0.0], [(1.3, 0.0, -0.5)]), RadauSolution([0.0], [(1.3, 0.0, -0.5)])
-    assert a == RadauSolution([0.0], [(1.3, 0.0, -0.5)], [], [], SolverStats())
-    assert a.t_events is not b.t_events and a.y_events is not b.y_events and a.stats is not b.stats
+    assert a == RadauSolution([0.0], [(1.3, 0.0, -0.5)], [], SolverStats())
+    assert a.crossings is not b.crossings and a.stats is not b.stats
     s, u = TimeSeries([0.0], [1.0], [0.0], [0.0]), TimeSeries([0.0], [1.0], [0.0], [0.0])
     assert (s.crossing_states, s.solver_stats, s.jump_stats) == ([], None, None)
     assert s.crossing_states is not u.crossing_states
