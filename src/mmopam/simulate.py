@@ -5,9 +5,11 @@ Three ways of producing the same combinatorics are implemented here:
 * :func:`integrate_full` integrates the slow-time system
   eps*x' = y - F(x, z), y' = J(x), z' = delta*G(x) + z*H(x)
   with the package's own Radau IIA(5) solver (:mod:`mmopam.radau`) and an
-  analytic Jacobian on the sheets and folds, and each fast jump with x as the
-  independent variable with the package's own DOP853 (:mod:`mmopam.dop853`),
-  taking Poincare-section crossings from jump leg ends and, rarely, Radau steps.
+  analytic Jacobian on the sheets, and each fast jump, with the passage of the
+  fold x1, x3 or x4 that starts it, with x as the independent variable with the
+  package's own DOP853 (:mod:`mmopam.dop853`); the fold x2, where the fiber from
+  x4 lands or passes on, stays with Radau. Poincare-section crossings come from
+  jump leg ends and, rarely, Radau steps.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps. Each leg is a Moebius map in
   Z, solved once per call as a fundamental matrix with the package's own
@@ -121,10 +123,13 @@ class TimeSeries(Value):
 
 
 # A fast jump is solved in x once the gap |y - F(x, z)| exceeds JUMP_GAP eps^(2/3), the gap
-# scale of the fold layer, and hands back to Radau where it falls to half that. Jump samples
-# lie at most SAMPLE_DX apart in x. The folds of F(., z) that stay put as z moves are x1, x3,
-# x4 and the two real roots of R4 = 1/rho of the fixed rational rho, in [-5, -4] and [-3, -2.5].
+# scale of the fold layer, and hands back to Radau where it falls to half that. A passage of
+# the fold x1, x3 or x4 is solved in x from FOLD_BAND eps^(1/3) before it, the width of the
+# fold's inner region. Jump samples lie at most SAMPLE_DX apart in x. The folds of F(., z)
+# that stay put as z moves are x1, x3, x4 and the two real roots of R4 = 1/rho of the fixed
+# rational rho, in [-5, -4] and [-3, -2.5].
 JUMP_GAP = 10.0
+FOLD_BAND = 1.0
 SAMPLE_DX = 0.05
 _X1, _X2, _X3, _X4 = map(float, _FOLDS)
 _STILL_FOLDS = tuple(radau._brentq(partial(_horner, _RHO_DEN), a, b, 4 * radau.EPS, 4 * radau.EPS)
@@ -132,7 +137,7 @@ _STILL_FOLDS = tuple(radau._brentq(partial(_horner, _RHO_DEN), a, b, 4 * radau.E
 
 
 def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | None = None) -> TimeSeries:
-    """Integrate the slow-time system from t = 0: Radau on the sheets and folds, DOP853 in x on the fast jumps.
+    """Integrate the slow-time system from t = 0: Radau on the sheets, DOP853 in x over fold passages and jumps.
 
     The section is the plane x = (x3 + x4) / 2 between the two rightmost folds, crossed
     in decreasing x: the fast fall after an SAO jump crosses it once per oscillation.
@@ -142,19 +147,29 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
 
     * :func:`mmopam.radau.solve` in slow time, its rare section crossings located on the
       dense output of the step that crosses. It hands over at the first step end where
-      the gap g = y - F(x, z) exceeds theta = JUMP_GAP eps^(2/3) in magnitude: a fast jump.
+      the gap g = y - F(x, z) exceeds theta = JUMP_GAP eps^(2/3) in magnitude, a fast
+      jump, or that lies within FOLD_BAND eps^(1/3) of the fold x1 = -2, x3 = 0 or x4 = 1
+      with x moving toward it, a fold passage: the inner region of a regular fold is
+      O(eps^(1/3)) wide, and in x its stiffness times its width is O(1), so an explicit
+      solver crosses it in a bounded number of steps. The fold x2 = -1 - z/16 is left to
+      Radau: it moves with z, and there the fast fiber from x4 lands or passes on, the
+      landing decision, in about two Radau steps.
     * :func:`mmopam.dop853.solve` on :attr:`Field.layer`, the same field with x as the
-      independent variable, which is not stiff while g stays away from 0. A jump moves x
-      in the direction d = sign(g) in legs, each ending at the next fold of F(., z) (the
+      independent variable, which is not stiff while g stays away from 0. It moves x in
+      the direction d = sign(g) in legs, each ending at the next fold of F(., z) (the
       roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x), R4 = 1/rho of the fixed
-      rational rho, between which F is monotone) or,
-      before it, at the exit where d (y - F(x, z)) falls to theta / 2 (with the leg's
-      starting y and z). The jump hands back to Radau at the exit, or at a fold where
-      |g| < theta, so Radau keeps the fold passages; exiting at half the entry gap keeps
-      a restart from handing over again at once. In decreasing x the section is a leg end
-      too, with no hand-back check, so its crossing is the step end (t, x_sec, y, z), with
-      no root finding. A leg that would end past the budget is dropped, and Radau finishes
-      the run from its start.
+      rational rho, between which F is monotone) or, in decreasing x, at the section. It
+      hands back to Radau at the exit, the first x-step end where the running gap d g
+      falls below half of theta, or, on a leg that starts with d g below theta, below half
+      of that (a passage whose gap does not grow after its fold hands back); beyond the
+      last fold the leg ends at the latest where the gap with the leg's starting y and z
+      falls to that level. It also hands back at a fold where |g| < theta, except at the
+      fold a passage entered by, through which it carries on into the jump. Exiting at
+      half the entry gap keeps a restart from handing over again at once. The section is
+      a leg end with no hand-back check, so its crossing is the step end (t, x_sec, y, z),
+      with no root finding. Each leg after the first starts from the last accepted x-step
+      of the one before, clipped to the leg. A leg that would end past the budget is
+      dropped, and Radau finishes the run from its start with neither hand-over.
 
     With ``n_crossings`` (at least 1), the run stops at that crossing if the budget holds
     it. Each Radau step end and each x-step end is a sample, and an x-step longer than
@@ -176,11 +191,13 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     crossings: list[tuple[float, float, float, float]] = []
     stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
-    t, state, stop = 0.0, cfg.resolve_initial_state(), theta / cfg.eps
+    approach = tuple((xf, FOLD_BAND * cfg.eps ** (1.0 / 3.0)) for xf in (_X1, _X3, _X4))
+    t, state, finish = 0.0, cfg.resolve_initial_state(), False
     while len(crossings) != n_crossings:
         terminal = None if n_crossings is None else n_crossings - len(crossings)
         sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, section=x_sec,
-                          terminal=terminal, stop=stop)
+                          terminal=terminal, stop=math.inf if finish else theta / cfg.eps,
+                          approach=() if finish else approach)
         stats += sol.stats
         for tv, (xv, yv, zv) in zip(sol.t, sol.y):
             if not ts or tv > ts[-1]:  # skips t0 after a jump and a terminal root at the start of its step
@@ -192,8 +209,8 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
         t = sol.t[-1]
         if t >= t_bound or len(crossings) == n_crossings:
             break
-        t, state, stop = _jump(fld, args, theta, x_sec, t_bound, t, sol.y[-1], cols, crossings, n_crossings,
-                               jump_stats)
+        t, state, finish = _jump(fld, args, theta, approach, x_sec, t_bound, t, sol.y[-1], cols, crossings,
+                                 n_crossings, jump_stats)
     series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats, jump_stats=jump_stats)
     if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
@@ -203,45 +220,56 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     return series
 
 
-def _jump(fld, args, theta, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
-    """The x-solve legs of one jump from (t, state), where |y - F(x, z)| > theta; returns Radau's (t, state, stop).
+def _jump(fld, args, theta, approach, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
+    """The x-solve legs of one jump or fold passage from (t, state); returns Radau's (t, state, finish).
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
-    A leg that would end at or past ``t_bound`` is dropped, and the returned
-    stop of inf lets Radau finish the run from its start. The leg ends are the
-    folds ahead, the roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x):
-    -2, 0, 1, -1 - z/16 and the two real roots of R4, so at any z, F(., z) is
-    monotone on each leg; and, when x falls, the section. Each leg's exit is
-    placed with the leg's starting y and z.
+    A leg that would end at or past ``t_bound`` is dropped, and ``finish`` lets
+    Radau finish the run from its start. The leg ends are the folds ahead, the
+    roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x): -2, 0, 1,
+    -1 - z/16 and the two real roots of R4, so at any z, F(., z) is monotone on
+    each leg; and, when x falls, the section. Where |y - F(x, z)| <= theta the
+    run is a fold passage, entered at the fold of ``approach`` ahead, which
+    gets no hand-back test. A leg ends early where the running gap d (y - F)
+    falls below ``level``, half of theta or of the smaller gap at the leg's
+    start, and the last leg at the latest where the gap with the leg's
+    starting y and z falls to it.
     """
     x, y, z = state
-    d = 1.0 if y > eval_F(x, z) else -1.0
+    g = y - eval_F(x, z)
+    d = 1.0 if g > 0.0 else -1.0
+    entry = None if abs(g) > theta else next((xf for xf, w in approach if 0.0 < d * (xf - x) < w), None)
     folds = _folds(z)
     # a leg to each fold and, falling, to the section ahead in the direction d; the last leg ends at its exit
     ahead = folds + [x_sec] if d < 0.0 else folds
     legs = sorted({xb for xb in ahead if d * (xb - x) > 0.0}, reverse=d < 0.0)
+    h = None
     for xb in legs + [None]:
-        def gap(xv, y=y, z=z):
-            return d * (y - eval_F(xv, z)) - 0.5 * theta
+        level = 0.5 * min(theta, d * (y - eval_F(x, z)))
+        at_exit = xb is None
+        if at_exit:  # beyond the last fold F is monotone and unbounded, so the frozen exit lies within reach
+            def gap(xv, y=y, z=z, level=level):
+                return d * (y - eval_F(xv, z)) - level
 
-        if xb is None:  # beyond the last fold F is monotone and unbounded, so the exit lies within reach
             xb = x + d
             while gap(xb) > 0.0:
                 xb += xb - x
-        at_exit = gap(xb) <= 0.0
-        x_end = radau._brentq(gap, x, xb, 4 * radau.EPS, 4 * radau.EPS) if at_exit else xb
-        xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), x_end, JUMP_RTOL, JUMP_ATOL, args=args)
+            xb = radau._brentq(gap, x, xb, 4 * radau.EPS, 4 * radau.EPS)
+        first = None if h is None else min(h, abs(xb - x))
+        xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args,
+                                    stop=args[0] / level, first_step=first)
         stats += st
         if not ends[-1][0] < t_bound:
-            return t, (x, y, z), math.inf
+            return t, (x, y, z), True
         _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
-        x, (t, y, z) = x_end, ends[-1]
+        h = abs(xs[-1] - (xs[-2] if len(xs) > 1 else x))
+        x, (t, y, z) = xs[-1], ends[-1]
         if x == x_sec and d < 0.0:
             crossings.append((t, x, y, z))
             if len(crossings) == n_crossings:
-                return t, (x, y, z), math.inf
-        if at_exit or (x in folds and abs(y - eval_F(x, z)) < theta):
-            return t, (x, y, z), theta / args[0]
+                return t, (x, y, z), True
+        if at_exit or x != xb or (x != entry and x in folds and abs(y - eval_F(x, z)) < theta):
+            return t, (x, y, z), False
 
 
 def _folds(z):

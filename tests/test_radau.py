@@ -218,8 +218,9 @@ def test_stop_at_inf_is_no_stop():
 
 
 def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
-    """Radau solves that end where the gap |y - F| passes theta, each followed by the x-solve legs of one jump;
-    the counters are the sums over each solver's solves, and neither calls scipy."""
+    """Radau solves that end where the gap |y - F| passes theta or in the band before the fold x1, x3 or x4,
+    each followed by the x-solve legs of one jump; the counters are the sums over each solver's solves, and
+    neither calls scipy."""
     solves = []
     radau_solve, dop853_solve = radau.solve, mmopam.dop853.solve
 
@@ -248,15 +249,21 @@ def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
     kinds = [kind for kind, *_ in solves]
     assert kinds[0] == "radau" and kinds.count("radau") > 2 and kinds.count("dop853") > 2
     theta = mmopam.simulate.JUMP_GAP * cfg.eps ** (2 / 3)
+    band = mmopam.simulate.FOLD_BAND * cfg.eps ** (1 / 3)
     radau_stats, jump_stats = radau.SolverStats(), radau.SolverStats()
+    passages = 0
     for (kind, args, kwargs, out), (next_kind, next_args, *_) in zip(solves, solves[1:] + [("end", None)]):
         if kind == "radau":
             radau_stats += out.stats
             assert kwargs["stop"] == theta / cfg.eps and args[4] == cfg.max_slow_time
+            assert kwargs["approach"] == ((-2.0, band), (0.0, band), (1.0, band))
             assert out.stats.steps == len(out.t) - 1 == len(out.y) - 1
             end = out.y[-1]
-            if next_kind == "dop853":  # a Radau solve hands over at its last step end, past theta
-                assert abs(end[1] - eval_F(end[0], end[2])) > theta
+            if next_kind == "dop853":  # a Radau solve hands over at its last step end: past theta, or in a band
+                g = end[1] - eval_F(end[0], end[2])
+                if abs(g) <= theta:
+                    assert any(0.0 < math.copysign(1.0, g) * (xf - end[0]) < band for xf in (-2.0, 0.0, 1.0))
+                    passages += 1
                 assert next_args[1:3] == (end[0], (out.t[-1], *end[1:]))
         else:
             xs, ends, st = out
@@ -268,6 +275,28 @@ def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
                 assert (next_args[2], *next_args[3]) == (ends[-1][0], xs[-1], *ends[-1][1:])
     assert (series.solver_stats, series.jump_stats) == (radau_stats, jump_stats)
     assert radau_stats.steps > 0 and radau_stats.nlu > 0 and jump_stats.steps > 0
+    assert passages > 0
+
+
+def test_approach_ends_at_the_first_step_end_moving_toward_its_point():
+    # the default approach changes no bit; a pair (x_f, w) ends the solve at the first step end within w of x_f
+    # with x moving toward it, and not at one within w moving away
+    params = _row_params("1^1")
+    cfg = SimConfig(eps=1e-6, delta=1e-2, max_slow_time=2.5)
+    plain = _section_solve(params, cfg)
+    assert repr(plain) == repr(_section_solve(params, cfg, approach=()))
+
+    def side(t, s, xf, w):  # +1 within w moving toward x_f, -1 within w moving away, 0 outside
+        v = params.field.rhs(t, s, cfg.eps, cfg.delta)[0] * (xf - s[0])
+        return (1 if v > 0.0 else -1) if abs(xf - s[0]) < w else 0
+
+    # from x = 1.3 the run slides away from x = 1.5 through its band, and a rightward jump later lands in it
+    xf, w = 1.5, 0.3
+    sol = _section_solve(params, cfg, approach=((1.0, 1e-9), (xf, w)))
+    k = len(sol.t)
+    assert sol.t == plain.t[:k] and sol.y == plain.y[:k] and k < len(plain.t)
+    sides = [side(t, s, xf, w) for t, s in zip(sol.t[1:], sol.y[1:])]
+    assert sides[-1] == 1 and 1 not in sides[:-1] and -1 in sides[:-1]
 
 
 @pytest.mark.parametrize("rho", [mmopam.RhoSpec("fixed_rational"), mmopam.RhoSpec("quadratic", p=1.0, q=1.0)],

@@ -8,12 +8,14 @@ import pytest
 
 import mmopam.simulate
 from mmopam import dop853, radau
-from mmopam.errors import DiscontinuityHit, DomainError, MmopamError, NotPeriodic, StepSizeUnderflow
+from mmopam.errors import DiscontinuityHit, DomainError, NotPeriodic, StepSizeUnderflow
 from mmopam.family import _KCD, CanonicalParams, RhoSpec, compute_geometry, eval_F, eval_Fx
 from mmopam.pam import PamCoefficients, Signature, iterate_orbit
 from mmopam.radau import SolverStats
 from mmopam.segments import associated_pam
 from mmopam.simulate import (
+    JUMP_ATOL,
+    JUMP_RTOL,
     SimConfig,
     TimeSeries,
     _folds,
@@ -274,8 +276,8 @@ def _record_solves(monkeypatch) -> list:
 
 # sha256 of the float.hex of the columns t, x, y and z, in that order, joined by spaces: a moved bit fails
 SAMPLES_SHA256 = {
-    None: "b0fbce61293b8260bb8d7455f048074abc77a92261fd53d0fb905b1abd964f43",
-    1: "c100495adbfb74c2bfd040c93ce47ca50f3fe7c06a0488db739e91bf59dfbecd",
+    None: "e09a22586c0072c25ca8d40f38eef11f25b11662dad39592ff8575e271b9efec",
+    1: "96da7a7ace685ee6e0b5e8b7bd39d4826fdab1376ef996711d4c384b721f4ffa",
 }
 
 
@@ -349,7 +351,7 @@ def test_budget_ending_after_the_section_counts_its_crossing_once(fixed_rho):
     # the first crossing is a jump's leg end at the section; the budget drops the next leg, so Radau finishes the run
     # from the section itself, which is not a crossing: x must fall from strictly above it
     params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
-    t_c = 0.1986816164807852
+    t_c = 0.19868161648094784
     with pytest.raises(NotPeriodic, match=r"^only 1 of 2 section crossings within 0\.199 slow-time units$") as exc:
         integrate_full(params, SimConfig(max_slow_time=t_c + 1e-8), n_crossings=2)
     assert [c[:2] for c in exc.value.series.crossing_states] == [(t_c, 0.5)]
@@ -397,16 +399,91 @@ def test_jump_at_large_z_keeps_time_increasing(params_1_1):
     cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=2.0, initial_state=(-1.2, eval_F(-1.2, 10.0) - 0.2, 10.0))
     series = integrate_full(params_1_1, cfg)
     assert series.t[-1] == 2.0 and all(a < b for a, b in zip(series.t, series.t[1:]))
-    assert (series.solver_stats.steps, series.jump_stats.steps) == (454, 51)
+    assert (series.solver_stats.steps, series.jump_stats.steps) == (304, 83)
 
 
-def test_jump_far_below_z_minus_16_fails_typed(params_1_1):
-    # at z = -39.9, x2(z) lies right of 1; the fast drift of z moves g = y - F(x, z) to 0 inside a leg, before the exit
-    # placed with the leg's starting y and z, and the x-solve fails with a typed error
+def test_jump_far_below_z_minus_16_keeps_time_increasing(params_1_1, monkeypatch):
+    # at z = -39.9, x2(z) lies right of 1, and the fast drift of z moves g = y - F(x, z) to 0 inside a leg, before
+    # the exit that the leg's starting y and z place: the x-solve ends where the running gap falls to theta / 2
+    solves = _record_solves(monkeypatch)
     z = -39.90000000000002
     cfg = SimConfig(eps=1e-5, delta=1e-2, initial_state=(-1.2, eval_F(-1.2, z) - 0.2, z))
-    with pytest.raises(MmopamError):
-        integrate_full(params_1_1, cfg)
+    series = integrate_full(params_1_1, cfg)
+    assert series.t[-1] == cfg.max_slow_time and all(a < b for a, b in zip(series.t, series.t[1:]))
+    theta = mmopam.simulate.JUMP_GAP * cfg.eps ** (2 / 3)
+    legs = [(args[3], *out[:2]) for kind, args, out in solves if kind == "dop853"]
+    stopped = [(xs[-1], ends[-1]) for x_to, xs, ends in legs if xs[-1] != x_to]
+    assert stopped and all(abs(y - eval_F(x, zv)) < 0.5 * theta for x, (_, y, zv) in stopped)
+
+
+@pytest.mark.parametrize("fold", [0.0, 1.0], ids=["x3", "x4"])
+def test_fold_passage_in_x_matches_a_tight_radau_reference(fixed_rho, monkeypatch, fold):
+    # from the Radau sample in the band before the fold where the run hands over, the x-solve through the fold
+    # reaches the first step end where Radau at rtol 1e-12 passes |g| = theta in the same (t, y, z) within 1e-12
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    cfg = SimConfig()
+    integrate_full(params, cfg, n_crossings=3)
+    monkeypatch.undo()
+    band = mmopam.simulate.FOLD_BAND * cfg.eps ** (1 / 3)
+    # the leg from the band to the fold that the passage enters by
+    x0, state, ends = next((args[1], args[2], out[1]) for kind, args, out in solves
+                           if kind == "dop853" and args[3] == fold and 0.0 < abs(fold - args[1]) < band)
+    fld, args = params.field, (cfg.eps, cfg.delta)
+    theta = mmopam.simulate.JUMP_GAP * cfg.eps ** (2 / 3)
+    ref = radau.solve(fld.rhs, fld.jac, state[0], (x0, *state[1:]), state[0] + 1.0, 1e-12, 1e-14, args=args,
+                      stop=theta / cfg.eps)
+    x_ref = ref.y[-1][0]
+    assert 2.0 < abs(x_ref - fold) / band < 3.5  # past the fold, where the gap passes theta
+    _, past, _ = dop853.solve(fld.layer, fold, ends[-1], x_ref, JUMP_RTOL, JUMP_ATOL, args=args)
+    want = (ref.t[-1], *ref.y[-1][1:])
+    assert max(abs(a - b) for a, b in zip(past[-1], want)) < 1e-12
+
+
+def test_canard_start_near_x3_completes(fixed_rho, monkeypatch):
+    # a start on the repelling middle sheet, half a band right of x3, heading for it: the passage's gap does not
+    # grow, so its x-solve hands back to Radau before the fold, and the run goes on
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    band = mmopam.simulate.FOLD_BAND * SimConfig.eps ** (1 / 3)
+    x0 = 0.5 * band
+    cfg = SimConfig(max_slow_time=1.0, initial_state=(x0, eval_F(x0, 0.0) - 1e-5, 0.0))
+    series = integrate_full(params, cfg)
+    assert series.t[-1] == cfg.max_slow_time and all(a < b for a, b in zip(series.t, series.t[1:]))
+    # the first x-solve is the approach to x3 from inside its band, and it ends before the fold
+    (_, x_from, _, x_to, *_), (xs, _, _) = next((args, out) for kind, args, out in solves if kind == "dop853")
+    assert x_to == 0.0 and 0.0 < x_from < band and 0.0 < xs[-1] < x_from
+
+
+def test_start_in_the_band_moving_toward_x4_completes(fixed_rho, monkeypatch):
+    # on the attracting sheet right of x4, half a band from it: Radau's first step end hands the passage to x
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    band = mmopam.simulate.FOLD_BAND * SimConfig.eps ** (1 / 3)
+    x0 = 1.0 + 0.5 * band
+    cfg = SimConfig(max_slow_time=1.0, initial_state=(x0, eval_F(x0, 0.0) - 1e-6, 0.0))
+    series = integrate_full(params, cfg)
+    assert series.t[-1] == cfg.max_slow_time and all(a < b for a, b in zip(series.t, series.t[1:]))
+    (kind, _, first), (next_kind, args, _) = solves[:2]
+    assert kind == "radau" and first.stats.steps == 1
+    assert next_kind == "dop853" and (args[1], args[3]) == (first.y[-1][0], 1.0)  # from the step end to the fold
+
+
+def test_start_in_the_band_moving_away_from_x4_keeps_radau(fixed_rho, monkeypatch):
+    # the same start above the sheet moves right, away from x4: Radau's step ends in the band do not end its solve
+    # until the run turns back toward the fold
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    band = mmopam.simulate.FOLD_BAND * SimConfig.eps ** (1 / 3)
+    x0 = 1.0 + 0.5 * band
+    cfg = SimConfig(max_slow_time=1.0, initial_state=(x0, eval_F(x0, 0.0) + 1e-5, 0.0))
+    integrate_full(params, cfg)
+    kind, _, first = solves[0]
+    assert kind == "radau" and first.stats.steps > 1
+    rhs = params.field.rhs
+    away = [x for t, (x, y, z) in zip(first.t[1:-1], first.y[1:-1])
+            if x - 1.0 < band and rhs(t, (x, y, z), cfg.eps, cfg.delta)[0] > 0.0]
+    assert away
 
 
 def test_x_solve_fails_at_a_pole_of_rho(fixed_rho, monkeypatch):
