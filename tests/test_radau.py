@@ -290,7 +290,8 @@ def test_approach_ends_at_the_first_step_end_moving_toward_its_point():
         v = params.field.rhs(t, s, cfg.eps, cfg.delta)[0] * (xf - s[0])
         return (1 if v > 0.0 else -1) if abs(xf - s[0]) < w else 0
 
-    # from x = 1.3 the run slides away from x = 1.5 through its band, and a rightward jump later lands in it
+    # from x = 1.3 the run slides away from x = 1.5 through its band, and a rightward jump later lands in it; the
+    # first pair, a band no step end meets, shows that each pair is tested
     xf, w = 1.5, 0.3
     sol = _section_solve(params, cfg, approach=((1.0, 1e-9), (xf, w)))
     k = len(sol.t)
