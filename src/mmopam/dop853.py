@@ -9,10 +9,10 @@ the components with its ``sqrt(n)``, the step-size controller (safety 0.9,
 factors in [0.2, 10], exponent -1/8, no growth right after a rejection), the
 minimum step of ten spacings of t, the clamp of the last step to
 ``t_bound``, the floor ``rtol >= 100 EPS`` and ``select_initial_step`` of
-order 7, or a given first step. Dense output is left out: the caller needs
-only the step ends. A solve may also end at the first step end whose first
-derivative component exceeds a bound in magnitude, as a Radau solve may:
-the full system's fast jumps end where dt/dx grows large.
+order 7. Dense output is left out: the caller needs only the step ends. A
+solve may also end at the first step end whose first derivative component
+exceeds a bound in magnitude, as a Radau solve may: the full system's fast
+jumps end where dt/dx grows large.
 
 The state is a tuple of floats and ``fun(t, y, *args)`` returns its
 derivative as a tuple. The solver is one source template, generated from
@@ -121,16 +121,13 @@ ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 # scipy's step loop, ``RungeKutta.step`` around ``_step_impl``, with ``rk_step`` and
 # ``_estimate_error_norm`` in the {step} lines that :func:`solver_source` generates.
 _SOLVER_SRC = """\
-def solver(fun, t, y, t_bound, rtol, atol, args, stop, first_step):
+def solver(fun, t, y, t_bound, rtol, atol, args, stop):
 {setup}    direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y, *args)
-    if first_step is None:
-        h_abs, nfev = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol), 2
-    else:
-        h_abs, nfev = first_step, 1
+    h_abs = _initial_step(fun, args, t, y, t_bound, f, direction, 7, rtol, atol)
     {y} = y
     {k0} = f
-    steps, n_rejected = 0, 0
+    steps, n_rejected, nfev = 0, 0, 2
     ts, ys = [], []
     while True:
         min_step = 10 * abs(nextafter(t, direction * inf) - t)
@@ -244,8 +241,8 @@ def _generic_solver(n: int, nargs: int):
     return namespace["solver"]
 
 
-def solve(fun, t0, y0, t_bound, rtol, atol, args=(), stop=inf,
-          first_step=None) -> tuple[list[float], list[tuple[float, ...]], SolverStats]:
+def solve(fun, t0, y0, t_bound, rtol, atol, args=(),
+          stop=inf) -> tuple[list[float], list[tuple[float, ...]], SolverStats]:
     """The accepted step ends, their states and the counters, as ``solve_ivp(method="DOP853")`` from ``(t0, y0)``.
 
     ``y0`` is a tuple of n floats and ``fun(t, y, *args)`` returns the n
@@ -254,20 +251,16 @@ def solve(fun, t0, y0, t_bound, rtol, atol, args=(), stop=inf,
     scipy's ``sol.t`` and the columns of ``sol.y`` after the first.
     ``t_bound`` may lie on either side of ``t0``. The solve also ends at the
     first step end whose first derivative component exceeds ``stop`` in
-    magnitude; the default ``inf`` never ends it. ``first_step``, at most
-    ``|t_bound - t0|``, replaces scipy's initial step selection and its one
-    evaluation of ``fun``, as ``solve_ivp``'s ``first_step`` does. A step
-    below ten spacings of t, which a nan error norm reaches by rejecting,
-    raises StepSizeUnderflow. Runs ``fun.solver`` when ``fun`` carries one,
-    else the generic instance of the template.
+    magnitude; the default ``inf`` never ends it. A step below ten spacings
+    of t, which a nan error norm reaches by rejecting, raises
+    StepSizeUnderflow. Runs ``fun.solver`` when ``fun`` carries one, else
+    the generic instance of the template.
     """
     if t_bound == t0:
         raise DomainError(f"t_bound must differ from t0, got [{t0}, {t_bound}]")
     if not (rtol > 0.0 and atol > 0.0):
         raise DomainError("rtol and atol must be positive")
-    if first_step is not None and not 0.0 < first_step <= abs(t_bound - t0):
-        raise DomainError(f"first_step must lie in (0, |t_bound - t0|], got {first_step}")
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
     y = tuple(map(float, y0))
     solver = getattr(fun, "solver", None) or _generic_solver(len(y), len(args))
-    return solver(fun, float(t0), y, t_bound, rtol, atol, args, stop, first_step)
+    return solver(fun, float(t0), y, t_bound, rtol, atol, args, stop)

@@ -223,7 +223,7 @@ def _initial_step(fun, args, t0, y, t_bound, f, direction, order, rtol, atol):
 # ``b if b < a else a`` and max(a, b) is ``b if b > a else a``, nan included.
 
 _SOLVER_SRC = '''\
-def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop, approach):
+def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop, approach, band):
 {setup}    f0, f1, f2 = fun(t, (u0, u1, u2), *args)
     h_next = _initial_step(fun, args, t, (u0, u1, u2), t_bound, (f0, f1, f2), 1.0, 3, rtol, atol)
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac(t, (u0, u1, u2), *args)
@@ -473,14 +473,11 @@ def solver(fun, jac, t, u0, u1, u2, t_bound, rtol, atol, args, section, terminal
         t, u0, u1, u2 = t_new, n0, n1, n2
         ts.append(t)
         ys.append(dense_eval(cubic, t))
-        if t >= t_bound or abs(f0) > stop:
+        near = False
+        for xf in approach:
+            near = near or (f0 * (xf - u0) > 0.0 and abs(xf - u0) < band)
+        if t >= t_bound or abs(f0) > stop or near:
             break
-        for xf, w in approach:
-            if f0 * (xf - u0) > 0.0 and abs(xf - u0) < w:
-                break
-        else:
-            continue
-        break
     stats = SolverStats(steps, n_rejected, nfev, njev, nlu, newton_failures)
     return RadauSolution(ts, ys, crossings, stats)
 '''
@@ -511,7 +508,7 @@ def _generic_solver():
 
 
 def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), section=-inf, terminal=None,
-          stop=inf, approach=()) -> RadauSolution:
+          stop=inf, approach=(), band=0.0) -> RadauSolution:
     """Integrate from ``t0`` to ``t_bound`` as ``solve_ivp(method="Radau", jac=jac, dense_output=True)``.
 
     A step whose first component x falls from strictly above ``section`` to
@@ -520,12 +517,12 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), section=-inf, terminal
     ``terminal`` crossings the solve stops at the last one. The default
     ``-inf`` is no section. The solve also ends at the first step end whose
     first rhs component exceeds ``stop`` in magnitude; the default ``inf``
-    never ends it. It ends as well at the first step end that lies within w
-    of x_f, for some pair (x_f, w) of ``approach``, with x moving toward x_f;
-    the default ``()`` never ends it. A step size below ten spacings of t
-    raises StepSizeUnderflow, and a non-finite accepted state raises
-    NonFiniteState. Runs ``fun.solver`` when ``fun`` carries one, else the
-    generic instance of the template.
+    never ends it. It ends as well at the first step end that lies within
+    ``band`` of a point of ``approach`` with x moving toward that point; the
+    default ``()`` never ends it. A step size below ten spacings of t raises
+    StepSizeUnderflow, and a non-finite accepted state raises NonFiniteState.
+    Runs ``fun.solver`` when ``fun`` carries one, else the generic instance of
+    the template.
     """
     if not t_bound > t0:
         raise DomainError(f"t_bound must exceed t0, got [{t0}, {t_bound}]")
@@ -534,7 +531,7 @@ def solve(fun, jac, t0, y0, t_bound, rtol, atol, args=(), section=-inf, terminal
     rtol = max(rtol, 100 * EPS)  # as scipy's validate_tol
     solver = getattr(fun, "solver", None) or _generic_solver()
     u0, u1, u2 = (float(v) for v in y0)
-    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop, approach)
+    return solver(fun, jac, float(t0), u0, u1, u2, t_bound, rtol, atol, args, section, terminal, stop, approach, band)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

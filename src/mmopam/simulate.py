@@ -132,8 +132,9 @@ JUMP_GAP = 10.0
 FOLD_BAND = 1.0
 SAMPLE_DX = 0.05
 _X1, _X2, _X3, _X4 = map(float, _FOLDS)
+_PASSAGE_FOLDS = (_X1, _X3, _X4)
 _STILL_FOLDS = tuple(radau._brentq(partial(_horner, _RHO_DEN), a, b, 4 * radau.EPS, 4 * radau.EPS)
-                     for a, b in ((-5.0, -4.0), (-3.0, -2.5))) + (_X1, _X3, _X4)
+                     for a, b in ((-5.0, -4.0), (-3.0, -2.5))) + _PASSAGE_FOLDS
 
 
 def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | None = None) -> TimeSeries:
@@ -167,9 +168,8 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
       fold a passage entered by, through which it carries on into the jump. Exiting at
       half the entry gap keeps a restart from handing over again at once. The section is
       a leg end with no hand-back check, so its crossing is the step end (t, x_sec, y, z),
-      with no root finding. Each leg after the first starts from the last accepted x-step
-      of the one before, clipped to the leg. A leg that would end past the budget is
-      dropped, and Radau finishes the run from its start with neither hand-over.
+      with no root finding. A leg that would end past the budget is dropped, and Radau
+      finishes the run from its start with neither hand-over.
 
     With ``n_crossings`` (at least 1), the run stops at that crossing if the budget holds
     it. Each Radau step end and each x-step end is a sample, and an x-step longer than
@@ -191,13 +191,13 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     crossings: list[tuple[float, float, float, float]] = []
     stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
-    approach = tuple((xf, FOLD_BAND * cfg.eps ** (1.0 / 3.0)) for xf in (_X1, _X3, _X4))
+    band = FOLD_BAND * cfg.eps ** (1.0 / 3.0)
     t, state, finish = 0.0, cfg.resolve_initial_state(), False
     while len(crossings) != n_crossings:
         terminal = None if n_crossings is None else n_crossings - len(crossings)
         sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, section=x_sec,
                           terminal=terminal, stop=math.inf if finish else theta / cfg.eps,
-                          approach=() if finish else approach)
+                          approach=() if finish else _PASSAGE_FOLDS, band=band)
         stats += sol.stats
         for tv, (xv, yv, zv) in zip(sol.t, sol.y):
             if not ts or tv > ts[-1]:  # skips t0 after a jump and a terminal root at the start of its step
@@ -209,7 +209,7 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
         t = sol.t[-1]
         if t >= t_bound or len(crossings) == n_crossings:
             break
-        t, state, finish = _jump(fld, args, theta, approach, x_sec, t_bound, t, sol.y[-1], cols, crossings,
+        t, state, finish = _jump(fld, args, theta, band, x_sec, t_bound, t, sol.y[-1], cols, crossings,
                                  n_crossings, jump_stats)
     series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats, jump_stats=jump_stats)
     if n_crossings is not None and len(crossings) < n_crossings:
@@ -220,7 +220,7 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     return series
 
 
-def _jump(fld, args, theta, approach, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
+def _jump(fld, args, theta, band, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
     """The x-solve legs of one jump or fold passage from (t, state); returns Radau's (t, state, finish).
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
@@ -229,21 +229,20 @@ def _jump(fld, args, theta, approach, x_sec, t_bound, t, state, cols, crossings,
     roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x): -2, 0, 1,
     -1 - z/16 and the two real roots of R4, so at any z, F(., z) is monotone on
     each leg; and, when x falls, the section. Where |y - F(x, z)| <= theta the
-    run is a fold passage, entered at the fold of ``approach`` ahead, which
-    gets no hand-back test. A leg ends early where the running gap d (y - F)
-    falls below ``level``, half of theta or of the smaller gap at the leg's
-    start, and the last leg at the latest where the gap with the leg's
-    starting y and z falls to it.
+    run is a fold passage, entered at the fold x1, x3 or x4 within ``band``
+    ahead, which gets no hand-back test. A leg ends early where the running
+    gap d (y - F) falls below ``level``, half of theta or of the smaller gap
+    at the leg's start, and the last leg at the latest where the gap with the
+    leg's starting y and z falls to it.
     """
     x, y, z = state
     g = y - eval_F(x, z)
     d = 1.0 if g > 0.0 else -1.0
-    entry = None if abs(g) > theta else next((xf for xf, w in approach if 0.0 < d * (xf - x) < w), None)
+    entry = None if abs(g) > theta else next((xf for xf in _PASSAGE_FOLDS if 0.0 < d * (xf - x) < band), None)
     folds = _folds(z)
     # a leg to each fold and, falling, to the section ahead in the direction d; the last leg ends at its exit
     ahead = folds + [x_sec] if d < 0.0 else folds
     legs = sorted({xb for xb in ahead if d * (xb - x) > 0.0}, reverse=d < 0.0)
-    h = None
     for xb in legs + [None]:
         level = 0.5 * min(theta, d * (y - eval_F(x, z)))
         at_exit = xb is None
@@ -255,14 +254,11 @@ def _jump(fld, args, theta, approach, x_sec, t_bound, t, state, cols, crossings,
             while gap(xb) > 0.0:
                 xb += xb - x
             xb = radau._brentq(gap, x, xb, 4 * radau.EPS, 4 * radau.EPS)
-        first = None if h is None else min(h, abs(xb - x))
-        xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args,
-                                    stop=args[0] / level, first_step=first)
+        xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args, stop=args[0] / level)
         stats += st
         if not ends[-1][0] < t_bound:
             return t, (x, y, z), True
         _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
-        h = abs(xs[-1] - (xs[-2] if len(xs) > 1 else x))
         x, (t, y, z) = xs[-1], ends[-1]
         if x == x_sec and d < 0.0:
             crossings.append((t, x, y, z))

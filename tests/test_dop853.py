@@ -250,7 +250,7 @@ def test_exponential_both_ways():
         ref = _scipy_dop853(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
         _, ys, st = dop853.solve(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12)
         assert st.nfev == ref.nfev and st.steps == len(ref.t) - 1
-        assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-12, atol=0.0)
+        assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-13, atol=0.0)
         # y1 = sinh(t) solves y1' = y1 + exp(-t) from 0
         assert math.isclose(ys[-1][0], math.exp(-t_bound), rel_tol=1e-9)
         assert math.isclose(ys[-1][1], math.sinh(t_bound), rel_tol=1e-9)
@@ -344,25 +344,6 @@ def test_generators_refuse_a_last_stage_off_the_step_end(monkeypatch):
 def test_empty_interval_rejected():
     with pytest.raises(DomainError):
         dop853.solve(lambda t, y: y, 1.0, (1.0,), 1.0, 1e-10, 1e-12)
-
-
-def test_first_step_matches_scipy():
-    # a given first step replaces the initial step selection and its evaluation, as solve_ivp's first_step does
-    from scipy.integrate import solve_ivp
-
-    def fun(t, y):
-        return (-y[0], y[1] + y[0])
-
-    for t_bound, h in ((2.0, 0.3), (-2.0, 2.0), (2.0, 1e-4)):
-        ref = solve_ivp(lambda t, y: list(fun(t, y)), (0.0, t_bound), [1.0, 0.0], method="DOP853", rtol=1e-10,
-                        atol=1e-12, first_step=h)
-        ts, ys, st = dop853.solve(fun, 0.0, (1.0, 0.0), t_bound, 1e-10, 1e-12, first_step=h)
-        assert st.nfev == ref.nfev and st.steps == len(ref.t) - 1
-        assert np.allclose(ys[-1], ref.y[:, -1], rtol=1e-12, atol=0.0)
-    assert st.rejected == 0 and ts[0] == 1e-4  # a first step that the error test accepts is the first step end
-    for h in (0.0, -0.1, 2.5, math.nan):
-        with pytest.raises(DomainError, match="first_step"):
-            dop853.solve(fun, 0.0, (1.0, 0.0), 2.0, 1e-10, 1e-12, first_step=h)
 
 
 def test_stop_ends_at_the_first_step_end_past_it():

@@ -256,7 +256,7 @@ def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
         if kind == "radau":
             radau_stats += out.stats
             assert kwargs["stop"] == theta / cfg.eps and args[4] == cfg.max_slow_time
-            assert kwargs["approach"] == ((-2.0, band), (0.0, band), (1.0, band))
+            assert (kwargs["approach"], kwargs["band"]) == ((-2.0, 0.0, 1.0), band)
             assert out.stats.steps == len(out.t) - 1 == len(out.y) - 1
             end = out.y[-1]
             if next_kind == "dop853":  # a Radau solve hands over at its last step end: past theta, or in a band
@@ -279,8 +279,8 @@ def test_integrate_full_alternates_radau_and_jumps(monkeypatch):
 
 
 def test_approach_ends_at_the_first_step_end_moving_toward_its_point():
-    # the default approach changes no bit; a pair (x_f, w) ends the solve at the first step end within w of x_f
-    # with x moving toward it, and not at one within w moving away
+    # the default approach changes no bit; a point x_f ends the solve at the first step end within the band of it
+    # with x moving toward it, and not at one within the band moving away
     params = _row_params("1^1")
     cfg = SimConfig(eps=1e-6, delta=1e-2, max_slow_time=2.5)
     plain = _section_solve(params, cfg)
@@ -291,9 +291,9 @@ def test_approach_ends_at_the_first_step_end_moving_toward_its_point():
         return (1 if v > 0.0 else -1) if abs(xf - s[0]) < w else 0
 
     # from x = 1.3 the run slides away from x = 1.5 through its band, and a rightward jump later lands in it; the
-    # first pair, a band no step end meets, shows that each pair is tested
+    # first point, whose band no step end meets, shows that each point is tested
     xf, w = 1.5, 0.3
-    sol = _section_solve(params, cfg, approach=((1.0, 1e-9), (xf, w)))
+    sol = _section_solve(params, cfg, approach=(-10.0, xf), band=w)
     k = len(sol.t)
     assert sol.t == plain.t[:k] and sol.y == plain.y[:k] and k < len(plain.t)
     sides = [side(t, s, xf, w) for t, s in zip(sol.t[1:], sol.y[1:])]

@@ -14,8 +14,6 @@ from mmopam.pam import PamCoefficients, Signature, iterate_orbit
 from mmopam.radau import SolverStats
 from mmopam.segments import associated_pam
 from mmopam.simulate import (
-    JUMP_ATOL,
-    JUMP_RTOL,
     SimConfig,
     TimeSeries,
     _folds,
@@ -276,8 +274,8 @@ def _record_solves(monkeypatch) -> list:
 
 # sha256 of the float.hex of the columns t, x, y and z, in that order, joined by spaces: a moved bit fails
 SAMPLES_SHA256 = {
-    None: "e09a22586c0072c25ca8d40f38eef11f25b11662dad39592ff8575e271b9efec",
-    1: "96da7a7ace685ee6e0b5e8b7bd39d4826fdab1376ef996711d4c384b721f4ffa",
+    None: "e05ad782a18f7749b17e0c45b7ba3296526dc83ba93871cf980dbaff21126b99",
+    1: "df9d8ae70dc0dbab4279f48d22ef1d4e50827c9f6a33d0a6318d09a1c937adc9",
 }
 
 
@@ -351,7 +349,7 @@ def test_budget_ending_after_the_section_counts_its_crossing_once(fixed_rho):
     # the first crossing is a jump's leg end at the section; the budget drops the next leg, so Radau finishes the run
     # from the section itself, which is not a crossing: x must fall from strictly above it
     params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
-    t_c = 0.19868161648094784
+    t_c = 0.19868161648097665
     with pytest.raises(NotPeriodic, match=r"^only 1 of 2 section crossings within 0\.199 slow-time units$") as exc:
         integrate_full(params, SimConfig(max_slow_time=t_c + 1e-8), n_crossings=2)
     assert [c[:2] for c in exc.value.series.crossing_states] == [(t_c, 0.5)]
@@ -418,26 +416,37 @@ def test_jump_far_below_z_minus_16_keeps_time_increasing(params_1_1, monkeypatch
 
 @pytest.mark.parametrize("fold", [0.0, 1.0], ids=["x3", "x4"])
 def test_fold_passage_in_x_matches_a_tight_radau_reference(fixed_rho, monkeypatch, fold):
-    # from the Radau sample in the band before the fold where the run hands over, the x-solve through the fold
-    # reaches the first step end where Radau at rtol 1e-12 passes |g| = theta in the same (t, y, z) within 1e-12
+    # the run enters the passage from its Radau sample in the band before the fold; on the leg it ran on from the
+    # fold, the first x-step end (x_k, t, y, z) past |g| = theta matches Radau at rtol 1e-12 from that sample, whose
+    # crossing of x = x_k is located on its dense output, in (t, y, z) within 1e-12
     solves = _record_solves(monkeypatch)
     params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
     cfg = SimConfig()
     integrate_full(params, cfg, n_crossings=3)
     monkeypatch.undo()
     band = mmopam.simulate.FOLD_BAND * cfg.eps ** (1 / 3)
-    # the leg from the band to the fold that the passage enters by
-    x0, state, ends = next((args[1], args[2], out[1]) for kind, args, out in solves
-                           if kind == "dop853" and args[3] == fold and 0.0 < abs(fold - args[1]) < band)
-    fld, args = params.field, (cfg.eps, cfg.delta)
     theta = mmopam.simulate.JUMP_GAP * cfg.eps ** (2 / 3)
-    ref = radau.solve(fld.rhs, fld.jac, state[0], (x0, *state[1:]), state[0] + 1.0, 1e-12, 1e-14, args=args,
-                      stop=theta / cfg.eps)
-    x_ref = ref.y[-1][0]
-    assert 2.0 < abs(x_ref - fold) / band < 3.5  # past the fold, where the gap passes theta
-    _, past, _ = dop853.solve(fld.layer, fold, ends[-1], x_ref, JUMP_RTOL, JUMP_ATOL, args=args)
-    want = (ref.t[-1], *ref.y[-1][1:])
-    assert max(abs(a - b) for a, b in zip(past[-1], want)) < 1e-12
+    legs = [(args, out) for kind, args, out in solves if kind == "dop853"]
+    i = next(i for i, (args, _) in enumerate(legs) if args[3] == fold and 0.0 < abs(fold - args[1]) < band)
+    (_, x0, state, *_), ((_, x_from, _, x_to, *_), (xs, ends, _)) = legs[i][0], legs[i + 1]
+    assert x_from == fold and x_to != fold
+    k = next(k for k, (xv, (_, yv, zv)) in enumerate(zip(xs, ends)) if abs(yv - eval_F(xv, zv)) > theta)
+    assert 2.0 < abs(xs[k] - fold) / band < 3.5  # just past the inner region
+    # the reference solves u = m x, which falls along the leg, so that its section event locates x = x_k
+    fld, m = params.field, -1.0 if x_to > fold else 1.0
+
+    def rhs(t, s, *args):
+        f0, f1, f2 = fld.rhs(t, (m * s[0], s[1], s[2]), *args)
+        return m * f0, f1, f2
+
+    def jac(t, s, *args):
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = fld.jac(t, (m * s[0], s[1], s[2]), *args)
+        return (j00, m * j01, m * j02), (m * j10, j11, j12), (m * j20, j21, j22)
+
+    ref = radau.solve(rhs, jac, state[0], (m * x0, *state[1:]), state[0] + 1.0, 1e-12, 1e-14,
+                      args=(cfg.eps, cfg.delta), section=m * xs[k], terminal=1)
+    t_ref, _, y_ref, z_ref = ref.crossings[0]
+    assert max(abs(a - b) for a, b in zip(ends[k], (t_ref, y_ref, z_ref))) < 1e-12
 
 
 def test_canard_start_near_x3_completes(fixed_rho, monkeypatch):
