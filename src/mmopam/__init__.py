@@ -29,7 +29,7 @@ _EXPORTS = {
     "pam": (
         "DISCONTINUITY_GUARD", "MuInterval", "OrbitResult", "PamCoefficients", "Signature", "TransformedPam",
         "atmost_atleast_bounds", "detect_signature", "iterate_orbit", "lao_bounds", "pam_eval", "sao_bounds",
-        "signature_from_signs", "stability_factor", "transform", "untransform",
+        "signature_from_signs", "transform", "untransform",
     ),
     "segments": ("AffineMap", "SegmentSpec", "associated_pam", "segment_affine"),
     "synthesis": ("solve_alpha_beta", "solve_kappa_lambda", "synthesize"),

@@ -233,11 +233,6 @@ def signature_from_signs(signs: list[bool]) -> Signature:
     return Signature(tuple(segments))
 
 
-def stability_factor(pam: PamCoefficients, sig: Signature) -> float:
-    """Contraction factor a11^L * a21^s over one signature period (< 1 means stable)."""
-    return pam.a11 ** sig.total_lao * pam.a21 ** sig.total_sao
-
-
 class MuInterval(FrozenValue):
     """A mu-window with explicit endpoint closures; lower > upper encodes emptiness."""
 

@@ -9,7 +9,9 @@ Three ways of producing the same combinatorics are implemented here:
   fold x1, x3 or x4 that starts it, with x as the independent variable with the
   package's own DOP853 (:mod:`mmopam.dop853`); the fold x2, where the fiber from
   x4 lands or passes on, stays with Radau. Poincare-section crossings come from
-  jump leg ends and, rarely, Radau steps.
+  jump leg ends and, rarely, Radau steps. The x-solve's step ends are the only
+  states computed in a jump, so the samples between two of them lie on the
+  step's chord, and a budget that ends inside a step ends the run on its chord.
 * :func:`hybrid_simulate` alternates exact reduced-flow legs on the attracting
   sheets with instantaneous fold-to-sheet jumps. Each leg is a Moebius map in
   Z, solved once per call as a fundamental matrix with the package's own
@@ -125,9 +127,9 @@ class TimeSeries(Value):
 # A fast jump is solved in x once the gap |y - F(x, z)| exceeds JUMP_GAP eps^(2/3), the gap
 # scale of the fold layer, and hands back to Radau where it falls to half that. A passage of
 # the fold x1, x3 or x4 is solved in x from FOLD_BAND eps^(1/3) before it, the width of the
-# fold's inner region. Jump samples lie at most SAMPLE_DX apart in x. The folds of F(., z)
-# that stay put as z moves are x1, x3, x4 and the two real roots of R4 = 1/rho of the fixed
-# rational rho, in [-5, -4] and [-3, -2.5].
+# fold's inner region. An x-step longer than SAMPLE_DX gets samples on its chord, at most
+# SAMPLE_DX apart in x. The folds of F(., z) that stay put as z moves are x1, x3, x4 and
+# the two real roots of R4 = 1/rho of the fixed rational rho, in [-5, -4] and [-3, -2.5].
 JUMP_GAP = 10.0
 FOLD_BAND = 1.0
 SAMPLE_DX = 0.05
@@ -168,16 +170,16 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
       fold a passage entered by, through which it carries on into the jump. Exiting at
       half the entry gap keeps a restart from handing over again at once. The section is
       a leg end with no hand-back check, so its crossing is the step end (t, x_sec, y, z),
-      with no root finding. A leg that would end past the budget is dropped, and Radau
-      finishes the run from its start with neither hand-over.
+      with no root finding. A leg that reaches the budget is cut at its first step that
+      does, at the point of that step's chord where t is the budget: the run ends there,
+      and the cut leg counts no crossing.
 
     With ``n_crossings`` (at least 1), the run stops at that crossing if the budget holds
     it. Each Radau step end and each x-step end is a sample, and an x-step longer than
-    SAMPLE_DX gets evenly spaced samples from its cubic Hermite interpolant in x, its end
-    slopes limited so that t stays monotone. The
-    series carries the Radau counters, summed, as ``solver_stats`` and the x-solves' as
-    ``jump_stats``. Too few crossings raise NotPeriodic, whose ``series`` is what was
-    integrated.
+    SAMPLE_DX gets evenly spaced samples on its chord, (t, y, z) linear in x between the
+    step's ends. The series carries the Radau counters, summed, as ``solver_stats`` and
+    the x-solves' as ``jump_stats``. Too few crossings raise NotPeriodic, whose
+    ``series`` is what was integrated.
     """
     if n_crossings is not None and n_crossings < 1:
         raise DomainError(f"n_crossings must be positive, got {n_crossings}")
@@ -192,12 +194,11 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
     stats, jump_stats = radau.SolverStats(), radau.SolverStats()
 
     band = FOLD_BAND * cfg.eps ** (1.0 / 3.0)
-    t, state, finish = 0.0, cfg.resolve_initial_state(), False
-    while len(crossings) != n_crossings:
+    t, state = 0.0, cfg.resolve_initial_state()
+    while t < t_bound and len(crossings) != n_crossings:
         terminal = None if n_crossings is None else n_crossings - len(crossings)
         sol = radau.solve(fld.rhs, fld.jac, t, state, t_bound, FULL_RTOL, FULL_ATOL, args=args, section=x_sec,
-                          terminal=terminal, stop=math.inf if finish else theta / cfg.eps,
-                          approach=() if finish else _PASSAGE_FOLDS, band=band)
+                          terminal=terminal, stop=theta / cfg.eps, approach=_PASSAGE_FOLDS, band=band)
         stats += sol.stats
         for tv, (xv, yv, zv) in zip(sol.t, sol.y):
             if not ts or tv > ts[-1]:  # skips t0 after a jump and a terminal root at the start of its step
@@ -209,8 +210,8 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
         t = sol.t[-1]
         if t >= t_bound or len(crossings) == n_crossings:
             break
-        t, state, finish = _jump(fld, args, theta, band, x_sec, t_bound, t, sol.y[-1], cols, crossings,
-                                 n_crossings, jump_stats)
+        t, state = _jump(fld, args, theta, band, x_sec, t_bound, t, sol.y[-1], cols, crossings, n_crossings,
+                         jump_stats)
     series = TimeSeries(*cols, crossing_states=crossings, solver_stats=stats, jump_stats=jump_stats)
     if n_crossings is not None and len(crossings) < n_crossings:
         raise NotPeriodic(
@@ -221,19 +222,20 @@ def integrate_full(params: CanonicalParams, cfg: SimConfig, n_crossings: int | N
 
 
 def _jump(fld, args, theta, band, x_sec, t_bound, t, state, cols, crossings, n_crossings, stats):
-    """The x-solve legs of one jump or fold passage from (t, state); returns Radau's (t, state, finish).
+    """The x-solve legs of one jump or fold passage from (t, state); returns Radau's (t, state).
 
     Appends the samples and crossings and adds the DOP853 counters to ``stats``.
-    A leg that would end at or past ``t_bound`` is dropped, and ``finish`` lets
-    Radau finish the run from its start. The leg ends are the folds ahead, the
-    roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x): -2, 0, 1,
-    -1 - z/16 and the two real roots of R4, so at any z, F(., z) is monotone on
-    each leg; and, when x falls, the section. Where |y - F(x, z)| <= theta the
-    run is a fold passage, entered at the fold x1, x3 or x4 within ``band``
-    ahead, which gets no hand-back test. A leg ends early where the running
-    gap d (y - F) falls below ``level``, half of theta or of the smaller gap
-    at the leg's start, and the last leg at the latest where the gap with the
-    leg's starting y and z falls to it.
+    A leg whose end is not before ``t_bound`` is cut at its first step that
+    reaches it, at the point on that step's chord where t = ``t_bound``, which
+    ends the run with no crossing for the leg. The leg ends are the folds
+    ahead, the roots of F_x(x, z) = x (x + 1 + z/16) (x + 2) (x - 1) R4(x):
+    -2, 0, 1, -1 - z/16 and the two real roots of R4, so at any z, F(., z) is
+    monotone on each leg; and, when x falls, the section. Where
+    |y - F(x, z)| <= theta the run is a fold passage, entered at the fold x1,
+    x3 or x4 within ``band`` ahead, which gets no hand-back test. A leg ends
+    early where the running gap d (y - F) falls below ``level``, half of theta
+    or of the smaller gap at the leg's start, and the last leg at the latest
+    where the gap with the leg's starting y and z falls to it.
     """
     x, y, z = state
     g = y - eval_F(x, z)
@@ -256,16 +258,22 @@ def _jump(fld, args, theta, band, x_sec, t_bound, t, state, cols, crossings, n_c
             xb = radau._brentq(gap, x, xb, 4 * radau.EPS, 4 * radau.EPS)
         xs, ends, st = dop853.solve(fld.layer, x, (t, y, z), xb, JUMP_RTOL, JUMP_ATOL, args=args, stop=args[0] / level)
         stats += st
-        if not ends[-1][0] < t_bound:
-            return t, (x, y, z), True
-        _sample_leg(fld.layer, args, x, (t, y, z), xs, ends, cols)
+        if not ends[-1][0] < t_bound:  # cut the leg at the budget, on the chord of its first step that reaches it
+            k = next(k for k, end in enumerate(ends) if not end[0] < t_bound)
+            (x0, a), (x1, b) = (xs[k - 1], ends[k - 1]) if k else (x, (t, y, z)), (xs[k], ends[k])
+            s = (t_bound - a[0]) / (b[0] - a[0])
+            cut = [u + (v - u) * s for u, v in zip((x0, *a), (x1, *b))]
+            xs, ends = xs[:k] + cut[:1], ends[:k] + [(t_bound, *cut[2:])]
+        _sample_leg(x, (t, y, z), xs, ends, cols)
         x, (t, y, z) = xs[-1], ends[-1]
+        if t == t_bound:  # a cut leg ends the run and counts no crossing
+            return t, (x, y, z)
         if x == x_sec and d < 0.0:
             crossings.append((t, x, y, z))
             if len(crossings) == n_crossings:
-                return t, (x, y, z), True
+                return t, (x, y, z)
         if at_exit or x != xb or (x != entry and x in folds and abs(y - eval_F(x, z)) < theta):
-            return t, (x, y, z), False
+            return t, (x, y, z)
 
 
 def _folds(z):
@@ -273,48 +281,22 @@ def _folds(z):
     return sorted(_STILL_FOLDS + (_X2 - z / 16.0,))
 
 
-def _sample_leg(layer, args, x, state, xs, ends, cols):
-    """Append the x-steps' ends from (x, state) as (t, x, y, z) samples, with Hermite samples inside long steps.
+def _sample_leg(x, state, xs, ends, cols):
+    """Append the x-steps' ends from (x, state) as (t, x, y, z) samples, with samples on the chord inside long steps.
 
-    A step longer than SAMPLE_DX gets evenly spaced samples from its cubic
-    Hermite interpolant in x, each component's end slopes limited as Fritsch and
-    Carlson do (*SIAM J. Numer. Anal.* 17, 1980) so that a monotone component,
-    t among them, stays monotone: near a fold the slope at one end of a step
-    can exceed the step's secant by orders of magnitude.
+    A step longer than SAMPLE_DX gets evenly spaced samples whose (t, y, z)
+    are linear in x between the step's ends, so t is monotone within it.
     """
-    ts, xcol, ys, zs = cols
-    for x1, end in zip(xs, ends):
-        h = x1 - x
-        k = int(abs(h) / SAMPLE_DX) + 1
-        if k > 1:
-            slopes = [_limited_slopes(a, b, h, ma, mb) for a, b, ma, mb in zip(state, end, layer(x, state, *args),
-                                                                             layer(x1, end, *args))]
-            for j in range(1, k):
-                s = j / k
-                h01 = s * s * (3.0 - 2.0 * s)
-                h10 = h * s * (1.0 - s) * (1.0 - s)
-                h11 = h * s * s * (s - 1.0)
-                tv, yv, zv = (a + (b - a) * h01 + ma * h10 + mb * h11 for a, b, (ma, mb) in zip(state, end, slopes))
-                ts.append(tv)
-                xcol.append(x + s * h)
-                ys.append(yv)
-                zs.append(zv)
-        x, state = x1, end
-        ts.append(end[0])
-        xcol.append(x1)
-        ys.append(end[1])
-        zs.append(end[2])
-
-
-def _limited_slopes(a, b, h, ma, mb):
-    """The end slopes (ma, mb) of a cubic from a to b over a step h, limited so the cubic is monotone if a != b."""
-    secant = (b - a) / h
-    if secant == 0.0:
-        return 0.0, 0.0
-    ra, rb = max(ma / secant, 0.0), max(mb / secant, 0.0)
-    r2 = ra * ra + rb * rb
-    scale = secant * (3.0 / math.sqrt(r2) if r2 > 9.0 else 1.0)
-    return ra * scale, rb * scale
+    a = (state[0], x, *state[1:])
+    for x1, (t1, y1, z1) in zip(xs, ends):
+        b = (t1, x1, y1, z1)
+        k = int(abs(x1 - a[1]) / SAMPLE_DX) + 1
+        for j in range(1, k):
+            for col, u, v in zip(cols, a, b):
+                col.append(u + (v - u) * (j / k))
+        for col, v in zip(cols, b):
+            col.append(v)
+        a = b
 
 
 def canard_hole_radius(eps: float, delta: float) -> float:

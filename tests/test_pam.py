@@ -20,7 +20,6 @@ from mmopam.pam import (
     pam_eval,
     sao_bounds,
     signature_from_signs,
-    stability_factor,
     transform,
     untransform,
 )
@@ -241,11 +240,6 @@ def test_unconverged_orbit_raises():
 def test_signature_from_signs_grouping():
     assert str(signature_from_signs([True, False, False, True, False])) == "1^1 1^2"
     assert str(signature_from_signs([False, True, True, False])) == "2^2"
-
-
-def test_stability_factor():
-    sig = Signature.from_string("1^3")
-    assert math.isclose(stability_factor(ROW_1_3, sig), 0.3 * 0.9**3)
 
 
 # --- mu-window bounds ---------------------------------------------------------

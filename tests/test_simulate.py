@@ -274,8 +274,8 @@ def _record_solves(monkeypatch) -> list:
 
 # sha256 of the float.hex of the columns t, x, y and z, in that order, joined by spaces: a moved bit fails
 SAMPLES_SHA256 = {
-    None: "e05ad782a18f7749b17e0c45b7ba3296526dc83ba93871cf980dbaff21126b99",
-    1: "df9d8ae70dc0dbab4279f48d22ef1d4e50827c9f6a33d0a6318d09a1c937adc9",
+    None: "e03e2ba8a3f21b0d4cceaacdf677e21bf211d3b21454fbb8cbf0bb7073db72da",
+    1: "53de6fbfec395fc22e9bc50d194a0dc57ba7dab2c2a939a34be03def1f4fa381",
 }
 
 
@@ -297,12 +297,23 @@ def test_samples_equal_the_numpy_sampler(params_1_1, monkeypatch, n_crossings):
         run = [c[i : i + len(sol.t)] for c in cols]
         assert run == [sol.t, *map(list, zip(*sol.y))]
         covered.update(range(i, i + len(sol.t)))
-    samples = set(zip(*cols))
-    for kind, _, out in solves:
+    # each x-step's ends are samples, and a step longer than SAMPLE_DX has evenly spaced samples between them, whose
+    # (t, y, z) are the linear interpolation in x between the step's ends
+    index = {t: i for i, t in enumerate(cols[0])}
+    fill_ins = 0
+    for kind, args, out in solves:
         if kind == "dop853":
             xs, ends, _ = out
-            assert {(t, x, y, z) for x, (t, y, z) in zip(xs, ends)} <= samples
-    assert len(covered) < len(series)
+            for xa, a, xb, b in zip([args[1], *xs], [args[2], *ends], xs, ends):
+                i, j = index[a[0]], index[b[0]]
+                assert (cols[1][i], cols[1][j]) == (xa, xb) and [c[j] for c in cols[2:]] == list(b[1:])
+                assert j - i == int(abs(xb - xa) / mmopam.simulate.SAMPLE_DX) + 1
+                for m in range(i + 1, j):
+                    s = (cols[1][m] - xa) / (xb - xa)
+                    for c, u, w in zip((cols[0], cols[2], cols[3]), a, b):
+                        assert abs(c[m] - (u + (w - u) * s)) <= 4 * math.ulp(max(abs(u), abs(w)))
+                fill_ins += j - i - 1
+    assert fill_ins > 0 and len(covered) < len(series)
 
 
 def test_integrate_full_stops_at_its_budget(params_1_1, monkeypatch):
@@ -330,24 +341,50 @@ def test_integrate_full_stops_at_its_budget(params_1_1, monkeypatch):
     assert 0 < len(series.crossing_states) < 50
 
 
-def test_budget_ending_mid_jump_ends_at_it(params_1_1, monkeypatch):
-    # a leg that would end past the budget is dropped, and Radau finishes the run from its start
-    solves = _record_solves(monkeypatch)
-    cfg = SimConfig(eps=1e-5, delta=1e-2, max_slow_time=1.0)
-    integrate_full(params_1_1, cfg)
-    t_from, t_to = next((args[2][0], out[1][-1][0]) for kind, args, out in solves if kind == "dop853")
+def _assert_cut_on_the_chord(solves, params, kwargs, last):
+    """Rerun with the budget half-way in t from the first x-solve leg's start to its step end ``last``; check the cut.
+
+    The run must end at the budget, with the first x-solve leg, from Radau's last step end to the fold x4, as its last
+    solve, and its last sample on the chord of the leg's first step whose end is not before the budget; returns the
+    index of that step.
+    """
     solves.clear()
-    budget = 0.5 * (t_from + t_to)
-    series = integrate_full(params_1_1, SimConfig(eps=1e-5, delta=1e-2, max_slow_time=budget))
-    assert series.t[-1] == budget
-    (kind, args, sol), (last_kind, last_args, last) = solves[-2:]
-    assert kind == "dop853" and sol[1][-1][0] > budget
-    assert last_kind == "radau" and last_args[2] == t_from and last.t[-1] == budget
+    integrate_full(params, SimConfig(max_slow_time=1.0, **kwargs))
+    _, leg, (_, ends, _) = next(solve for solve in solves if solve[0] == "dop853")
+    budget = 0.5 * (leg[2][0] + ends[last][0])
+    solves.clear()
+    series = integrate_full(params, SimConfig(max_slow_time=budget, **kwargs))
+    assert series.t[-1] == budget and all(a < b for a, b in zip(series.t, series.t[1:]))
+    (_, _, first), (kind, (_, x_from, start, x_to, *_), (xs, ends, _)) = solves
+    assert kind == "dop853" and (x_from, x_to) == (first.y[-1][0], 1.0)
+    k = next(k for k, end in enumerate(ends) if not end[0] < budget)
+    (xa, a), (xb, b) = (xs[k - 1], ends[k - 1]) if k else (x_from, start), (xs[k], ends[k])
+    s = (budget - a[0]) / (b[0] - a[0])
+    for v, u, w in zip((series.x[-1], series.y[-1], series.z[-1]), (xa, *a[1:]), (xb, *b[1:])):
+        assert abs(v - (u + (w - u) * s)) <= 4 * math.ulp(max(abs(u), abs(w)))
+    return k
+
+
+def test_budget_ending_mid_jump_ends_at_it(params_1_1, monkeypatch):
+    # from the default start at eps = 1e-5 the first x-solve leg is the passage of x4 into the first jump; a budget
+    # half-way through it, or through its first step, cuts it there, and the run ends with no Radau solve after it
+    solves = _record_solves(monkeypatch)
+    kwargs = {"eps": 1e-5, "delta": 1e-2}
+    assert [_assert_cut_on_the_chord(solves, params_1_1, kwargs, last) for last in (-1, 0)] == [8, 0]
+
+
+def test_budget_ending_mid_fold_passage_ends_at_it(fixed_rho, monkeypatch):
+    # the start of test_start_in_the_band_moving_toward_x4_completes, with the budget half-way through the passage leg
+    solves = _record_solves(monkeypatch)
+    params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
+    x0 = 1.0 + 0.5 * mmopam.simulate.FOLD_BAND * SimConfig.eps ** (1 / 3)
+    kwargs = {"initial_state": (x0, eval_F(x0, 0.0) - 1e-6, 0.0)}
+    assert _assert_cut_on_the_chord(solves, params, kwargs, -1) == 8
 
 
 def test_budget_ending_after_the_section_counts_its_crossing_once(fixed_rho):
-    # the first crossing is a jump's leg end at the section; the budget drops the next leg, so Radau finishes the run
-    # from the section itself, which is not a crossing: x must fall from strictly above it
+    # the first crossing is a jump's leg end at the section; the budget cuts the next leg, which starts on the
+    # section, so the run ends on the chord of one of that leg's steps and counts the crossing once
     params = synthesize(PamCoefficients(0.3, 7.0, 0.9, -2.0), fixed_rho)
     t_c = 0.19868161648097665
     with pytest.raises(NotPeriodic, match=r"^only 1 of 2 section crossings within 0\.199 slow-time units$") as exc:
